@@ -17,7 +17,6 @@ import argparse
 import cmath
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -365,16 +364,11 @@ def _phase_grid(dist: PhaseDistribution, points: int) -> list[float]:
     return [lo + k * step for k in range(points - 1)] + [hi]
 
 
-def _map_times(fn: Callable[[float], list[tuple]], times, threads: int) -> list[tuple]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(fn, times))
-    else:
-        chunks = [fn(t) for t in times]
-    return [row for chunk in chunks for row in chunk]
+def _map_times(fn: Callable[[float], list[tuple]], times) -> list[tuple]:
+    return [row for t in times for row in fn(t)]
 
 
-def _run_phase_dist(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_phase_dist(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         chi_t = config.chi * t
         if isinstance(config.field, DeltaAmplitude):
@@ -387,11 +381,11 @@ def _run_phase_dist(config: ScenarioConfig, threads: int) -> ResultTable:
             grid = _phase_grid(dist, 201)
         return [(t, phi, dist.evaluate(phi)) for phi in grid]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "phi", "density"), tuple(rows), _metadata(config))
 
 
-def _run_quad_dist(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_quad_dist(config: ScenarioConfig) -> ResultTable:
     field = config.field
     half = field.r0 + 5.0 * field.sigma
 
@@ -402,17 +396,17 @@ def _run_quad_dist(config: ScenarioConfig, threads: int) -> ResultTable:
         grid = [(-half + k * (2.0 * half) / 200.0) for k in range(201)]
         return [(t, y, dist.evaluate(y)) for y in grid]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "y", "p"), tuple(rows), _metadata(config))
 
 
-def _run_pfunction(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_pfunction(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         dist = atomic_pfunction(config.atom, config.chi * t)
         grid = _phase_grid(dist, 101)
         return [(t, d, dist.evaluate(d)) for d in grid]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "delta", "p"), tuple(rows), _metadata(config))
 
 
@@ -446,19 +440,19 @@ def _corr_headers(prefix: str = "") -> list[str]:
     return cols
 
 
-def _run_moments(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_moments(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         return [tuple([t] + _hybrid_moment_values(config, t))]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(tuple(["t"] + _moment_headers()), tuple(rows), _metadata(config))
 
 
-def _run_correlations(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_correlations(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         return [tuple([t] + _hybrid_corr_values(config, t))]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(tuple(["t"] + _corr_headers()), tuple(rows), _metadata(config))
 
 
@@ -469,7 +463,7 @@ def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
     return complex(math.cos(theta / 2.0)), math.sin(theta / 2.0) * cmath.exp(1j * phi)
 
 
-def _run_compare(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_compare(config: ScenarioConfig) -> ResultTable:
     c_e, c_g = _atom_amplitudes(config)
     alpha = config.field.mean_amplitude
 
@@ -502,11 +496,11 @@ def _run_compare(config: ScenarioConfig, threads: int) -> ResultTable:
         + _moment_headers("q_")
         + _corr_headers("q_")
     )
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
-def _run_oscillators(config: ScenarioConfig, threads: int) -> ResultTable:
+def _run_oscillators(config: ScenarioConfig) -> ResultTable:
     params = CouplingParams(config.chi)
     gamma0 = OscillatorPair(config.field.mean_amplitude, config.beta0)
 
@@ -515,7 +509,7 @@ def _run_oscillators(config: ScenarioConfig, threads: int) -> ResultTable:
         energy = abs(g.alpha) ** 2 + abs(g.beta) ** 2
         return [(t, g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, energy)]
 
-    rows = _map_times(rows_at, config.times, threads)
+    rows = _map_times(rows_at, config.times)
     return ResultTable(
         ("t", "alpha_re", "alpha_im", "beta_re", "beta_im", "energy"),
         tuple(rows),
@@ -564,7 +558,7 @@ def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultTable:
+def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Compute the table for a validated config.
 
     Raises NumericError if any produced value is NaN; a quadrature convergence
@@ -582,7 +576,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultTable:
     if config.scenario == "verify":
         return _run_verify(config)
     try:
-        table = runners[config.scenario](config, threads)
+        table = runners[config.scenario](config)
     except ConvergenceError as exc:
         raise NumericError(f"scenario {config.scenario}: {exc}") from exc
     for row in table.rows:
@@ -637,7 +631,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run a scenario config and write CSV")
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--output", help="output CSV path (overrides [output])")
-    run_p.add_argument("--threads", type=int, default=1)
     ver_p = sub.add_parser("verify", help="run the acceptance checks")
     ver_p.add_argument("--filter", default=None, help="substring filter on names")
 
@@ -671,7 +664,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
     try:
-        table = run_scenario(config, threads=max(1, args.threads))
+        table = run_scenario(config)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import ive, spherical_jn
+from scipy.special import spherical_jn
 
 from .quadrature import (
     BlochPoint,
@@ -140,6 +140,21 @@ class GaussianAmplitude:
         s2 = self.sigma * self.sigma
         d2 = r * r + self.r0 * self.r0 - 2.0 * r * self.r0 * math.cos(phi)
         return (2.0 / (math.pi * s2)) * math.exp(-2.0 * d2 / s2)
+
+    def angular_density(self, psi: float) -> float:
+        """Radial integral of r * polar_density(r, psi) over r in [0, inf).
+
+        With c = sqrt(2) r0 / sigma this is the elementary closed form
+        exp(-c^2) / (2 pi) + r0 cos(psi) / (sigma sqrt(2 pi))
+        * exp(-c^2 sin^2(psi)) * erfc(-c cos(psi)); it integrates to 1 over
+        one period of psi.
+        """
+        c = math.sqrt(2.0) * self.r0 / self.sigma
+        cos_psi = math.cos(psi)
+        sin_psi = math.sin(psi)
+        floor = math.exp(-c * c) / TWO_PI
+        ridge = (self.r0 * cos_psi) / (self.sigma * math.sqrt(TWO_PI))
+        return floor + ridge * math.exp(-c * c * sin_psi * sin_psi) * math.erfc(-c * cos_psi)
 
     def radial_bounds(self, cutoff: float) -> tuple[float, float]:
         return max(0.0, self.r0 - cutoff * self.sigma), self.r0 + cutoff * self.sigma
@@ -257,6 +272,28 @@ def _spike_segments(
     return list(zip(ordered[:-1], ordered[1:]))
 
 
+def _phase_shift_segments(
+    phi: float, kappa: float, field: GaussianAmplitude
+) -> list[tuple[float, float]]:
+    """Panels of u = cos(theta) in [-1, 1] for integrands of the shifted field
+    phase phi - kappa u.
+
+    Every u where the shift is a multiple of 2 pi carries a spike of width
+    ~ sigma / (kappa r0) and is bracketed explicitly so the panels cannot
+    step over it.
+    """
+    if kappa == 0.0:
+        return [(-1.0, 1.0)]
+    spike = None
+    if kappa > 0.0 and field.r0 > 0.0:
+        spike = field.sigma / (kappa * max(field.r0, field.sigma) * math.sqrt(2.0))
+    n_lo = math.ceil((phi - kappa) / TWO_PI)
+    n_hi = math.floor((phi + kappa) / TWO_PI)
+    centers = [(phi - TWO_PI * n) / kappa for n in range(n_lo, n_hi + 1)]
+    widths = [max(spike or 1.0, 1e-9)] * len(centers)
+    return _spike_segments(-1.0, 1.0, centers, widths)
+
+
 def _sum_segments(f, segments, spec) -> float:
     return math.fsum(integrate_interval(f, a, b, spec).value for a, b in segments)
 
@@ -278,9 +315,6 @@ def field_marginal(
         )
     sz = state.atom.s[2]
     kappa = state.kappa
-    spike_width = None
-    if kappa > 0.0 and field.r0 > 0.0:
-        spike_width = field.sigma / (kappa * max(field.r0, field.sigma) * math.sqrt(2.0))
 
     def w(alpha: complex) -> float:
         r, phi_f = _polar_of(alpha)
@@ -290,13 +324,7 @@ def field_marginal(
                 r, phi_f - kappa * u
             )
 
-        if kappa == 0.0:
-            return integrate_interval(integrand, -1.0, 1.0, spec).value
-        n_lo = math.ceil((phi_f - kappa) / TWO_PI)
-        n_hi = math.floor((phi_f + kappa) / TWO_PI)
-        centers = [(phi_f - TWO_PI * n) / kappa for n in range(n_lo, n_hi + 1)]
-        widths = [max(spike_width or 1.0, 1e-9)] * len(centers)
-        return _sum_segments(integrand, _spike_segments(-1.0, 1.0, centers, widths), spec)
+        return _sum_segments(integrand, _phase_shift_segments(phi_f, kappa, field), spec)
 
     return PhaseSpaceFunction(
         w,
@@ -306,30 +334,6 @@ def field_marginal(
     )
 
 
-def _radial_weight(field: GaussianAmplitude, r: float) -> float:
-    """Azimuth-integrated field density: C(r) with Integral[r C(r) dr] = 1."""
-    s2 = field.sigma * field.sigma
-    x = 4.0 * r * field.r0 / s2
-    d = r - field.r0
-    return (4.0 / s2) * math.exp(-2.0 * d * d / s2) * float(ive(0, x))
-
-
-def _dephasing_factor(
-    field: FieldState, chi: float, t: float, spec: IntegrationSpec
-) -> complex:
-    """Average of exp(-2i chi r^2 t) over the field's intensity distribution."""
-    if isinstance(field, DeltaAmplitude):
-        return cmath.exp(-2j * chi * field.r0 * field.r0 * t)
-    lo, hi = field.radial_bounds(spec.radial_cutoff_sigmas)
-    res = integrate_interval(
-        lambda r: r * _radial_weight(field, r) * cmath.exp(-2j * chi * r * r * t),
-        lo,
-        hi,
-        spec,
-    )
-    return res.value
-
-
 def _rotated_atom(atom: SpinHalfState, factor: complex) -> SpinHalfState:
     """Transverse Bloch components multiplied by the (|factor| <= 1) dephasing."""
     sx, sy, sz = atom.s
@@ -337,16 +341,14 @@ def _rotated_atom(atom: SpinHalfState, factor: complex) -> SpinHalfState:
     return SpinHalfState((trans.real, trans.imag, sz))
 
 
-def atom_marginal(
-    state: HybridState, spec: IntegrationSpec = DEFAULT_SPEC
-) -> SphereFunction:
+def atom_marginal(state: HybridState) -> SphereFunction:
     """Atomic distribution after tracing out the field.
 
     The field azimuth integrates away exactly, leaving the transverse Bloch
     components multiplied by the intensity-averaged phase factor; for a delta
     field this is a rigid rotation of the azimuth by 2 chi r0^2 t.
     """
-    factor = _dephasing_factor(state.field, state.chi, state.t, spec)
+    _, factor, _ = _field_factors(state.field, state.chi, state.t)
     return spin_wigner(_rotated_atom(state.atom, factor))
 
 
@@ -394,9 +396,11 @@ def phase_distribution_gaussian(
 ) -> PhaseDistribution:
     """Field-phase density for a Gaussian field, 2pi-periodic in phi.
 
-    Evaluation is a double quadrature over the radial coordinate and
-    u = cos(theta); narrow angular features (width ~ sigma / (kappa r0)) are
-    bracketed explicitly so the panels cannot step over them.
+    The radial coordinate is integrated in closed form
+    (``GaussianAmplitude.angular_density``), so each density point is a
+    single quadrature over u = cos(theta), and ``spec.radial_cutoff_sigmas``
+    does not enter.  Narrow angular features (width ~ sigma / (kappa r0))
+    are bracketed explicitly so the panels cannot step over them.
     """
     if chi_t < 0.0:
         raise ValueError("chi_t must be non-negative")
@@ -404,27 +408,12 @@ def phase_distribution_gaussian(
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
     sz = atom.s[2]
     kappa = SQRT3 * chi_t
-    r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
-    spike = None
-    if kappa > 0.0 and field.r0 > 0.0:
-        spike = field.sigma / (kappa * max(field.r0, field.sigma) * math.sqrt(2.0))
-    inner = spec
 
     def density(phi: float) -> float:
-        def outer(u: float) -> float:
-            shift = phi - kappa * u
-            radial = integrate_interval(
-                lambda r: r * field.polar_density(r, shift), r_lo, r_hi, inner
-            ).value
-            return 0.5 * (1.0 + SQRT3 * sz * u) * radial
+        def integrand(u: float) -> float:
+            return 0.5 * (1.0 + SQRT3 * sz * u) * field.angular_density(phi - kappa * u)
 
-        if kappa == 0.0:
-            return integrate_interval(outer, -1.0, 1.0, spec).value
-        n_lo = math.ceil((phi - kappa) / TWO_PI)
-        n_hi = math.floor((phi + kappa) / TWO_PI)
-        centers = [(phi - TWO_PI * n) / kappa for n in range(n_lo, n_hi + 1)]
-        widths = [max(spike or 1.0, 1e-9)] * len(centers)
-        return _sum_segments(outer, _spike_segments(-1.0, 1.0, centers, widths), spec)
+        return _sum_segments(integrand, _phase_shift_segments(phi, kappa, field), spec)
 
     return PhaseDistribution(density, (-math.pi, math.pi), periodic=True)
 
@@ -719,7 +708,6 @@ def semiclassical_standard(
     chi: float,
     t: float,
     mean_field: bool = False,
-    spec: IntegrationSpec = DEFAULT_SPEC,
     mean_intensity: float | None = None,
 ) -> SphereFunction:
     """Atomic distribution when the field is frozen (no back-reaction).
@@ -732,7 +720,7 @@ def semiclassical_standard(
         intensity = field.mean_intensity if mean_intensity is None else mean_intensity
         factor = cmath.exp(-2j * chi * intensity * t)
     else:
-        factor = _dephasing_factor(field, chi, t, spec)
+        _, factor, _ = _field_factors(field, chi, t)
     return spin_wigner(_rotated_atom(atom, factor))
 
 

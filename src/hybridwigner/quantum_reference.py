@@ -89,7 +89,10 @@ def _coherent_column(alpha: complex, N: int) -> np.ndarray:
         return col
     log_amp = ns * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
     phases = np.exp(1j * ns * cmath.phase(alpha))
-    return np.exp(log_amp) * phases
+    col = np.exp(log_amp) * phases
+    # The log-factorial cumsum drifts by ~1e-12 in norm^2 once |alpha| >= 17;
+    # renormalise here and leave the cutoff to the AtomFieldVector tail check.
+    return col / np.linalg.norm(col)
 
 
 def evolve_quantum(

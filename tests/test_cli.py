@@ -160,10 +160,6 @@ r0 = 1.0
         energies = [row[5] for row in table.rows]
         assert max(abs(e - energies[0]) for e in energies) < 1e-12
 
-    def test_threads_do_not_change_rows(self):
-        config = parse_config(MINIMAL)
-        assert run_scenario(config, threads=1).rows == run_scenario(config, threads=4).rows
-
 
 class TestEmission:
     def test_byte_identical_reruns(self, tmp_path):
@@ -226,6 +222,33 @@ class TestMain:
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# hybridwigner")
+
+    def test_compare_at_large_amplitude(self, tmp_path):
+        # r0 = 30 needs 1221 basis states; the coherent column must stay
+        # normalised to the state check's 1e-12 at this size
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(
+            """
+[scenario]
+name = compare
+chi = 1.0
+times = 0.0, 0.5
+
+[atom]
+kind = phase
+
+[field]
+kind = gaussian
+r0 = 30.0
+sigma = 1.0
+"""
+        )
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        first = dict(zip(header, (float(v) for v in lines[1].split(","))))
+        assert first["q_a_abs"] == pytest.approx(30.0, abs=1e-9)
 
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         import hybridwigner.cli as cli_module

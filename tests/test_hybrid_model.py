@@ -242,6 +242,56 @@ class TestDeltaPhaseLaw:
             phase_distribution_delta(GROUND, -1.0)
 
 
+def _radial_reference(field: GaussianAmplitude, psi: float) -> float:
+    """Quadrature of r * G(r, psi) over r, independent of the erfc closed form.
+
+    The squared distance is written as (r - r0)^2 + 4 r r0 sin^2(psi / 2): the
+    same density as ``polar_density``, whose r^2 + r0^2 - 2 r r0 cos(psi)
+    cancels to ~1e-10 relative accuracy when sigma = 1e-3 << r0.
+    """
+    s2 = field.sigma * field.sigma
+    h = math.sin(0.5 * psi)
+
+    def integrand(r: float) -> float:
+        d2 = (r - field.r0) ** 2 + 4.0 * r * field.r0 * h * h
+        return r * (2.0 / (math.pi * s2)) * math.exp(-2.0 * d2 / s2)
+
+    lo, hi = field.radial_bounds(10.0)
+    return integrate_interval(integrand, lo, hi, IntegrationSpec(1e-15, 1e-14)).value
+
+
+class TestAngularDensity:
+    # the psi grid holds +-pi and the cos(psi) < 0 half, where the erfc ridge
+    # term and the exp(-c^2) floor term nearly cancel, plus the narrow ridge
+    # of sigma = 1e-3 around psi = 0
+    PSI = [math.pi * k / 12.0 for k in range(-12, 13)] + [1e-4, -3e-4, 1e-3, 2e-3, -2.5e-3]
+
+    @pytest.mark.parametrize(
+        "r0, sigma", [(10.0, 1.0), (1.0, 1e-3), (0.0, 1.0), (2.0, 0.5), (0.5, 1.0)]
+    )
+    def test_matches_radial_quadrature(self, r0, sigma):
+        field = GaussianAmplitude(r0, sigma)
+        for psi in self.PSI:
+            assert field.angular_density(psi) == pytest.approx(
+                _radial_reference(field, psi), abs=1e-11
+            )
+
+    def test_literal_polar_density_route(self):
+        field = GaussianAmplitude(2.0, 0.5)
+        for psi in (-math.pi, -2.0, 0.0, 0.4, 2.5):
+            radial = integrate_interval(
+                lambda r: r * field.polar_density(r, psi),
+                *field.radial_bounds(10.0),
+                IntegrationSpec(1e-12, 1e-14),
+            ).value
+            assert field.angular_density(psi) == pytest.approx(radial, abs=1e-11)
+
+    def test_normalized_over_period(self):
+        field = GaussianAmplitude(2.0, 0.5)
+        total = integrate_interval(field.angular_density, -math.pi, math.pi, IntegrationSpec(1e-12, 1e-14))
+        assert total.value == pytest.approx(1.0, abs=1e-12)
+
+
 class TestGaussianPhaseLaw:
     def test_initial_peak_at_zero(self):
         dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 0.0, LOOSE)

@@ -45,6 +45,11 @@ class TestEvolution:
             st = evolve_quantum(0.6, 0.8, 2.0, 1.0, t)
             assert st.norm() == pytest.approx(1.0, abs=1e-13)
 
+    def test_large_amplitude_normalized(self):
+        for alpha in (17.0, 30.0):
+            st = evolve_quantum(0.6, 0.8, alpha, 1.0, 0.3)
+            assert st.norm() == pytest.approx(1.0, abs=1e-14)
+
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError):
             evolve_quantum(1.0, 1.0, 1.0, 1.0, 0.0)
