@@ -54,6 +54,7 @@ from .hybrid_model import (
     SIGMA_MINUS_SCALE,
     atom_marginal,
     atomic_pfunction,
+    closed_moments,
     correlation,
     field_marginal,
     flow_map,

@@ -27,12 +27,11 @@ from .hybrid_model import (
     DeltaAmplitude,
     FieldState,
     GaussianAmplitude,
-    HybridState,
     ObservableSymbol,
     PhaseDistribution,
+    _product_symbol,
     atomic_pfunction,
-    correlation,
-    hybrid_expectation,
+    closed_moments,
     phase_distribution_delta,
     phase_distribution_gaussian,
     quadrature_distribution,
@@ -156,10 +155,14 @@ def _take_float(section, key, errors, section_name, default=None, required=False
         return default
     value, lineno = section.pop(key)
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         errors.append(f"line {lineno}: {key} must be a number, got {value!r}")
         return default
+    if not math.isfinite(number):
+        errors.append(f"line {lineno}: {key} must be finite, got {value!r}")
+        return default
+    return number
 
 
 def _parse_times(section, errors) -> tuple[float, ...]:
@@ -167,6 +170,17 @@ def _parse_times(section, errors) -> tuple[float, ...]:
         errors.append("[scenario] missing required key 'times'")
         return ()
     value, lineno = section.pop("times")
+    times = _times_from_text(value, lineno, errors)
+    if not all(math.isfinite(t) for t in times):
+        errors.append(f"line {lineno}: times must be finite, got {value!r}")
+        return ()
+    if any(t < 0.0 for t in times):
+        errors.append(f"line {lineno}: times must be non-negative, got {value!r}")
+        return ()
+    return times
+
+
+def _times_from_text(value: str, lineno: int, errors) -> tuple[float, ...]:
     text = value.strip()
     if text.startswith("range(") and text.endswith(")"):
         parts = [p.strip() for p in text[6:-1].split(",")]
@@ -231,7 +245,7 @@ def parse_config(text: str) -> ScenarioConfig:
         _take_float(scn, "beta0_im", errors, "scenario", default=0.0),
     )
     verify_filter = None
-    if "filter" in scn:
+    if name == "verify" and "filter" in scn:
         verify_filter, _ = scn.pop("filter")
 
     atom_section = sections.get("atom", {})
@@ -410,19 +424,19 @@ def _run_pfunction(config: ScenarioConfig) -> ResultTable:
     return ResultTable(("t", "delta", "p"), tuple(rows), _metadata(config))
 
 
-def _hybrid_moment_values(config: ScenarioConfig, t: float) -> list[float]:
-    state = HybridState(config.atom, config.field, config.chi, t)
+def _moment_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
     values: list[float] = []
     for _, obs in _MOMENT_COLUMNS:
-        values.extend(_complex_triple(hybrid_expectation(state, obs, config.quadrature)))
+        values.extend(_complex_triple(moments[obs]))
     return values
 
 
-def _hybrid_corr_values(config: ScenarioConfig, t: float) -> list[float]:
-    state = HybridState(config.atom, config.field, config.chi, t)
+def _corr_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
     values: list[float] = []
     for _, a, b in _CORR_COLUMNS:
-        values.extend(_complex_triple(correlation(state, a, b, config.quadrature)))
+        values.extend(
+            _complex_triple(moments[_product_symbol(a, b)] - moments[a] * moments[b])
+        )
     return values
 
 
@@ -441,18 +455,14 @@ def _corr_headers(prefix: str = "") -> list[str]:
 
 
 def _run_moments(config: ScenarioConfig) -> ResultTable:
-    def rows_at(t: float) -> list[tuple]:
-        return [tuple([t] + _hybrid_moment_values(config, t))]
-
-    rows = _map_times(rows_at, config.times)
+    hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
+    rows = [tuple([t] + _moment_values(moments)) for t, moments in zip(config.times, hybrid)]
     return ResultTable(tuple(["t"] + _moment_headers()), tuple(rows), _metadata(config))
 
 
 def _run_correlations(config: ScenarioConfig) -> ResultTable:
-    def rows_at(t: float) -> list[tuple]:
-        return [tuple([t] + _hybrid_corr_values(config, t))]
-
-    rows = _map_times(rows_at, config.times)
+    hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
+    rows = [tuple([t] + _corr_values(moments)) for t, moments in zip(config.times, hybrid)]
     return ResultTable(tuple(["t"] + _corr_headers()), tuple(rows), _metadata(config))
 
 
@@ -467,10 +477,10 @@ def _run_compare(config: ScenarioConfig) -> ResultTable:
     c_e, c_g = _atom_amplitudes(config)
     alpha = config.field.mean_amplitude
 
-    def rows_at(t: float) -> list[tuple]:
+    def row_at(t: float, moments: dict[ObservableSymbol, complex]) -> tuple:
         values: list[float] = [t]
-        values += _hybrid_moment_values(config, t)
-        values += _hybrid_corr_values(config, t)
+        values += _moment_values(moments)
+        values += _corr_values(moments)
         for mean_field in (False, True):
             for _, obs in _MOMENT_COLUMNS:
                 values.extend(
@@ -485,7 +495,7 @@ def _run_compare(config: ScenarioConfig) -> ResultTable:
             values.extend(_complex_triple(quantum_expectation(qstate, obs)))
         for _, a, b in _CORR_COLUMNS:
             values.extend(_complex_triple(quantum_correlation(qstate, a, b)))
-        return [tuple(values)]
+        return tuple(values)
 
     columns = (
         ["t"]
@@ -496,7 +506,8 @@ def _run_compare(config: ScenarioConfig) -> ResultTable:
         + _moment_headers("q_")
         + _corr_headers("q_")
     )
-    rows = _map_times(rows_at, config.times)
+    hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
+    rows = [row_at(t, moments) for t, moments in zip(config.times, hybrid)]
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 

@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -58,6 +58,7 @@ __all__ = [
     "phase_distribution_gaussian",
     "phase_moments",
     "quadrature_distribution",
+    "closed_moments",
     "hybrid_expectation",
     "correlation",
     "semiclassical_standard",
@@ -138,7 +139,10 @@ class GaussianAmplitude:
     def polar_density(self, r: float, phi: float) -> float:
         """Density at alpha = r exp(-i phi)."""
         s2 = self.sigma * self.sigma
-        d2 = r * r + self.r0 * self.r0 - 2.0 * r * self.r0 * math.cos(phi)
+        # (r - r0)^2 + 4 r r0 sin^2(phi/2) equals |alpha - r0|^2 without the
+        # cancellation of r^2 + r0^2 - 2 r r0 cos(phi) when sigma << r0
+        h = math.sin(0.5 * phi)
+        d2 = (r - self.r0) ** 2 + 4.0 * r * self.r0 * h * h
         return (2.0 / (math.pi * s2)) * math.exp(-2.0 * d2 / s2)
 
     def angular_density(self, psi: float) -> float:
@@ -506,17 +510,6 @@ class ObservableSymbol(Enum):
         return self.atomic_symbol(point) * self.field_symbol(alpha)
 
 
-def _bessel_j012(kappa: float) -> tuple[float, float, float]:
-    # Spherical Bessel j0, j1, j2 with explicit parity for negative argument.
-    x = abs(kappa)
-    j0 = float(spherical_jn(0, x))
-    j1 = float(spherical_jn(1, x))
-    j2 = float(spherical_jn(2, x))
-    if kappa < 0.0:
-        j1 = -j1
-    return j0, j1, j2
-
-
 def _field_factors(
     field: FieldState, chi: float, t: float
 ) -> tuple[complex, complex, complex]:
@@ -531,24 +524,42 @@ def _field_factors(
     return complex(field.r0), core / denom, field.r0 * core / (denom * denom)
 
 
-def _expectation_closed(state: HybridState, obs: ObservableSymbol) -> complex:
-    sx, sy, sz = state.atom.s
-    kappa = state.kappa
-    j0, j1, j2 = _bessel_j012(kappa)
-    mean_alpha, f0, f1 = _field_factors(state.field, state.chi, state.t)
-    if obs is ObservableSymbol.A:
-        return mean_alpha * (j0 - 1j * SQRT3 * sz * j1)
-    if obs is ObservableSymbol.ADAG:
-        return mean_alpha.conjugate() * (j0 + 1j * SQRT3 * sz * j1)
-    if obs is ObservableSymbol.SIGMA_Z:
-        return complex(sz)
-    if obs is ObservableSymbol.SIGMA_MINUS:
-        return 0.5 * complex(sx, -sy) * f0
-    if obs is ObservableSymbol.SIGMA_MINUS_ADAG:
-        return 0.5 * complex(sx, -sy) * (j0 + j2) * f1
-    if obs is ObservableSymbol.SIGMA_Z_A:
-        return mean_alpha * (-1j * SQRT3 * j1 + sz * (j0 - 2.0 * j2))
-    raise ValueError(f"unsupported symbol {obs}")
+def closed_moments(
+    atom: SpinHalfState, field: FieldState, chi: float, times: Sequence[float]
+) -> list[dict[ObservableSymbol, complex]]:
+    """Closed-form averages of every ObservableSymbol at each of ``times``.
+
+    The cos(theta) average of the field-phase shift reduces to the spherical
+    Bessel functions j0, j1, j2 of kappa = sqrt(3) chi t; they are evaluated
+    for the whole time grid in one call, with j1 odd in kappa.  The field
+    sector enters through ``_field_factors``.
+    """
+    if any(t < 0.0 for t in times):
+        raise ValueError("t must be non-negative")
+    kappas = [SQRT3 * chi * t for t in times]
+    bessel = spherical_jn(np.arange(3)[:, None], np.abs(kappas)[None, :])
+    sx, sy, sz = atom.s
+    coherence = 0.5 * complex(sx, -sy)
+    moments = []
+    for t, kappa, (j0, j1, j2) in zip(times, kappas, bessel.T.tolist()):
+        if kappa < 0.0:
+            j1 = -j1
+        mean_alpha, f0, f1 = _field_factors(field, chi, t)
+        moments.append(
+            {
+                ObservableSymbol.A: mean_alpha * (j0 - 1j * SQRT3 * sz * j1),
+                ObservableSymbol.ADAG: mean_alpha.conjugate() * (j0 + 1j * SQRT3 * sz * j1),
+                ObservableSymbol.SIGMA_Z: complex(sz),
+                ObservableSymbol.SIGMA_MINUS: coherence * f0,
+                ObservableSymbol.SIGMA_MINUS_ADAG: coherence * (j0 + j2) * f1,
+                ObservableSymbol.SIGMA_Z_A: mean_alpha * (-1j * SQRT3 * j1 + sz * (j0 - 2.0 * j2)),
+            }
+        )
+    return moments
+
+
+def _closed_at(state: HybridState) -> dict[ObservableSymbol, complex]:
+    return closed_moments(state.atom, state.field, state.chi, (state.t,))[0]
 
 
 def _n_phi(x_max: float) -> int:
@@ -574,12 +585,13 @@ def _atom_azimuthal(s: tuple[float, float, float], u: float, m: int, n: int = 32
 def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
     s2 = field.sigma * field.sigma
     grid = np.arange(n) * (TWO_PI / n)
-    cosg = np.cos(grid)
+    half_sin2 = np.sin(0.5 * grid) ** 2
     phase = np.exp(-1j * m * grid)
 
     def row(r: float) -> complex:
+        # same squared distance as GaussianAmplitude.polar_density
         w = (2.0 / (math.pi * s2)) * np.exp(
-            -2.0 * (r * r + field.r0 * field.r0 - 2.0 * r * field.r0 * cosg) / s2
+            -2.0 * ((r - field.r0) ** 2 + 4.0 * r * field.r0 * half_sin2) / s2
         )
         return complex((w * phase).sum() * (TWO_PI / n))
 
@@ -659,26 +671,21 @@ def hybrid_expectation(
     if not isinstance(obs, ObservableSymbol):
         raise ValueError(f"unsupported observable {obs!r}")
     if method == "closed":
-        return _expectation_closed(state, obs)
+        return _closed_at(state)[obs]
     if method == "quadrature":
         return _expectation_quadrature(state, obs, spec)
     raise ValueError(f"unknown method {method!r}")
 
 
-_PRODUCT_SYMBOLS = {
-    ("sz", "a"): ObservableSymbol.SIGMA_Z_A,
-    ("sm", "adag"): ObservableSymbol.SIGMA_MINUS_ADAG,
-}
-
-
 def _product_symbol(A: ObservableSymbol, B: ObservableSymbol) -> ObservableSymbol:
+    """The member whose sector kinds are A's atomic and B's field kind."""
     if A.field_kind != "one" or A.atomic_kind == "one":
         raise ValueError("first factor must be a purely atomic observable")
     if B.atomic_kind != "one" or B.field_kind == "one":
         raise ValueError("second factor must be a purely field observable")
     try:
-        return _PRODUCT_SYMBOLS[(A.atomic_kind, B.field_kind)]
-    except KeyError:
+        return ObservableSymbol((A.atomic_kind, B.field_kind))
+    except ValueError:
         raise ValueError(f"no product symbol for ({A.name}, {B.name})") from None
 
 
@@ -695,6 +702,9 @@ def correlation(
     need operator-ordering rules that are out of scope here.
     """
     AB = _product_symbol(A, B)
+    if method == "closed":
+        moments = _closed_at(state)
+        return moments[AB] - moments[A] * moments[B]
     return (
         hybrid_expectation(state, AB, spec, method)
         - hybrid_expectation(state, A, spec, method)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid_model import ObservableSymbol
+from .hybrid_model import ObservableSymbol, _product_symbol
 
 __all__ = [
     "TruncationError",
@@ -157,23 +157,11 @@ def coherent_overlap(alpha: complex, beta: complex) -> complex:
     )
 
 
-_PRODUCT_SYMBOLS = {
-    (ObservableSymbol.SIGMA_Z, ObservableSymbol.A): ObservableSymbol.SIGMA_Z_A,
-    (
-        ObservableSymbol.SIGMA_MINUS,
-        ObservableSymbol.ADAG,
-    ): ObservableSymbol.SIGMA_MINUS_ADAG,
-}
-
-
 def quantum_correlation(
     state: AtomFieldVector, A: ObservableSymbol, B: ObservableSymbol
 ) -> complex:
     """<AB> - <A><B>, exact in the truncated basis."""
-    try:
-        AB = _PRODUCT_SYMBOLS[(A, B)]
-    except KeyError:
-        raise ValueError(f"no product observable for ({A.name}, {B.name})") from None
+    AB = _product_symbol(A, B)
     return quantum_expectation(state, AB) - quantum_expectation(
         state, A
     ) * quantum_expectation(state, B)

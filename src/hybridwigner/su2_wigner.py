@@ -184,8 +184,8 @@ class SpinHalfState:
         s = tuple(float(c) for c in self.s)
         if len(s) != 3:
             raise ValueError("Bloch vector must have three components")
-        if math.hypot(*s) > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector must satisfy |s| <= 1, got {s}")
+        if not math.hypot(*s) <= 1.0 + 1e-9:
+            raise ValueError(f"Bloch vector must be finite with |s| <= 1, got {s}")
         object.__setattr__(self, "s", s)
 
     @classmethod

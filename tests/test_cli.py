@@ -12,7 +12,7 @@ from hybridwigner.cli import (
     render_csv,
     run_scenario,
 )
-from hybridwigner.hybrid_model import DeltaAmplitude
+from hybridwigner.hybrid_model import DeltaAmplitude, ObservableSymbol
 
 MINIMAL = """
 [scenario]
@@ -88,6 +88,36 @@ bogus = 3
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("chi = 1.0", "chi = nan"),
+            ("chi = 1.0", "chi = inf"),
+            ("r0 = 1.0", "r0 = inf"),
+            ("kind = phase", "kind = bloch\ns = nan, 0.0, 0.0"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, old, new):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(MINIMAL.replace(old, new))
+        assert any(e.startswith("line ") and "finite" in e for e in exc_info.value.errors)
+
+    @pytest.mark.parametrize("times", ["-1, 0", "range(-1, 1, 3)", "range(-0.5, 2, 1)"])
+    def test_negative_times_rejected(self, times):
+        text = MINIMAL.replace("name = moments", "name = phase-dist").replace(
+            "times = 0.5, 1.0, 2.0", f"times = {times}"
+        )
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert any(e.startswith("line 5:") and "non-negative" in e for e in exc_info.value.errors)
+
+    def test_filter_only_for_verify(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(MINIMAL.replace("chi = 1.0", "chi = 1.0\nfilter = sphere"))
+        assert any("unknown key 'filter'" in e for e in exc_info.value.errors)
+        config = parse_config("[scenario]\nname = verify\nfilter = sphere\n")
+        assert config.verify_filter == "sphere"
+
     def test_quadrature_overrides(self):
         text = MINIMAL + "\n[quadrature]\nrelative_tolerance = 1e-8\nmax_subdivisions = 1024\n"
         config = parse_config(text)
@@ -142,6 +172,25 @@ sigma = 1.0
         assert any(c.startswith("q_") for c in table.columns)
         assert any(c.startswith("sc_") for c in table.columns)
         assert any(c.startswith("mf_") for c in table.columns)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4", "fig5"])
+    def test_one_bessel_call_per_run(self, name, monkeypatch):
+        from importlib import resources
+
+        import hybridwigner.hybrid_model as model
+
+        calls = []
+        original = model.spherical_jn
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "spherical_jn", counting)
+        text = (resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text()
+        table = run_scenario(parse_config(text))
+        assert len(table.rows) > 1
+        assert len(calls) == 1
 
     def test_oscillator_scenario_energy_column(self):
         text = """
@@ -208,6 +257,12 @@ class TestMain:
         assert main(["run", str(cfg)]) == 1
         assert "sigma" in capsys.readouterr().err
 
+    def test_nan_chi_exits_with_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(MINIMAL.replace("chi = 1.0", "chi = nan"))
+        assert main(["run", str(cfg)]) == 1
+        assert "line 4: chi must be finite" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
@@ -253,9 +308,10 @@ sigma = 1.0
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         import hybridwigner.cli as cli_module
 
-        monkeypatch.setattr(
-            cli_module, "hybrid_expectation", lambda *a, **k: complex(float("nan"), 0.0)
-        )
+        def nan_moments(atom, field, chi, times):
+            return [dict.fromkeys(ObservableSymbol, complex(float("nan"), 0.0)) for _ in times]
+
+        monkeypatch.setattr(cli_module, "closed_moments", nan_moments)
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(MINIMAL)
         out = tmp_path / "out.csv"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from hybridwigner.quadrature import (
     BlochPoint,
@@ -19,8 +20,10 @@ from hybridwigner.hybrid_model import (
     GaussianAmplitude,
     HybridState,
     ObservableSymbol,
+    _field_factors,
     atom_marginal,
     atomic_pfunction,
+    closed_moments,
     correlation,
     field_marginal,
     flow_map,
@@ -286,6 +289,18 @@ class TestAngularDensity:
             ).value
             assert field.angular_density(psi) == pytest.approx(radial, abs=1e-11)
 
+    def test_polar_density_narrow_ridge(self):
+        # sigma << r0: the squared distance must not cancel, or the radial
+        # panels around r0 never reach the requested relative tolerance
+        field = GaussianAmplitude(1.0, 1e-3)
+        for psi in (0.0, 1e-4, 1e-3, 2e-3):
+            radial = integrate_interval(
+                lambda r: r * field.polar_density(r, psi),
+                *field.radial_bounds(10.0),
+                IntegrationSpec(1e-12, 1e-14),
+            ).value
+            assert radial == pytest.approx(field.angular_density(psi), rel=1e-10)
+
     def test_normalized_over_period(self):
         field = GaussianAmplitude(2.0, 0.5)
         total = integrate_interval(field.angular_density, -math.pi, math.pi, IntegrationSpec(1e-12, 1e-14))
@@ -400,6 +415,46 @@ class TestExpectations:
         state = HybridState(GROUND, DeltaAmplitude(1.0), 1.0, 1.0)
         with pytest.raises(ValueError):
             hybrid_expectation(state, ObservableSymbol.A, method="sampling")
+
+
+def _closed_reference(atom, field, chi, t):
+    """One time point of the closed route from scalar Bessel calls."""
+    sx, sy, sz = atom.s
+    kappa = SQRT3 * chi * t
+    j0, j1, j2 = (float(spherical_jn(n, abs(kappa))) for n in range(3))
+    if kappa < 0.0:
+        j1 = -j1
+    mean_alpha, f0, f1 = _field_factors(field, chi, t)
+    return {
+        ObservableSymbol.A: mean_alpha * (j0 - 1j * SQRT3 * sz * j1),
+        ObservableSymbol.ADAG: mean_alpha.conjugate() * (j0 + 1j * SQRT3 * sz * j1),
+        ObservableSymbol.SIGMA_Z: complex(sz),
+        ObservableSymbol.SIGMA_MINUS: 0.5 * complex(sx, -sy) * f0,
+        ObservableSymbol.SIGMA_MINUS_ADAG: 0.5 * complex(sx, -sy) * (j0 + j2) * f1,
+        ObservableSymbol.SIGMA_Z_A: mean_alpha * (-1j * SQRT3 * j1 + sz * (j0 - 2.0 * j2)),
+    }
+
+
+class TestClosedMoments:
+    ATOM = SpinHalfState((0.6, -0.3, 0.5))
+    # kappa = 0, 0 < |kappa| < 1, 1 < |kappa| < 2 and |kappa| > 2 for both chi
+    TIMES = (0.0, 0.3, 1.0, 3.0)
+
+    @pytest.mark.parametrize("field", [DeltaAmplitude(1.3, 0.4), GaussianAmplitude(1.3, 0.7)])
+    @pytest.mark.parametrize("chi", [1.0, -0.7])
+    def test_matches_scalar_reference_exactly(self, field, chi):
+        moments = closed_moments(self.ATOM, field, chi, self.TIMES)
+        assert len(moments) == len(self.TIMES)
+        for t, values in zip(self.TIMES, moments):
+            reference = _closed_reference(self.ATOM, field, chi, t)
+            state = HybridState(self.ATOM, field, chi, t)
+            for obs in ObservableSymbol:
+                assert values[obs] == reference[obs]
+                assert hybrid_expectation(state, obs) == reference[obs]
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            closed_moments(GROUND, DeltaAmplitude(1.0), 1.0, (0.0, -1.0))
 
 
 class TestCorrelation:
