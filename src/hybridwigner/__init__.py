@@ -60,11 +60,12 @@ from .hybrid_model import (
     flow_map,
     hybrid_expectation,
     joint_wigner,
+    moment_correlation,
     phase_distribution_delta,
     phase_distribution_gaussian,
     phase_moments,
     quadrature_distribution,
-    semiclassical_expectation,
+    semiclassical_moments,
     semiclassical_standard,
 )
 from .quantum_reference import (
@@ -73,8 +74,7 @@ from .quantum_reference import (
     coherent_overlap,
     default_truncation,
     evolve_quantum,
-    quantum_correlation,
-    quantum_expectation,
+    quantum_moments,
 )
 from .oscillator_hybrid import (
     CouplingParams,

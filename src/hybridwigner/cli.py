@@ -7,8 +7,8 @@ files: floats are printed with 17 significant digits, metadata carries no
 timestamps, and row order is fixed (ascending time, then ascending abscissa).
 
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure
-(a NaN anywhere aborts the run; NaN is never written), 4 acceptance failure
-(verify only).
+(a NaN or infinity anywhere aborts the run and is never written), 4
+acceptance failure (verify only).
 """
 
 from __future__ import annotations
@@ -22,22 +22,23 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .quadrature import ConvergenceError, IntegrationSpec
-from .su2_wigner import SpinHalfState
+from .su2_wigner import SQRT3, SpinHalfState
 from .hybrid_model import (
+    MAX_PHASE_SPREAD,
     DeltaAmplitude,
     FieldState,
     GaussianAmplitude,
     ObservableSymbol,
     PhaseDistribution,
-    _product_symbol,
     atomic_pfunction,
     closed_moments,
+    moment_correlation,
     phase_distribution_delta,
     phase_distribution_gaussian,
     quadrature_distribution,
-    semiclassical_expectation,
+    semiclassical_moments,
 )
-from .quantum_reference import evolve_quantum, quantum_correlation, quantum_expectation
+from .quantum_reference import TruncationError, default_truncation, evolve_quantum, quantum_moments
 from .oscillator_hybrid import CouplingParams, OscillatorPair, pair_flow
 
 __all__ = [
@@ -62,6 +63,9 @@ SCENARIOS = (
     "oscillators",
     "verify",
 )
+
+# range(...) builds every time point in memory before any work starts.
+MAX_RANGE_STEPS = 100_000
 
 _MOMENT_COLUMNS = (
     ("a", ObservableSymbol.A),
@@ -193,8 +197,8 @@ def _times_from_text(value: str, lineno: int, errors) -> tuple[float, ...]:
         except ValueError:
             errors.append(f"line {lineno}: malformed range {text!r}")
             return ()
-        if steps < 1:
-            errors.append(f"line {lineno}: range steps must be >= 1")
+        if not 1 <= steps <= MAX_RANGE_STEPS:
+            errors.append(f"line {lineno}: range steps must be in [1, {MAX_RANGE_STEPS}]")
             return ()
         if steps == 1:
             return (start,)
@@ -221,6 +225,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario config; reports all errors at once."""
     errors: list[str] = []
     sections = _parse_sections(text, errors)
+    key_lines = {k: n for p in ("scenario", "field") for k, (_, n) in sections.get(p, {}).items()}
 
     scn = sections.get("scenario", {})
     if "scenario" not in sections:
@@ -326,7 +331,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section_name}]")
 
     if name is not None and name != "verify":
-        _validate_combination(name, atom_kind, field_state, times, errors)
+        _validate_combination(name, atom_kind, field_state, chi, times, key_lines, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -345,19 +350,30 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _validate_combination(name, atom_kind, field_state, times, errors):
+def _validate_combination(name, atom_kind, field_state, chi, times, key_lines, errors):
     delta = isinstance(field_state, DeltaAmplitude)
-    if name in ("phase-dist", "pfunction") and any(t == 0.0 for t in times) and delta:
-        errors.append(f"scenario {name}: delta field requires all times > 0")
-    if name == "pfunction" and any(t == 0.0 for t in times):
-        errors.append("scenario pfunction requires all times > 0")
+    sharp_law = name == "pfunction" or (name == "phase-dist" and delta)
+    if sharp_law and 0.0 in [chi * t for t in times]:
+        line = key_lines.get("chi" if chi == 0.0 else "times")
+        errors.append(f"line {line}: scenario {name} requires chi t != 0 (a point mass at 0)")
     if name == "quad-dist" and delta:
         errors.append("scenario quad-dist requires a gaussian field")
+    if name in ("phase-dist", "quad-dist") and not delta and times:
+        spread = SQRT3 * abs(chi) * times[-1]
+        if spread > MAX_PHASE_SPREAD:
+            errors.append(
+                f"line {key_lines['times']}: scenario {name}: phase spread"
+                f" sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
+            )
     if name == "compare":
         if delta or abs(field_state.sigma - 1.0) > 1e-12:
             errors.append("scenario compare requires a gaussian field with sigma = 1")
         if atom_kind == "bloch":
             errors.append("scenario compare requires a pure ground or phase atom")
+        try:
+            default_truncation(field_state.mean_amplitude)
+        except TruncationError as exc:
+            errors.append(f"line {key_lines.get('r0')}: scenario compare: {exc}")
     if name == "oscillators" and not delta:
         errors.append("scenario oscillators uses a delta field for the initial amplitude")
 
@@ -425,45 +441,29 @@ def _run_pfunction(config: ScenarioConfig) -> ResultTable:
 
 
 def _moment_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
-    values: list[float] = []
-    for _, obs in _MOMENT_COLUMNS:
-        values.extend(_complex_triple(moments[obs]))
-    return values
+    return [x for _, obs in _MOMENT_COLUMNS for x in _complex_triple(moments[obs])]
 
 
 def _corr_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
-    values: list[float] = []
-    for _, a, b in _CORR_COLUMNS:
-        values.extend(
-            _complex_triple(moments[_product_symbol(a, b)] - moments[a] * moments[b])
-        )
-    return values
+    return [
+        x for _, a, b in _CORR_COLUMNS for x in _complex_triple(moment_correlation(moments, a, b))
+    ]
 
 
-def _moment_headers(prefix: str = "") -> list[str]:
-    cols = []
-    for name, _ in _MOMENT_COLUMNS:
-        cols.extend(f"{prefix}{name}_{part}" for part in ("re", "im", "abs"))
-    return cols
-
-
-def _corr_headers(prefix: str = "") -> list[str]:
-    cols = []
-    for name, _, _ in _CORR_COLUMNS:
-        cols.extend(f"{prefix}{name}_{part}" for part in ("re", "im", "abs"))
-    return cols
+def _headers(columns, prefix: str = "") -> list[str]:
+    return [f"{prefix}{column[0]}_{part}" for column in columns for part in ("re", "im", "abs")]
 
 
 def _run_moments(config: ScenarioConfig) -> ResultTable:
     hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
     rows = [tuple([t] + _moment_values(moments)) for t, moments in zip(config.times, hybrid)]
-    return ResultTable(tuple(["t"] + _moment_headers()), tuple(rows), _metadata(config))
+    return ResultTable(tuple(["t"] + _headers(_MOMENT_COLUMNS)), tuple(rows), _metadata(config))
 
 
 def _run_correlations(config: ScenarioConfig) -> ResultTable:
     hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
     rows = [tuple([t] + _corr_values(moments)) for t, moments in zip(config.times, hybrid)]
-    return ResultTable(tuple(["t"] + _corr_headers()), tuple(rows), _metadata(config))
+    return ResultTable(tuple(["t"] + _headers(_CORR_COLUMNS)), tuple(rows), _metadata(config))
 
 
 def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
@@ -476,38 +476,29 @@ def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
 def _run_compare(config: ScenarioConfig) -> ResultTable:
     c_e, c_g = _atom_amplitudes(config)
     alpha = config.field.mean_amplitude
-
-    def row_at(t: float, moments: dict[ObservableSymbol, complex]) -> tuple:
-        values: list[float] = [t]
-        values += _moment_values(moments)
-        values += _corr_values(moments)
-        for mean_field in (False, True):
-            for _, obs in _MOMENT_COLUMNS:
-                values.extend(
-                    _complex_triple(
-                        semiclassical_expectation(
-                            config.atom, config.field, obs, config.chi, t, mean_field
-                        )
-                    )
-                )
-        qstate = evolve_quantum(c_e, c_g, alpha, config.chi, t)
-        for _, obs in _MOMENT_COLUMNS:
-            values.extend(_complex_triple(quantum_expectation(qstate, obs)))
-        for _, a, b in _CORR_COLUMNS:
-            values.extend(_complex_triple(quantum_correlation(qstate, a, b)))
-        return tuple(values)
-
-    columns = (
-        ["t"]
-        + _moment_headers()
-        + _corr_headers()
-        + _moment_headers("sc_")
-        + _moment_headers("mf_")
-        + _moment_headers("q_")
-        + _corr_headers("q_")
+    args = (config.atom, config.field, config.chi, config.times)
+    models = zip(
+        closed_moments(*args),
+        semiclassical_moments(*args),
+        semiclassical_moments(*args, mean_field=True),
+        [quantum_moments(evolve_quantum(c_e, c_g, alpha, config.chi, t)) for t in config.times],
     )
-    hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
-    rows = [row_at(t, moments) for t, moments in zip(config.times, hybrid)]
+    rows = [
+        tuple(
+            [t]
+            + _moment_values(hybrid)
+            + _corr_values(hybrid)
+            + _moment_values(sc)
+            + _moment_values(mf)
+            + _moment_values(quantum)
+            + _corr_values(quantum)
+        )
+        for t, (hybrid, sc, mf, quantum) in zip(config.times, models)
+    ]
+    columns = ["t"] + _headers(_MOMENT_COLUMNS) + _headers(_CORR_COLUMNS)
+    for prefix in ("sc_", "mf_", "q_"):
+        columns += _headers(_MOMENT_COLUMNS, prefix)
+    columns += _headers(_CORR_COLUMNS, "q_")
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
@@ -572,8 +563,8 @@ def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
 def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Compute the table for a validated config.
 
-    Raises NumericError if any produced value is NaN; a quadrature convergence
-    failure is reported the same way.
+    Raises NumericError if any produced value is NaN or infinite; a quadrature
+    convergence failure is reported the same way.
     """
     runners = {
         "phase-dist": _run_phase_dist,
@@ -592,8 +583,8 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         raise NumericError(f"scenario {config.scenario}: {exc}") from exc
     for row in table.rows:
         for item in row:
-            if isinstance(item, float) and math.isnan(item):
-                raise NumericError(f"scenario {config.scenario} produced NaN")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise NumericError(f"scenario {config.scenario} produced {item}")
     return table
 
 

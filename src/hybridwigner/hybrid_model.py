@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
@@ -60,13 +61,18 @@ __all__ = [
     "quadrature_distribution",
     "closed_moments",
     "hybrid_expectation",
+    "moment_correlation",
     "correlation",
     "semiclassical_standard",
-    "semiclassical_expectation",
+    "semiclassical_moments",
     "atomic_pfunction",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Largest phase spread sqrt(3) |chi t| of a Gaussian-field phase or quadrature
+# law: a density point brackets one spike per 2 pi wrap, so its cost grows linearly.
+MAX_PHASE_SPREAD = 200.0 * math.pi
 
 # Ratio between the phase-space average of the lowering-operator symbol and
 # the conventional unit-magnitude coherence of the equal superposition.  It is
@@ -359,16 +365,14 @@ def atom_marginal(state: HybridState) -> SphereFunction:
 def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribution:
     """Field-phase density for a sharp-amplitude field.
 
-    The support is [-sqrt(3) chi t, sqrt(3) chi t] and the density is the
-    linear ramp (1 + s_z phi / (chi t)) / (2 sqrt(3) chi t); it only depends
-    on the population imbalance s_z.  For the ground state it dips negative
-    on the outer part of the support.
+    The support is [-sqrt(3) |chi t|, sqrt(3) |chi t|] and the density is the
+    linear ramp (1 + s_z phi / (chi t)) / (2 sqrt(3) |chi t|); it only depends
+    on the population imbalance s_z, and chi t < 0 mirrors it in phi.  For
+    the ground state it dips negative on the outer part of the support.
     """
-    if chi_t < 0.0:
-        raise ValueError("chi_t must be non-negative")
     if chi_t == 0.0:
         return PhaseDistribution(None, (0.0, 0.0), delta_at=0.0)
-    kappa = SQRT3 * chi_t
+    kappa = SQRT3 * abs(chi_t)
     sz = atom.s[2]
     norm = 1.0 / (2.0 * kappa)
 
@@ -404,16 +408,18 @@ def phase_distribution_gaussian(
     (``GaussianAmplitude.angular_density``), so each density point is a
     single quadrature over u = cos(theta), and ``spec.radial_cutoff_sigmas``
     does not enter.  Narrow angular features (width ~ sigma / (kappa r0))
-    are bracketed explicitly so the panels cannot step over them.
+    are bracketed explicitly so the panels cannot step over them.  chi t < 0
+    mirrors the density: p(phi; -chi t) = p(-phi; chi t).
     """
-    if chi_t < 0.0:
-        raise ValueError("chi_t must be non-negative")
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
     sz = atom.s[2]
-    kappa = SQRT3 * chi_t
+    kappa = SQRT3 * abs(chi_t)
+    mirror = -1.0 if chi_t < 0.0 else 1.0
 
     def density(phi: float) -> float:
+        phi = mirror * phi
+
         def integrand(u: float) -> float:
             return 0.5 * (1.0 + SQRT3 * sz * u) * field.angular_density(phi - kappa * u)
 
@@ -434,19 +440,21 @@ def quadrature_distribution(
            exp(-2 (y + r0 sin(kappa u))^2 / sigma^2)],
 
     i.e. the x-integral of the evolved field distribution carried out in
-    closed form (a rigid rotation keeps the Gaussian isotropic).
+    closed form (a rigid rotation keeps the Gaussian isotropic).  chi t < 0
+    mirrors the density: p(y; -chi t) = p(-y; chi t).
     """
-    if chi_t < 0.0:
-        raise ValueError("chi_t must be non-negative")
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
     sz = atom.s[2]
-    kappa = SQRT3 * chi_t
+    kappa = SQRT3 * abs(chi_t)
+    mirror = -1.0 if chi_t < 0.0 else 1.0
     s2 = field.sigma * field.sigma
     pref = 1.0 / math.sqrt(2.0 * math.pi * s2)
     r0 = field.r0
 
     def density(y: float) -> float:
+        y = mirror * y
+
         def integrand(u: float) -> float:
             d = y + r0 * math.sin(kappa * u)
             return (1.0 + SQRT3 * sz * u) * math.exp(-2.0 * d * d / s2)
@@ -524,6 +532,18 @@ def _field_factors(
     return complex(field.r0), core / denom, field.r0 * core / (denom * denom)
 
 
+def _frozen_field_factors(
+    field: FieldState, chi: float, t: float, mean_field: bool
+) -> tuple[complex, complex]:
+    """(F0, F1) of the frozen-field models: those of ``_field_factors``, or
+    with mean_field a rigid rotation at the mean intensity."""
+    if mean_field:
+        f0 = cmath.exp(-2j * chi * field.mean_intensity * t)
+        return f0, field.mean_amplitude.conjugate() * f0
+    _, f0, f1 = _field_factors(field, chi, t)
+    return f0, f1
+
+
 def closed_moments(
     atom: SpinHalfState, field: FieldState, chi: float, times: Sequence[float]
 ) -> list[dict[ObservableSymbol, complex]]:
@@ -537,7 +557,10 @@ def closed_moments(
     if any(t < 0.0 for t in times):
         raise ValueError("t must be non-negative")
     kappas = [SQRT3 * chi * t for t in times]
-    bessel = spherical_jn(np.arange(3)[:, None], np.abs(kappas)[None, :])
+    x = np.abs(kappas)
+    # spherical_jn returns NaN below the normal range, where j0, j1, j2 round to 1, 0, 0
+    x[x < sys.float_info.min] = 0.0
+    bessel = spherical_jn(np.arange(3)[:, None], x[None, :])
     sx, sy, sz = atom.s
     coherence = 0.5 * complex(sx, -sy)
     moments = []
@@ -689,6 +712,17 @@ def _product_symbol(A: ObservableSymbol, B: ObservableSymbol) -> ObservableSymbo
         raise ValueError(f"no product symbol for ({A.name}, {B.name})") from None
 
 
+def moment_correlation(
+    moments: dict[ObservableSymbol, complex], A: ObservableSymbol, B: ObservableSymbol
+) -> complex:
+    """Cross-sector correlation <AB> - <A><B> from one table of moments.
+
+    A must act on the atom and B on the field; same-sector products would
+    need operator-ordering rules that are out of scope here.
+    """
+    return moments[_product_symbol(A, B)] - moments[A] * moments[B]
+
+
 def correlation(
     state: HybridState,
     A: ObservableSymbol,
@@ -698,13 +732,12 @@ def correlation(
 ) -> complex:
     """Cross-sector correlation <AB> - <A><B>.
 
-    A must act on the atom and B on the field; same-sector products would
-    need operator-ordering rules that are out of scope here.
+    method="closed" forms it from the closed-form moments with
+    ``moment_correlation``; method="quadrature" is the independent cross-check.
     """
-    AB = _product_symbol(A, B)
     if method == "closed":
-        moments = _closed_at(state)
-        return moments[AB] - moments[A] * moments[B]
+        return moment_correlation(_closed_at(state), A, B)
+    AB = _product_symbol(A, B)
     return (
         hybrid_expectation(state, AB, spec, method)
         - hybrid_expectation(state, A, spec, method)
@@ -718,58 +751,44 @@ def semiclassical_standard(
     chi: float,
     t: float,
     mean_field: bool = False,
-    mean_intensity: float | None = None,
 ) -> SphereFunction:
     """Atomic distribution when the field is frozen (no back-reaction).
 
     mean_field=False averages the atomic azimuth shift over the full field
     intensity distribution; mean_field=True replaces it by a rigid rotation
-    at the mean intensity (override with ``mean_intensity`` if desired).
+    at the mean intensity.
     """
-    if mean_field:
-        intensity = field.mean_intensity if mean_intensity is None else mean_intensity
-        factor = cmath.exp(-2j * chi * intensity * t)
-    else:
-        _, factor, _ = _field_factors(field, chi, t)
+    factor, _ = _frozen_field_factors(field, chi, t, mean_field)
     return spin_wigner(_rotated_atom(atom, factor))
 
 
-def semiclassical_expectation(
+def semiclassical_moments(
     atom: SpinHalfState,
     field: FieldState,
-    obs: ObservableSymbol,
     chi: float,
-    t: float,
+    times: Sequence[float],
     mean_field: bool = False,
-    mean_intensity: float | None = None,
-) -> complex:
-    """Moments of the back-reaction-free comparison models.
+) -> list[dict[ObservableSymbol, complex]]:
+    """Moments of the back-reaction-free comparison models at each of ``times``.
 
     The field keeps its initial distribution, so field symbols average to
     their initial values; atomic coherences still dephase through the field's
     intensity spread (or rotate rigidly in the mean-field variant).
     """
     sx, sy, sz = atom.s
+    coherence = 0.5 * complex(sx, -sy)
     mean_alpha = field.mean_amplitude
-    if mean_field:
-        intensity = field.mean_intensity if mean_intensity is None else mean_intensity
-        f0 = cmath.exp(-2j * chi * intensity * t)
-        f1 = mean_alpha.conjugate() * f0
-    else:
-        _, f0, f1 = _field_factors(field, chi, t)
-    if obs is ObservableSymbol.A:
-        return mean_alpha
-    if obs is ObservableSymbol.ADAG:
-        return mean_alpha.conjugate()
-    if obs is ObservableSymbol.SIGMA_Z:
-        return complex(sz)
-    if obs is ObservableSymbol.SIGMA_MINUS:
-        return 0.5 * complex(sx, -sy) * f0
-    if obs is ObservableSymbol.SIGMA_MINUS_ADAG:
-        return 0.5 * complex(sx, -sy) * f1
-    if obs is ObservableSymbol.SIGMA_Z_A:
-        return complex(sz) * mean_alpha
-    raise ValueError(f"unsupported symbol {obs}")
+    return [
+        {
+            ObservableSymbol.A: mean_alpha,
+            ObservableSymbol.ADAG: mean_alpha.conjugate(),
+            ObservableSymbol.SIGMA_Z: complex(sz),
+            ObservableSymbol.SIGMA_MINUS: coherence * f0,
+            ObservableSymbol.SIGMA_MINUS_ADAG: coherence * f1,
+            ObservableSymbol.SIGMA_Z_A: complex(sz) * mean_alpha,
+        }
+        for f0, f1 in (_frozen_field_factors(field, chi, t, mean_field) for t in times)
+    ]
 
 
 def atomic_pfunction(atom: SpinHalfState, chi_t: float) -> PhaseDistribution:

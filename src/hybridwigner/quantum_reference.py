@@ -21,30 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid_model import ObservableSymbol, _product_symbol
+from .hybrid_model import ObservableSymbol
 
 __all__ = [
     "TruncationError",
     "AtomFieldVector",
     "default_truncation",
     "evolve_quantum",
-    "quantum_expectation",
+    "quantum_moments",
     "coherent_overlap",
-    "quantum_correlation",
 ]
 
 # Poisson tail that must remain beyond the truncation edge.
 _TAIL_BOUND = 1e-14
+# Largest default cutoff: keeps |alpha| = 100 (11,020 states) valid and
+# refuses the ~1e8-state bases of |alpha| ~ 1e4, which exhaust memory.
+MAX_TRUNCATION = 100_000
 
 
 class TruncationError(ValueError):
-    """Number-basis cutoff too small for the requested amplitude."""
+    """Number-basis cutoff too small for the amplitude, or above MAX_TRUNCATION."""
 
 
 def default_truncation(alpha: complex) -> int:
-    """Cutoff keeping the Poisson tail of |alpha> below the tail bound."""
+    """Cutoff keeping the Poisson tail of |alpha> below the tail bound, at most
+    MAX_TRUNCATION (TruncationError beyond)."""
     a = abs(alpha)
-    return math.ceil(a * a + 10.0 * a + 20.0)
+    n = a * a + 10.0 * a + 20.0
+    if n > MAX_TRUNCATION:
+        raise TruncationError(f"|alpha| = {a:.6g} needs {n:.3e} basis states > {MAX_TRUNCATION}")
+    return math.ceil(n)
 
 
 @dataclass(frozen=True)
@@ -119,33 +125,24 @@ def evolve_quantum(
     return AtomFieldVector(np.vstack([upper, lower]))
 
 
-def quantum_expectation(state: AtomFieldVector, obs: ObservableSymbol) -> complex:
-    """Exact matrix element of the observable in the truncated basis."""
-    amps = state.amplitudes
-    up, low = amps[0], amps[1]
+def quantum_moments(state: AtomFieldVector) -> dict[ObservableSymbol, complex]:
+    """Exact matrix element of every ObservableSymbol in the truncated basis."""
+    up, low = state.amplitudes
     root = np.sqrt(np.arange(1, state.truncation + 1))
-    if obs is ObservableSymbol.A:
-        return complex(
-            np.sum(np.conj(up[:-1]) * root * up[1:])
-            + np.sum(np.conj(low[:-1]) * root * low[1:])
-        )
-    if obs is ObservableSymbol.ADAG:
-        return complex(
+    # per-level <a> sums, shared by A and SIGMA_Z_A
+    a_up = np.sum(np.conj(up[:-1]) * root * up[1:])
+    a_low = np.sum(np.conj(low[:-1]) * root * low[1:])
+    return {
+        ObservableSymbol.A: complex(a_up + a_low),
+        ObservableSymbol.ADAG: complex(
             np.sum(np.conj(up[1:]) * root * up[:-1])
             + np.sum(np.conj(low[1:]) * root * low[:-1])
-        )
-    if obs is ObservableSymbol.SIGMA_Z:
-        return complex(np.sum(np.abs(up) ** 2) - np.sum(np.abs(low) ** 2))
-    if obs is ObservableSymbol.SIGMA_MINUS:
-        return complex(np.sum(np.conj(up) * low))
-    if obs is ObservableSymbol.SIGMA_MINUS_ADAG:
-        return complex(np.sum(np.conj(up[1:]) * root * low[:-1]))
-    if obs is ObservableSymbol.SIGMA_Z_A:
-        return complex(
-            np.sum(np.conj(up[:-1]) * root * up[1:])
-            - np.sum(np.conj(low[:-1]) * root * low[1:])
-        )
-    raise ValueError(f"unsupported observable {obs!r}")
+        ),
+        ObservableSymbol.SIGMA_Z: complex(np.sum(np.abs(up) ** 2) - np.sum(np.abs(low) ** 2)),
+        ObservableSymbol.SIGMA_MINUS: complex(np.sum(np.conj(up) * low)),
+        ObservableSymbol.SIGMA_MINUS_ADAG: complex(np.sum(np.conj(up[1:]) * root * low[:-1])),
+        ObservableSymbol.SIGMA_Z_A: complex(a_up - a_low),
+    }
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -156,12 +153,3 @@ def coherent_overlap(alpha: complex, beta: complex) -> complex:
         -0.5 * (abs(alpha) ** 2 + abs(beta) ** 2) + alpha.conjugate() * beta
     )
 
-
-def quantum_correlation(
-    state: AtomFieldVector, A: ObservableSymbol, B: ObservableSymbol
-) -> complex:
-    """<AB> - <A><B>, exact in the truncated basis."""
-    AB = _product_symbol(A, B)
-    return quantum_expectation(state, AB) - quantum_expectation(
-        state, A
-    ) * quantum_expectation(state, B)

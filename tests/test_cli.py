@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hybridwigner.cli import (
+    MAX_RANGE_STEPS,
     ConfigError,
     NumericError,
     ResultTable,
@@ -12,7 +13,8 @@ from hybridwigner.cli import (
     render_csv,
     run_scenario,
 )
-from hybridwigner.hybrid_model import DeltaAmplitude, ObservableSymbol
+from hybridwigner.hybrid_model import MAX_PHASE_SPREAD, DeltaAmplitude, ObservableSymbol
+from hybridwigner.su2_wigner import SQRT3
 
 MINIMAL = """
 [scenario]
@@ -118,6 +120,75 @@ bogus = 3
         config = parse_config("[scenario]\nname = verify\nfilter = sphere\n")
         assert config.verify_filter == "sphere"
 
+    def test_range_steps_capped(self):
+        def times(steps):
+            return MINIMAL.replace("times = 0.5, 1.0, 2.0", f"times = range(0, 4, {steps})")
+
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(times(MAX_RANGE_STEPS + 1))
+        assert any(e.startswith("line 5:") and "range steps" in e for e in exc_info.value.errors)
+        assert len(parse_config(times(MAX_RANGE_STEPS)).times) == MAX_RANGE_STEPS
+
+    @pytest.mark.parametrize("name", ["phase-dist", "quad-dist"])
+    @pytest.mark.parametrize("chi", [1.0, -1.0])
+    def test_gaussian_phase_spread_capped(self, name, chi):
+        def config(t):
+            return (
+                MINIMAL.replace("name = moments", f"name = {name}")
+                .replace("chi = 1.0", f"chi = {chi!r}")
+                .replace("times = 0.5, 1.0, 2.0", f"times = 0.5, {t!r}")
+                .replace("kind = delta\nr0 = 1.0", "kind = gaussian\nr0 = 1.0\nsigma = 1.0")
+            )
+
+        limit = MAX_PHASE_SPREAD / SQRT3
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(config(limit * (1.0 + 1e-9)))
+        assert any(e.startswith("line 5:") and "phase spread" in e for e in exc_info.value.errors)
+        assert parse_config(config(limit * (1.0 - 1e-9))).chi == chi
+
+    def test_compare_truncation_capped(self):
+        # default_truncation(312) = 100,484 basis states; 311 needs 99,851
+        def config(r0):
+            return f"""
+[scenario]
+name = compare
+chi = 1.0
+times = 0.0, 0.5
+
+[atom]
+kind = phase
+
+[field]
+kind = gaussian
+r0 = {r0}
+sigma = 1.0
+"""
+
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(config(312.0))
+        assert any(e.startswith("line 12:") and "basis states" in e for e in exc_info.value.errors)
+        assert parse_config(config(311.0)).field.r0 == 311.0
+
+    @pytest.mark.parametrize(
+        "name, chi, times, line",
+        [
+            ("phase-dist", "0", "0.5", 4),
+            ("pfunction", "0.0", "0.5", 4),
+            ("phase-dist", "1", "0, 1", 5),
+        ],
+    )
+    def test_zero_chi_t_rejected(self, name, chi, times, line):
+        # the sharp phase law at chi t = 0 is a point mass; chi = 0 was a TypeError traceback
+        text = (
+            MINIMAL.replace("name = moments", f"name = {name}")
+            .replace("chi = 1.0", f"chi = {chi}")
+            .replace("times = 0.5, 1.0, 2.0", f"times = {times}")
+        )
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        errors = exc_info.value.errors
+        assert any(e.startswith(f"line {line}:") and "chi t != 0" in e for e in errors)
+
     def test_quadrature_overrides(self):
         text = MINIMAL + "\n[quadrature]\nrelative_tolerance = 1e-8\nmax_subdivisions = 1024\n"
         config = parse_config(text)
@@ -191,6 +262,29 @@ sigma = 1.0
         table = run_scenario(parse_config(text))
         assert len(table.rows) > 1
         assert len(calls) == 1
+
+    def test_compare_moment_calls(self, monkeypatch):
+        from importlib import resources
+
+        import hybridwigner.cli as cli_module
+
+        counts = {"quantum_moments": 0, "semiclassical_moments": 0}
+
+        def counting(name):
+            original = getattr(cli_module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(cli_module, name, counting(name))
+        text = (resources.files("hybridwigner") / "configs" / "fig5.cfg").read_text()
+        config = parse_config(text)
+        run_scenario(config)
+        assert counts == {"quantum_moments": len(config.times), "semiclassical_moments": 2}
 
     def test_oscillator_scenario_energy_column(self):
         text = """
@@ -278,6 +372,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("# hybridwigner")
 
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("phase-dist", "delta"),
+            ("phase-dist", "gaussian"),
+            ("pfunction", "delta"),
+            ("quad-dist", "gaussian"),
+        ],
+    )
+    def test_negative_chi_runs(self, tmp_path, name, kind):
+        field = "kind = delta\nr0 = 1.0"
+        if kind == "gaussian":
+            field = "kind = gaussian\nr0 = 1.0\nsigma = 1.0"
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            f"[scenario]\nname = {name}\nchi = -1\ntimes = 0.5\n\n"
+            f"[atom]\nkind = ground\n\n[field]\n{field}\n"
+        )
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+
     def test_compare_at_large_amplitude(self, tmp_path):
         # r0 = 30 needs 1221 basis states; the coherent column must stay
         # normalised to the state check's 1e-12 at this size
@@ -304,6 +418,19 @@ sigma = 1.0
         header = lines[0].split(",")
         first = dict(zip(header, (float(v) for v in lines[1].split(","))))
         assert first["q_a_abs"] == pytest.approx(30.0, abs=1e-9)
+
+    def test_infinite_density_exits_with_code_3(self, tmp_path, capsys):
+        # a subnormal chi t overflows the sharp law's 1 / (2 sqrt(3) chi t)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            MINIMAL.replace("name = moments", "name = phase-dist").replace(
+                "times = 0.5, 1.0, 2.0", "times = 1e-310"
+            )
+        )
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "produced inf" in capsys.readouterr().err
 
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         import hybridwigner.cli as cli_module

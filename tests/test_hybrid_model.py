@@ -33,7 +33,8 @@ from hybridwigner.hybrid_model import (
     phase_distribution_gaussian,
     phase_moments,
     quadrature_distribution,
-    semiclassical_expectation,
+    moment_correlation,
+    semiclassical_moments,
     semiclassical_standard,
 )
 
@@ -241,8 +242,16 @@ class TestDeltaPhaseLaw:
         dist = phase_distribution_delta(GROUND, 0.0)
         assert dist.evaluate is None
         assert dist.delta_at == 0.0
-        with pytest.raises(ValueError):
-            phase_distribution_delta(GROUND, -1.0)
+
+    @pytest.mark.parametrize("atom", [GROUND, SpinHalfState((0.6, -0.3, 0.5))])
+    def test_negative_chi_mirrors(self, atom):
+        # p(phi; -chi t) = p(-phi; chi t), the support included
+        for law in (phase_distribution_delta, atomic_pfunction):
+            for chi_t in (0.4, 1.3):
+                neg, pos = law(atom, -chi_t), law(atom, chi_t)
+                assert neg.support == pos.support
+                for phi in np.linspace(-1.1 * SQRT3 * chi_t, 1.1 * SQRT3 * chi_t, 45):
+                    assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
 
 
 def _radial_reference(field: GaussianAmplitude, psi: float) -> float:
@@ -330,6 +339,16 @@ class TestGaussianPhaseLaw:
         for phi in (-1.5, -0.5, 0.3, 1.2):
             assert narrow.evaluate(phi) == pytest.approx(sharp.evaluate(phi), abs=1e-3)
 
+    def test_negative_chi_mirrors(self):
+        # p(phi; -chi t) = p(-phi; chi t)
+        field = GaussianAmplitude(2.0, 0.7)
+        for chi_t in (0.3, 2.5):
+            neg = phase_distribution_gaussian(GROUND, field, -chi_t, LOOSE)
+            pos = phase_distribution_gaussian(GROUND, field, chi_t, LOOSE)
+            assert neg.support == pos.support
+            for phi in np.linspace(-math.pi, math.pi, 9):
+                assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
+
     def test_normalized_over_period(self):
         dist = phase_distribution_gaussian(
             GROUND, GaussianAmplitude(2.0, 1.0), 0.4, IntegrationSpec(1e-7, 1e-9)
@@ -354,6 +373,15 @@ class TestQuadratureDistribution:
         marg = quadrature_marginal(fm, math.pi / 2.0, LOOSE)
         for y in (-0.8, 0.0, 0.9):
             assert dist.evaluate(y) == pytest.approx(marg.evaluate(y), abs=1e-8)
+
+    def test_negative_chi_mirrors(self):
+        # p(y; -chi t) = p(-y; chi t)
+        field = GaussianAmplitude(2.0, 0.7)
+        for chi_t in (0.3, 2.5):
+            neg = quadrature_distribution(GROUND, field, -chi_t, LOOSE)
+            pos = quadrature_distribution(GROUND, field, chi_t, LOOSE)
+            for y in np.linspace(-3.0, 3.0, 9):
+                assert neg.evaluate(float(y)) == pos.evaluate(float(-y))
 
     def test_full_line_normalization(self):
         dist = quadrature_distribution(GROUND, GaussianAmplitude(1.0, 1.0), 0.7, LOOSE)
@@ -456,6 +484,13 @@ class TestClosedMoments:
         with pytest.raises(ValueError):
             closed_moments(GROUND, DeltaAmplitude(1.0), 1.0, (0.0, -1.0))
 
+    def test_subnormal_kappa_is_finite(self):
+        for field in (DeltaAmplitude(1.3, 0.4), GaussianAmplitude(1.3, 0.7)):
+            moments = closed_moments(self.ATOM, field, 1.0, (0.0, 1e-313, 1e-300))
+            for values in moments[1:]:
+                for obs in ObservableSymbol:
+                    assert values[obs] == pytest.approx(moments[0][obs], abs=1e-15)
+
 
 class TestCorrelation:
     def test_zero_at_t0(self):
@@ -509,21 +544,44 @@ class TestSemiclassical:
             ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
             assert W.evaluate(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-13)
 
-    def test_mean_intensity_override(self):
-        W = semiclassical_standard(
-            PHASE, GaussianAmplitude(2.0, 0.5), 1.0, 0.7, mean_field=True, mean_intensity=4.0
-        )
-        shift = 2.0 * 4.0 * 0.7
-        ref = (1.0 + SQRT3 * math.sin(0.9) * math.cos(0.3 - shift)) / (4.0 * math.pi)
-        assert W.evaluate(BlochPoint(0.9, 0.3)) == pytest.approx(ref, abs=1e-13)
-
     def test_semiclassical_inversion_amplitude_correlation_vanishes(self):
         field = GaussianAmplitude(1.0, 1.0)
-        for t in (0.5, 3.0):
-            sza = semiclassical_expectation(GROUND, field, ObservableSymbol.SIGMA_Z_A, 1.0, t)
-            sz = semiclassical_expectation(GROUND, field, ObservableSymbol.SIGMA_Z, 1.0, t)
-            a = semiclassical_expectation(GROUND, field, ObservableSymbol.A, 1.0, t)
+        for moments in semiclassical_moments(GROUND, field, 1.0, (0.5, 3.0)):
+            sza = moments[ObservableSymbol.SIGMA_Z_A]
+            sz = moments[ObservableSymbol.SIGMA_Z]
+            a = moments[ObservableSymbol.A]
             assert abs(sza - sz * a) < 1e-14
+
+    @pytest.mark.parametrize("field", [DeltaAmplitude(1.3, 0.4), GaussianAmplitude(1.3, 0.7)])
+    @pytest.mark.parametrize("mean_field", [False, True])
+    def test_moments_match_scalar_expressions_exactly(self, field, mean_field):
+        atom, chi, times = SpinHalfState((0.6, -0.3, 0.5)), -0.7, (0.0, 0.3, 2.0)
+        moments = semiclassical_moments(atom, field, chi, times, mean_field)
+        assert len(moments) == len(times)
+        for t, values in zip(times, moments):
+            reference = _semiclassical_reference(atom, field, chi, t, mean_field)
+            assert set(values) == set(ObservableSymbol)
+            for obs in ObservableSymbol:
+                assert values[obs] == reference[obs]
+
+
+def _semiclassical_reference(atom, field, chi, t, mean_field):
+    """The former one-observable scalar expressions of the frozen-field models."""
+    sx, sy, sz = atom.s
+    mean_alpha = field.mean_amplitude
+    if mean_field:
+        f0 = cmath.exp(-2j * chi * field.mean_intensity * t)
+        f1 = mean_alpha.conjugate() * f0
+    else:
+        _, f0, f1 = _field_factors(field, chi, t)
+    return {
+        ObservableSymbol.A: mean_alpha,
+        ObservableSymbol.ADAG: mean_alpha.conjugate(),
+        ObservableSymbol.SIGMA_Z: complex(sz),
+        ObservableSymbol.SIGMA_MINUS: 0.5 * complex(sx, -sy) * f0,
+        ObservableSymbol.SIGMA_MINUS_ADAG: 0.5 * complex(sx, -sy) * f1,
+        ObservableSymbol.SIGMA_Z_A: complex(sz) * mean_alpha,
+    }
 
 
 class TestPFunction:
@@ -549,6 +607,19 @@ class TestPFunction:
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
             ).value
             state = HybridState(GROUND, DeltaAmplitude(r0), 1.0, chi_t)
+            direct = hybrid_expectation(state, ObservableSymbol.ADAG)
+            assert rebuilt == pytest.approx(direct, abs=1e-10)
+
+    def test_negative_chi_moment_reconstruction(self):
+        # the mirrored law agrees with the closed route, where j1 is odd in kappa
+        r0 = 1.3
+        for t in (0.5, 2.0):
+            p = atomic_pfunction(GROUND, -t)
+            lo, hi = p.support
+            rebuilt = r0 * integrate_interval(
+                lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
+            ).value
+            state = HybridState(GROUND, DeltaAmplitude(r0), -1.0, t)
             direct = hybrid_expectation(state, ObservableSymbol.ADAG)
             assert rebuilt == pytest.approx(direct, abs=1e-10)
 

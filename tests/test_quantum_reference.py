@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from hybridwigner.hybrid_model import ObservableSymbol
+from hybridwigner.hybrid_model import ObservableSymbol, moment_correlation
 from hybridwigner.quantum_reference import (
+    MAX_TRUNCATION,
     AtomFieldVector,
     TruncationError,
     coherent_overlap,
     default_truncation,
     evolve_quantum,
-    quantum_correlation,
-    quantum_expectation,
+    quantum_moments,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -58,6 +58,14 @@ class TestEvolution:
         with pytest.raises(TruncationError):
             evolve_quantum(INV_SQRT2, INV_SQRT2, 3.0, 1.0, 0.0, N=10)
 
+    def test_default_truncation_capped(self):
+        # |alpha| = 311 needs 99,851 states, |alpha| = 312 needs 100,484
+        assert default_truncation(311.0) <= MAX_TRUNCATION
+        with pytest.raises(TruncationError):
+            default_truncation(312.0)
+        with pytest.raises(TruncationError):
+            default_truncation(1e200)
+
     def test_default_truncation_keeps_tail_small(self):
         for alpha in (0.5, 1.0, 3.0):
             st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.3)
@@ -71,7 +79,7 @@ class TestExpectations:
         alpha, chi = 1.0, 1.0
         for t in (0.2, 0.9, 2.0):
             st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, chi, t, N=40)
-            assert quantum_expectation(st, ObservableSymbol.A) == pytest.approx(
+            assert quantum_moments(st)[ObservableSymbol.A] == pytest.approx(
                 alpha * math.cos(chi * t), abs=1e-13
             )
 
@@ -79,7 +87,7 @@ class TestExpectations:
         alpha, chi = 1.0, 1.0
         for t in (0.2, 0.9, 2.0):
             st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, chi, t, N=40)
-            value = quantum_expectation(st, ObservableSymbol.SIGMA_MINUS_ADAG)
+            value = quantum_moments(st)[ObservableSymbol.SIGMA_MINUS_ADAG]
             closed = (
                 0.5
                 * np.conj(alpha)
@@ -94,7 +102,7 @@ class TestExpectations:
             ref = abs(ce) ** 2 - abs(cg) ** 2
             for t in (0.0, 1.3, 4.0):
                 st = evolve_quantum(ce, cg, 1.5, 1.0, t)
-                assert quantum_expectation(st, ObservableSymbol.SIGMA_Z) == pytest.approx(
+                assert quantum_moments(st)[ObservableSymbol.SIGMA_Z] == pytest.approx(
                     ref, abs=1e-13
                 )
 
@@ -102,10 +110,42 @@ class TestExpectations:
         alpha = 3.0
         a = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.8)
         b = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.8, N=2 * a.truncation)
+        ma, mb = quantum_moments(a), quantum_moments(b)
         for obs in ObservableSymbol:
-            assert quantum_expectation(a, obs) == pytest.approx(
-                quantum_expectation(b, obs), abs=1e-10
-            )
+            assert ma[obs] == pytest.approx(mb[obs], abs=1e-10)
+
+
+def _parent_expressions(state):
+    """The six per-observable sums of the former one-observable route."""
+    up, low = state.amplitudes[0], state.amplitudes[1]
+    root = np.sqrt(np.arange(1, state.truncation + 1))
+    return {
+        ObservableSymbol.A: complex(
+            np.sum(np.conj(up[:-1]) * root * up[1:]) + np.sum(np.conj(low[:-1]) * root * low[1:])
+        ),
+        ObservableSymbol.ADAG: complex(
+            np.sum(np.conj(up[1:]) * root * up[:-1]) + np.sum(np.conj(low[1:]) * root * low[:-1])
+        ),
+        ObservableSymbol.SIGMA_Z: complex(np.sum(np.abs(up) ** 2) - np.sum(np.abs(low) ** 2)),
+        ObservableSymbol.SIGMA_MINUS: complex(np.sum(np.conj(up) * low)),
+        ObservableSymbol.SIGMA_MINUS_ADAG: complex(np.sum(np.conj(up[1:]) * root * low[:-1])),
+        ObservableSymbol.SIGMA_Z_A: complex(
+            np.sum(np.conj(up[:-1]) * root * up[1:]) - np.sum(np.conj(low[:-1]) * root * low[1:])
+        ),
+    }
+
+
+class TestQuantumMoments:
+    @pytest.mark.parametrize("c_e, c_g", [(0.0, 1.0), (INV_SQRT2, INV_SQRT2), (0.6, 0.8)])
+    @pytest.mark.parametrize("alpha", [1.0, 3.0 - 1.0j])
+    def test_matches_per_observable_sums_exactly(self, c_e, c_g, alpha):
+        for t in (0.4, 2.3):
+            state = evolve_quantum(c_e, c_g, alpha, 1.0, t)
+            moments = quantum_moments(state)
+            assert set(moments) == set(ObservableSymbol)
+            reference = _parent_expressions(state)
+            for obs in ObservableSymbol:
+                assert moments[obs] == reference[obs]
 
 
 class TestCoherentOverlap:
@@ -131,16 +171,20 @@ class TestCoherentOverlap:
         assert cmath.phase(value) == pytest.approx(phase, abs=1e-14)
 
 
+def _correlation(state, A, B):
+    return moment_correlation(quantum_moments(state), A, B)
+
+
 class TestCorrelations:
     def test_ground_atom_correlation_vanishes(self):
         for t in (0.3, 1.1, 6.0):
             st = evolve_quantum(0.0, 1.0, 1.0, 1.0, t)
-            value = quantum_correlation(st, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)
+            value = _correlation(st, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)
             assert abs(value) < 1e-12
 
     def test_product_state_uncorrelated(self):
         st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, 0.0)
-        value = quantum_correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+        value = _correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
         assert abs(value) < 1e-13
 
     def test_periodic_up_to_sign(self):
@@ -149,16 +193,16 @@ class TestCorrelations:
             s0 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t, N=40)
             s1 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t + math.pi / chi, N=40)
             s2 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t + 2 * math.pi / chi, N=40)
-            v0 = quantum_correlation(s0, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
-            v1 = quantum_correlation(s1, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
-            v2 = quantum_correlation(s2, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+            v0 = _correlation(s0, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+            v1 = _correlation(s1, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+            v2 = _correlation(s2, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
             assert min(abs(v1 - v0), abs(v1 + v0)) < 1e-12
             assert abs(v2 - v0) < 1e-12
 
     def test_unsupported_pair_rejected(self):
         st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            quantum_correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.A)
+            _correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.A)
 
 
 def test_vector_validation():
