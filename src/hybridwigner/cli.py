@@ -7,7 +7,8 @@ files: floats are printed with 17 significant digits, metadata carries no
 timestamps, and row order is fixed (ascending time, then ascending abscissa).
 
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure
-(a NaN or infinity anywhere aborts the run and is never written), 4
+(a NaN or infinity anywhere aborts the run and is never written; a density
+quadrature that does not converge names the scenario, t and abscissa), 4
 acceptance failure (verify only).
 """
 
@@ -398,6 +399,21 @@ def _map_times(fn: Callable[[float], list[tuple]], times) -> list[tuple]:
     return [row for t in times for row in fn(t)]
 
 
+def _density_rows(
+    scenario: str, t: float, abscissa: str, grid, density: Callable[[float], float]
+) -> list[tuple]:
+    """(t, x, density(x)) for x in grid; a convergence failure names where it happened."""
+    rows = []
+    for x in grid:
+        try:
+            rows.append((t, x, density(x)))
+        except ConvergenceError as exc:
+            raise NumericError(
+                f"scenario {scenario}: t = {t!r}, {abscissa} = {x!r}: {exc}"
+            ) from exc
+    return rows
+
+
 def _run_phase_dist(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         chi_t = config.chi * t
@@ -409,7 +425,7 @@ def _run_phase_dist(config: ScenarioConfig) -> ResultTable:
                 config.atom, config.field, chi_t, config.quadrature
             )
             grid = _phase_grid(dist, 201)
-        return [(t, phi, dist.evaluate(phi)) for phi in grid]
+        return _density_rows(config.scenario, t, "phi", grid, dist.evaluate)
 
     rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "phi", "density"), tuple(rows), _metadata(config))
@@ -424,7 +440,7 @@ def _run_quad_dist(config: ScenarioConfig) -> ResultTable:
             config.atom, field, config.chi * t, config.quadrature
         )
         grid = [(-half + k * (2.0 * half) / 200.0) for k in range(201)]
-        return [(t, y, dist.evaluate(y)) for y in grid]
+        return _density_rows(config.scenario, t, "y", grid, dist.evaluate)
 
     rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "y", "p"), tuple(rows), _metadata(config))

@@ -79,6 +79,11 @@ MAX_PHASE_SPREAD = 200.0 * math.pi
 # time independent and real; verified as such by the acceptance suite.
 SIGMA_MINUS_SCALE = 0.5
 
+# Largest field-azimuth trapezoid of the quadrature route.  A Gaussian field
+# needs a number of points growing like r0 / sigma; a narrower field is
+# refused instead of aliased.
+MAX_FIELD_AZIMUTH_POINTS = 1 << 20
+
 
 class AnalyticPathRequiredError(ValueError):
     """Raised when a pointwise density is requested for a delta-amplitude field."""
@@ -591,18 +596,37 @@ def _n_phi(x_max: float) -> int:
     for n, bound in ((64, 20.0), (128, 80.0), (256, 320.0), (512, 1300.0), (1024, 5200.0)):
         if x_max <= bound:
             return n
-    return 2048
+    # the profile's width falls like 1/sqrt(x): double n for every 4x in x,
+    # stopping at the first n past the cap
+    n, bound = 2048, 4.0 * 5200.0
+    while x_max > bound and n <= MAX_FIELD_AZIMUTH_POINTS:
+        n, bound = 2 * n, 4.0 * bound
+    return n
 
 
-def _atom_azimuthal(s: tuple[float, float, float], u: float, m: int, n: int = 32) -> complex:
-    """Trapezoid of W_atom(theta(u), phi) exp(-i m phi) over one period."""
+def _atom_azimuthal(
+    s: tuple[float, float, float], m: int, n: int = 32
+) -> Callable[[float], complex]:
+    """Trapezoid of W_atom(theta(u), phi) exp(-i m phi) over one period, as a
+    function of u = cos(theta).
+
+    W_atom is linear in (1, cos phi, sin phi), so the trapezoid is formed from
+    the three grid sums of exp(-i m phi) against them, taken once.
+    """
     sx, sy, sz = s
-    st = math.sqrt(max(0.0, 1.0 - u * u))
     grid = np.arange(n) * (TWO_PI / n)
-    w = (1.0 + SQRT3 * (sx * st * np.cos(grid) + sy * st * np.sin(grid) + sz * u)) / (
-        4.0 * math.pi
-    )
-    return complex((w * np.exp(-1j * m * grid)).sum() * (TWO_PI / n))
+    phase = np.exp(-1j * m * grid)
+    weight = (TWO_PI / n) / (4.0 * math.pi)
+    s0 = complex(phase.sum()) * weight
+    s_cos = complex((np.cos(grid) * phase).sum())
+    s_sin = complex((np.sin(grid) * phase).sum())
+    sxy = SQRT3 * (sx * s_cos + sy * s_sin) * weight
+
+    def row(u: float) -> complex:
+        st = math.sqrt(max(0.0, 1.0 - u * u))
+        return (1.0 + SQRT3 * sz * u) * s0 + st * sxy
+
+    return row
 
 
 def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
@@ -627,13 +651,15 @@ def _expectation_quadrature(
     """Direct quadrature of the symbol against the transported joint density.
 
     Azimuthal integrals are fixed-order periodic trapezoids (spectrally exact
-    for these profiles); the remaining coordinates use adaptive panels with
-    the radial integral nested inside the polar one.
+    for these profiles); the remaining coordinates use adaptive panels.  The
+    radial integral of a Gaussian field does not depend on the polar angle,
+    so it is done once and multiplies the polar integrand.
     """
     s = state.atom.s
     chi, t, kappa = state.chi, state.t, state.kappa
     m_a = 1 if obs.atomic_kind == "sm" else 0
     m_f = {"one": 0, "a": 1, "adag": -1}[obs.field_kind]
+    atom_row = _atom_azimuthal(s, m_a)
 
     def g_theta(u: float) -> float:
         if obs.atomic_kind == "one":
@@ -650,30 +676,27 @@ def _expectation_quadrature(
         )
 
         def f(u: float) -> complex:
-            return (
-                _atom_azimuthal(s, u, m_a)
-                * g_theta(u)
-                * cmath.exp(-1j * m_f * kappa * u)
-            )
+            return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u)
 
         return const * integrate_interval(f, -1.0, 1.0, spec).value
 
     r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
     n_phi = _n_phi(4.0 * r_hi * field.r0 / (field.sigma * field.sigma))
+    if n_phi > MAX_FIELD_AZIMUTH_POINTS:
+        raise ValueError(
+            f"field too narrow for the quadrature route: sigma = {field.sigma!r} at"
+            f" r0 = {field.r0!r} needs more than {MAX_FIELD_AZIMUTH_POINTS} azimuth points"
+        )
     field_row = _field_azimuthal_table(field, m_f, n_phi)
 
-    def outer(u: float) -> complex:
-        def radial(r: float) -> complex:
-            h = r if m_f != 0 else 1.0
-            return r * h * field_row(r) * cmath.exp(-2j * m_a * chi * r * r * t)
+    def radial(r: float) -> complex:
+        h = r if m_f != 0 else 1.0
+        return r * h * field_row(r) * cmath.exp(-2j * m_a * chi * r * r * t)
 
-        inner = integrate_interval(radial, r_lo, r_hi, spec).value
-        return (
-            _atom_azimuthal(s, u, m_a)
-            * g_theta(u)
-            * cmath.exp(-1j * m_f * kappa * u)
-            * inner
-        )
+    inner = integrate_interval(radial, r_lo, r_hi, spec).value
+
+    def outer(u: float) -> complex:
+        return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u) * inner
 
     return integrate_interval(outer, -1.0, 1.0, spec).value
 

@@ -432,6 +432,24 @@ sigma = 1.0
         assert not out.exists()
         assert "produced inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, abscissa", [("phase-dist", "phi"), ("quad-dist", "y")])
+    def test_convergence_failure_names_time_and_abscissa(self, tmp_path, capsys, name, abscissa):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            f"[scenario]\nname = {name}\nchi = 1.0\ntimes = 0.5\n\n[atom]\nkind = phase\n\n"
+            "[field]\nkind = gaussian\nr0 = 1.0\nsigma = 1.0\n\n"
+            "[quadrature]\nmax_subdivisions = 1\nrelative_tolerance = 1e-14\n"
+        )
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        prefix = f"numeric failure: scenario {name}: t = 0.5, {abscissa} = "
+        assert err.startswith(prefix)
+        where, _, cause = err[len(prefix):].partition(": ")
+        assert math.isfinite(float(where))
+        assert cause.startswith("no convergence after 1 subdivisions")
+
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         import hybridwigner.cli as cli_module
 

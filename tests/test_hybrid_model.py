@@ -37,6 +37,7 @@ from hybridwigner.hybrid_model import (
     semiclassical_moments,
     semiclassical_standard,
 )
+import hybridwigner.hybrid_model as model
 
 GROUND = SpinHalfState.ground()
 PHASE = SpinHalfState.phase_state()
@@ -443,6 +444,102 @@ class TestExpectations:
         state = HybridState(GROUND, DeltaAmplitude(1.0), 1.0, 1.0)
         with pytest.raises(ValueError):
             hybrid_expectation(state, ObservableSymbol.A, method="sampling")
+
+
+def _per_u_atom_trapezoid(s, u, m, n=32):
+    """The atomic azimuth trapezoid rebuilt on a numpy grid for each u."""
+    sx, sy, sz = s
+    st = math.sqrt(max(0.0, 1.0 - u * u))
+    grid = np.arange(n) * (2.0 * math.pi / n)
+    w = (1.0 + SQRT3 * (sx * st * np.cos(grid) + sy * st * np.sin(grid) + sz * u)) / (
+        4.0 * math.pi
+    )
+    return complex((w * np.exp(-1j * m * grid)).sum() * (2.0 * math.pi / n))
+
+
+def _nested_quadrature(state, obs, spec):
+    """Gaussian-field quadrature route with the radial integral rerun at every u."""
+    s = state.atom.s
+    chi, t, kappa = state.chi, state.t, state.kappa
+    m_a = 1 if obs.atomic_kind == "sm" else 0
+    m_f = {"one": 0, "a": 1, "adag": -1}[obs.field_kind]
+    atom_row = model._atom_azimuthal(s, m_a)
+
+    def g_theta(u):
+        if obs.atomic_kind == "one":
+            return 1.0
+        if obs.atomic_kind == "sz":
+            return SQRT3 * u
+        return 0.5 * SQRT3 * math.sqrt(max(0.0, 1.0 - u * u))
+
+    field = state.field
+    r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
+    n_phi = model._n_phi(4.0 * r_hi * field.r0 / (field.sigma * field.sigma))
+    field_row = model._field_azimuthal_table(field, m_f, n_phi)
+
+    def outer(u):
+        def radial(r):
+            h = r if m_f != 0 else 1.0
+            return r * h * field_row(r) * cmath.exp(-2j * m_a * chi * r * r * t)
+
+        inner = integrate_interval(radial, r_lo, r_hi, spec).value
+        return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u) * inner
+
+    return integrate_interval(outer, -1.0, 1.0, spec).value
+
+
+class TestQuadratureRoute:
+    ATOM = SpinHalfState((0.6, -0.3, 0.5))
+
+    @pytest.mark.parametrize("chi", [1.0, -0.7])
+    @pytest.mark.parametrize("obs", list(ObservableSymbol))
+    def test_radial_integral_once_equals_nested(self, obs, chi):
+        state = HybridState(self.ATOM, GaussianAmplitude(1.5, 0.8), chi, 0.9)
+        assert model._expectation_quadrature(state, obs, LOOSE) == _nested_quadrature(
+            state, obs, LOOSE
+        )
+
+    def test_factorised_atom_trapezoid(self):
+        states = [(0.0, 0.0, 0.0), (0.6, -0.3, 0.5), (1.0, 0.0, 0.0), (-0.2, 0.7, -0.68)]
+        for s in states:
+            for m in (0, 1):
+                row = model._atom_azimuthal(s, m)
+                for u in np.linspace(-1.0, 1.0, 41):
+                    u = float(u)
+                    assert abs(row(u) - _per_u_atom_trapezoid(s, u, m)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "field, calls", [(GaussianAmplitude(1.0, 1.0), 2), (DeltaAmplitude(1.0), 1)]
+    )
+    def test_integral_calls_per_expectation(self, field, calls, monkeypatch):
+        seen = []
+        original = model.integrate_interval
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_interval", counting)
+        state = HybridState(self.ATOM, field, 1.0, 0.8)
+        hybrid_expectation(state, ObservableSymbol.SIGMA_MINUS_ADAG, method="quadrature")
+        assert len(seen) == calls
+
+    # the field-azimuth trapezoid aliased at all six with 2048 points
+    @pytest.mark.parametrize(
+        "r0, sigma",
+        [(10.0, 0.03), (10.0, 0.01), (10.0, 1e-3), (1.0, 1e-3), (3.0, 0.01), (30.0, 0.1)],
+    )
+    def test_narrow_field_matches_closed(self, r0, sigma):
+        state = HybridState(PHASE, GaussianAmplitude(r0, sigma), 1.0, 0.5)
+        closed = hybrid_expectation(state, ObservableSymbol.ADAG)
+        quad = hybrid_expectation(state, ObservableSymbol.ADAG, method="quadrature")
+        assert quad == pytest.approx(closed, rel=1e-9)
+
+    def test_field_azimuth_cap_raises(self):
+        assert model._n_phi(1e30) > model.MAX_FIELD_AZIMUTH_POINTS
+        state = HybridState(PHASE, GaussianAmplitude(10.0, 1e-5), 1.0, 0.5)
+        with pytest.raises(ValueError, match="sigma = 1e-05 at r0 = 10.0"):
+            hybrid_expectation(state, ObservableSymbol.ADAG, method="quadrature")
 
 
 def _closed_reference(atom, field, chi, t):

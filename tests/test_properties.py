@@ -13,6 +13,7 @@ from hybridwigner.hybrid_model import (
     ObservableSymbol,
     closed_moments,
     correlation,
+    hybrid_expectation,
     moment_correlation,
 )
 from hybridwigner.su2_wigner import SpinHalfState
@@ -132,3 +133,31 @@ def test_moment_correlation_matches_correlation(atom, field, chi, t):
     state = HybridState(atom, field, chi, t)
     for a, b in _PAIRS:
         assert moment_correlation(moments, a, b) == correlation(state, a, b)
+
+
+@st.composite
+def _bloch_vectors(draw):
+    radius = draw(st.floats(0.0, 1.0))
+    u = draw(st.floats(-1.0, 1.0))
+    azimuth = draw(st.floats(-math.pi, math.pi))
+    transverse = radius * math.sqrt(1.0 - u * u)
+    return SpinHalfState(
+        (transverse * math.cos(azimuth), transverse * math.sin(azimuth), radius * u)
+    )
+
+
+_CROSSCHECK_FIELDS = st.one_of(
+    st.builds(GaussianAmplitude, st.floats(0.0, 5.0), st.floats(0.05, 2.0)),
+    st.builds(DeltaAmplitude, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)),
+)
+
+
+@FEW
+@given(_bloch_vectors(), _CROSSCHECK_FIELDS, st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+def test_closed_route_matches_quadrature_route(atom, field, chi, t):
+    (moments,) = closed_moments(atom, field, chi, (t,))
+    state = HybridState(atom, field, chi, t)
+    for obs in ObservableSymbol:
+        closed = moments[obs]
+        quad = hybrid_expectation(state, obs, method="quadrature")
+        assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
