@@ -7,8 +7,8 @@ files: floats are printed with 17 significant digits, metadata carries no
 timestamps, and row order is fixed (ascending time, then ascending abscissa).
 
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure
-(a NaN or infinity anywhere aborts the run and is never written; a density
-quadrature that does not converge names the scenario, t and abscissa), 4
+(a NaN or infinity anywhere aborts the run and is never written; a quad-dist
+quadrature that does not converge names the scenario, t and y), 4
 acceptance failure (verify only).
 """
 
@@ -359,13 +359,18 @@ def _validate_combination(name, atom_kind, field_state, chi, times, key_lines, e
         errors.append(f"line {line}: scenario {name} requires chi t != 0 (a point mass at 0)")
     if name == "quad-dist" and delta:
         errors.append("scenario quad-dist requires a gaussian field")
-    if name in ("phase-dist", "quad-dist") and not delta and times:
+    if name == "quad-dist" and not delta and times:
         spread = SQRT3 * abs(chi) * times[-1]
         if spread > MAX_PHASE_SPREAD:
             errors.append(
                 f"line {key_lines['times']}: scenario {name}: phase spread"
                 f" sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
             )
+    if name == "phase-dist" and not delta:
+        try:
+            field_state.phase_points  # raises past the field-azimuth cap
+        except ValueError as exc:
+            errors.append(f"line {key_lines.get('sigma')}: scenario {name}: {exc}")
     if name == "compare":
         if delta or abs(field_state.sigma - 1.0) > 1e-12:
             errors.append("scenario compare requires a gaussian field with sigma = 1")
@@ -386,46 +391,24 @@ def _complex_triple(z: complex) -> tuple[float, float, float]:
     return (z.real, z.imag, abs(z))
 
 
-def _phase_grid(dist: PhaseDistribution, points: int) -> list[float]:
+def _phase_rows(t: float, dist: PhaseDistribution, points: int) -> list[tuple]:
+    """(t, x, density(x)) on ``points`` equispaced x across the support."""
     lo, hi = dist.support
-    if points == 1:
-        return [lo]
     step = (hi - lo) / (points - 1)
     # pin the last point so accumulated rounding cannot push it off-support
-    return [lo + k * step for k in range(points - 1)] + [hi]
+    return [(t, x, dist.evaluate(x)) for x in [lo + k * step for k in range(points - 1)] + [hi]]
 
 
 def _map_times(fn: Callable[[float], list[tuple]], times) -> list[tuple]:
     return [row for t in times for row in fn(t)]
 
 
-def _density_rows(
-    scenario: str, t: float, abscissa: str, grid, density: Callable[[float], float]
-) -> list[tuple]:
-    """(t, x, density(x)) for x in grid; a convergence failure names where it happened."""
-    rows = []
-    for x in grid:
-        try:
-            rows.append((t, x, density(x)))
-        except ConvergenceError as exc:
-            raise NumericError(
-                f"scenario {scenario}: t = {t!r}, {abscissa} = {x!r}: {exc}"
-            ) from exc
-    return rows
-
-
 def _run_phase_dist(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
         chi_t = config.chi * t
         if isinstance(config.field, DeltaAmplitude):
-            dist = phase_distribution_delta(config.atom, chi_t)
-            grid = _phase_grid(dist, 101)
-        else:
-            dist = phase_distribution_gaussian(
-                config.atom, config.field, chi_t, config.quadrature
-            )
-            grid = _phase_grid(dist, 201)
-        return _density_rows(config.scenario, t, "phi", grid, dist.evaluate)
+            return _phase_rows(t, phase_distribution_delta(config.atom, chi_t), 101)
+        return _phase_rows(t, phase_distribution_gaussian(config.atom, config.field, chi_t), 201)
 
     rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "phi", "density"), tuple(rows), _metadata(config))
@@ -439,8 +422,14 @@ def _run_quad_dist(config: ScenarioConfig) -> ResultTable:
         dist = quadrature_distribution(
             config.atom, field, config.chi * t, config.quadrature
         )
-        grid = [(-half + k * (2.0 * half) / 200.0) for k in range(201)]
-        return _density_rows(config.scenario, t, "y", grid, dist.evaluate)
+        rows = []
+        for y in (-half + k * (2.0 * half) / 200.0 for k in range(201)):
+            try:
+                rows.append((t, y, dist.evaluate(y)))
+            except ConvergenceError as exc:
+                # name the time and abscissa where it happened
+                raise NumericError(f"scenario quad-dist: t = {t!r}, y = {y!r}: {exc}") from exc
+        return rows
 
     rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "y", "p"), tuple(rows), _metadata(config))
@@ -448,9 +437,7 @@ def _run_quad_dist(config: ScenarioConfig) -> ResultTable:
 
 def _run_pfunction(config: ScenarioConfig) -> ResultTable:
     def rows_at(t: float) -> list[tuple]:
-        dist = atomic_pfunction(config.atom, config.chi * t)
-        grid = _phase_grid(dist, 101)
-        return [(t, d, dist.evaluate(d)) for d in grid]
+        return _phase_rows(t, atomic_pfunction(config.atom, config.chi * t), 101)
 
     rows = _map_times(rows_at, config.times)
     return ResultTable(("t", "delta", "p"), tuple(rows), _metadata(config))

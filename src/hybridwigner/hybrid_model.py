@@ -70,8 +70,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Largest phase spread sqrt(3) |chi t| of a Gaussian-field phase or quadrature
-# law: a density point brackets one spike per 2 pi wrap, so its cost grows linearly.
+# Largest phase spread sqrt(3) |chi t| of a Gaussian-field quadrature law: a
+# density point brackets one spike per 2 pi wrap, so its cost grows linearly.
 MAX_PHASE_SPREAD = 200.0 * math.pi
 
 # Ratio between the phase-space average of the lowering-operator symbol and
@@ -79,9 +79,9 @@ MAX_PHASE_SPREAD = 200.0 * math.pi
 # time independent and real; verified as such by the acceptance suite.
 SIGMA_MINUS_SCALE = 0.5
 
-# Largest field-azimuth trapezoid of the quadrature route.  A Gaussian field
-# needs a number of points growing like r0 / sigma; a narrower field is
-# refused instead of aliased.
+# Largest field-azimuth grid of a Gaussian field (the phase law, the field
+# marginal and the quadrature route).  The number of points grows like
+# r0 / sigma; a narrower field is refused instead of aliased.
 MAX_FIELD_AZIMUTH_POINTS = 1 << 20
 
 
@@ -173,6 +173,23 @@ class GaussianAmplitude:
 
     def radial_bounds(self, cutoff: float) -> tuple[float, float]:
         return max(0.0, self.r0 - cutoff * self.sigma), self.r0 + cutoff * self.sigma
+
+    def azimuth_points(self, r: float) -> int:
+        """Points of a periodic grid that resolves polar_density(r, .) over one
+        period; raises ValueError past MAX_FIELD_AZIMUTH_POINTS."""
+        n = _n_phi(4.0 * r * self.r0 / (self.sigma * self.sigma))
+        if n > MAX_FIELD_AZIMUTH_POINTS:
+            raise ValueError(
+                f"field too narrow: sigma = {self.sigma!r} at r0 = {self.r0!r}"
+                f" needs more than {MAX_FIELD_AZIMUTH_POINTS} azimuth points"
+            )
+        return n
+
+    @property
+    def phase_points(self) -> int:
+        """Points of the phase-law grid.  The phase law integrates every circle,
+        so it takes the grid of the outermost one of the default radial window."""
+        return self.azimuth_points(self.radial_bounds(DEFAULT_SPEC.radial_cutoff_sigmas)[1])
 
 
 FieldState = Union[DeltaAmplitude, GaussianAmplitude]
@@ -287,40 +304,13 @@ def _spike_segments(
     return list(zip(ordered[:-1], ordered[1:]))
 
 
-def _phase_shift_segments(
-    phi: float, kappa: float, field: GaussianAmplitude
-) -> list[tuple[float, float]]:
-    """Panels of u = cos(theta) in [-1, 1] for integrands of the shifted field
-    phase phi - kappa u.
-
-    Every u where the shift is a multiple of 2 pi carries a spike of width
-    ~ sigma / (kappa r0) and is bracketed explicitly so the panels cannot
-    step over it.
-    """
-    if kappa == 0.0:
-        return [(-1.0, 1.0)]
-    spike = None
-    if kappa > 0.0 and field.r0 > 0.0:
-        spike = field.sigma / (kappa * max(field.r0, field.sigma) * math.sqrt(2.0))
-    n_lo = math.ceil((phi - kappa) / TWO_PI)
-    n_hi = math.floor((phi + kappa) / TWO_PI)
-    centers = [(phi - TWO_PI * n) / kappa for n in range(n_lo, n_hi + 1)]
-    widths = [max(spike or 1.0, 1e-9)] * len(centers)
-    return _spike_segments(-1.0, 1.0, centers, widths)
-
-
-def _sum_segments(f, segments, spec) -> float:
-    return math.fsum(integrate_interval(f, a, b, spec).value for a, b in segments)
-
-
-def field_marginal(
-    state: HybridState, spec: IntegrationSpec = DEFAULT_SPEC
-) -> PhaseSpaceFunction:
+def field_marginal(state: HybridState) -> PhaseSpaceFunction:
     """Field distribution after tracing out the atom.
 
-    Pointwise evaluation integrates the polar angle of the spin numerically;
-    the atomic azimuth has already been integrated in closed form (only the
-    cos(theta)-weighted part of the spin distribution survives).
+    The atomic azimuth integrates away in closed form (only the
+    cos(theta)-weighted part of the spin distribution survives), and the
+    polar angle through ``_ramp_series`` of the initial profile on the
+    point's circle, sampled on ``field.azimuth_points(r)`` points.
     """
     field = state.field
     if isinstance(field, DeltaAmplitude):
@@ -330,16 +320,16 @@ def field_marginal(
         )
     sz = state.atom.s[2]
     kappa = state.kappa
+    # profile row and ramp weights for each grid size met so far
+    grids: dict[int, tuple] = {}
 
     def w(alpha: complex) -> float:
         r, phi_f = _polar_of(alpha)
-
-        def integrand(u: float) -> float:
-            return 0.5 * (1.0 + SQRT3 * sz * u) * field.polar_density(
-                r, phi_f - kappa * u
-            )
-
-        return _sum_segments(integrand, _phase_shift_segments(phi_f, kappa, field), spec)
+        n = field.azimuth_points(r)
+        if n not in grids:
+            grids[n] = (_field_profile(field, n), _ramp_weights(n, kappa, sz))
+        profile, weights = grids[n]
+        return _ramp_series(profile(r), *weights)(phi_f)
 
     return PhaseSpaceFunction(
         w,
@@ -402,34 +392,21 @@ def phase_moments(
 
 
 def phase_distribution_gaussian(
-    atom: SpinHalfState,
-    field: GaussianAmplitude,
-    chi_t: float,
-    spec: IntegrationSpec = DEFAULT_SPEC,
+    atom: SpinHalfState, field: GaussianAmplitude, chi_t: float
 ) -> PhaseDistribution:
     """Field-phase density for a Gaussian field, 2pi-periodic in phi.
 
     The radial coordinate is integrated in closed form
-    (``GaussianAmplitude.angular_density``), so each density point is a
-    single quadrature over u = cos(theta), and ``spec.radial_cutoff_sigmas``
-    does not enter.  Narrow angular features (width ~ sigma / (kappa r0))
-    are bracketed explicitly so the panels cannot step over them.  chi t < 0
-    mirrors the density: p(phi; -chi t) = p(-phi; chi t).
+    (``GaussianAmplitude.angular_density``) and the polar angle of the spin
+    by ``_ramp_series``, from the closed form sampled once on
+    ``field.phase_points`` points; the cost does not depend on chi t.
+    chi t < 0 mirrors the density: p(phi; -chi t) = p(-phi; chi t).
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
-    sz = atom.s[2]
-    kappa = SQRT3 * abs(chi_t)
-    mirror = -1.0 if chi_t < 0.0 else 1.0
-
-    def density(phi: float) -> float:
-        phi = mirror * phi
-
-        def integrand(u: float) -> float:
-            return 0.5 * (1.0 + SQRT3 * sz * u) * field.angular_density(phi - kappa * u)
-
-        return _sum_segments(integrand, _phase_shift_segments(phi, kappa, field), spec)
-
+    n = field.phase_points
+    samples = [field.angular_density(psi) for psi in (np.arange(n) * (TWO_PI / n)).tolist()]
+    density = _ramp_series(np.array(samples), *_ramp_weights(n, SQRT3 * chi_t, atom.s[2]))
     return PhaseDistribution(density, (-math.pi, math.pi), periodic=True)
 
 
@@ -464,11 +441,9 @@ def quadrature_distribution(
             d = y + r0 * math.sin(kappa * u)
             return (1.0 + SQRT3 * sz * u) * math.exp(-2.0 * d * d / s2)
 
-        if kappa == 0.0 or r0 == 0.0:
-            return pref * integrate_interval(integrand, -1.0, 1.0, spec).value
         centers: list[float] = []
         widths: list[float] = []
-        if abs(y) <= r0:
+        if kappa != 0.0 and r0 != 0.0 and abs(y) <= r0:
             base = math.asin(-y / r0)
             for root in (base, math.pi - base):
                 n_lo = math.ceil((-kappa - root) / TWO_PI)
@@ -480,7 +455,7 @@ def quadrature_distribution(
                         centers.append(u_star)
                         widths.append(min(0.5, field.sigma / (2.0 * slope + 1e-12)))
         segs = _spike_segments(-1.0, 1.0, centers, widths)
-        return pref * _sum_segments(integrand, segs, spec)
+        return pref * math.fsum(integrate_interval(integrand, a, b, spec).value for a, b in segs)
 
     return MarginalDistribution(
         density, center=0.0, scale=r0 + field.sigma, axis_angle=math.pi / 2
@@ -549,6 +524,45 @@ def _frozen_field_factors(
     return f0, f1
 
 
+def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
+    """Rows j_0 ... j_{orders-1} at each signed x from one spherical_jn call;
+    j_n has the parity of n, so odd rows take the sign of x."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    # spherical_jn returns NaN below the normal range, where j0, j1, j2 round to 1, 0, 0
+    ax[ax < sys.float_info.min] = 0.0
+    bessel = spherical_jn(np.arange(orders)[:, None], ax[None, :])
+    bessel[1::2] = np.where(x < 0.0, -bessel[1::2], bessel[1::2])
+    return bessel
+
+
+def _ramp_weights(n: int, kappa: float, sz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of w_m = j0(m kappa) - i sqrt(3) s_z j1(m kappa),
+    m = 0 ... n/2: the average of exp(-i m kappa u) over the ramp weight
+    (1 + sqrt(3) s_z u) / 2 of u = cos(theta) in [-1, 1]."""
+    j0, j1 = _spherical_bessel(2, np.arange(n // 2 + 1) * kappa)
+    return j0, -SQRT3 * sz * j1
+
+
+def _ramp_series(samples: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> Callable[[float], float]:
+    """phi -> Integral[du (1 + sqrt(3) s_z u) / 2 * g(phi - kappa u), u = -1..1]
+    for an even 2pi-periodic g sampled on n points 2 pi k / n, with
+    ``(w_re, w_im) = _ramp_weights(n, kappa, s_z)``.
+
+    Its m-th Fourier mode is b_m = g_m w_m (g_m is real since g is even),
+    summed as two 1-D dot products in a fixed order.
+    """
+    g = np.fft.rfft(samples).real / len(samples)
+    b0, b_re, b_im = float(g[0] * w_re[0]), g[1:] * w_re[1:], g[1:] * w_im[1:]
+    m = np.arange(1, len(g))
+
+    def value(phi: float) -> float:
+        mphi = m * phi
+        return b0 + 2.0 * float(np.dot(b_re, np.cos(mphi)) - np.dot(b_im, np.sin(mphi)))
+
+    return value
+
+
 def closed_moments(
     atom: SpinHalfState, field: FieldState, chi: float, times: Sequence[float]
 ) -> list[dict[ObservableSymbol, complex]]:
@@ -556,22 +570,17 @@ def closed_moments(
 
     The cos(theta) average of the field-phase shift reduces to the spherical
     Bessel functions j0, j1, j2 of kappa = sqrt(3) chi t; they are evaluated
-    for the whole time grid in one call, with j1 odd in kappa.  The field
-    sector enters through ``_field_factors``.
+    for the whole time grid in one call.  The field sector enters through
+    ``_field_factors``.
     """
     if any(t < 0.0 for t in times):
         raise ValueError("t must be non-negative")
     kappas = [SQRT3 * chi * t for t in times]
-    x = np.abs(kappas)
-    # spherical_jn returns NaN below the normal range, where j0, j1, j2 round to 1, 0, 0
-    x[x < sys.float_info.min] = 0.0
-    bessel = spherical_jn(np.arange(3)[:, None], x[None, :])
+    bessel = _spherical_bessel(3, kappas)
     sx, sy, sz = atom.s
     coherence = 0.5 * complex(sx, -sy)
     moments = []
-    for t, kappa, (j0, j1, j2) in zip(times, kappas, bessel.T.tolist()):
-        if kappa < 0.0:
-            j1 = -j1
+    for t, (j0, j1, j2) in zip(times, bessel.T.tolist()):
         mean_alpha, f0, f1 = _field_factors(field, chi, t)
         moments.append(
             {
@@ -629,18 +638,26 @@ def _atom_azimuthal(
     return row
 
 
-def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
+def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.ndarray]:
+    """r -> polar_density(r, psi_k) on the n points psi_k = 2 pi k / n."""
     s2 = field.sigma * field.sigma
-    grid = np.arange(n) * (TWO_PI / n)
-    half_sin2 = np.sin(0.5 * grid) ** 2
-    phase = np.exp(-1j * m * grid)
+    half_sin2 = np.sin(0.5 * (np.arange(n) * (TWO_PI / n))) ** 2
 
-    def row(r: float) -> complex:
+    def row(r: float) -> np.ndarray:
         # same squared distance as GaussianAmplitude.polar_density
-        w = (2.0 / (math.pi * s2)) * np.exp(
+        return (2.0 / (math.pi * s2)) * np.exp(
             -2.0 * ((r - field.r0) ** 2 + 4.0 * r * field.r0 * half_sin2) / s2
         )
-        return complex((w * phase).sum() * (TWO_PI / n))
+
+    return row
+
+
+def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
+    profile = _field_profile(field, n)
+    phase = np.exp(-1j * m * (np.arange(n) * (TWO_PI / n)))
+
+    def row(r: float) -> complex:
+        return complex((profile(r) * phase).sum() * (TWO_PI / n))
 
     return row
 
@@ -681,13 +698,7 @@ def _expectation_quadrature(
         return const * integrate_interval(f, -1.0, 1.0, spec).value
 
     r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
-    n_phi = _n_phi(4.0 * r_hi * field.r0 / (field.sigma * field.sigma))
-    if n_phi > MAX_FIELD_AZIMUTH_POINTS:
-        raise ValueError(
-            f"field too narrow for the quadrature route: sigma = {field.sigma!r} at"
-            f" r0 = {field.r0!r} needs more than {MAX_FIELD_AZIMUTH_POINTS} azimuth points"
-        )
-    field_row = _field_azimuthal_table(field, m_f, n_phi)
+    field_row = _field_azimuthal_table(field, m_f, field.azimuth_points(r_hi))
 
     def radial(r: float) -> complex:
         h = r if m_f != 0 else 1.0

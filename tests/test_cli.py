@@ -129,7 +129,7 @@ bogus = 3
         assert any(e.startswith("line 5:") and "range steps" in e for e in exc_info.value.errors)
         assert len(parse_config(times(MAX_RANGE_STEPS)).times) == MAX_RANGE_STEPS
 
-    @pytest.mark.parametrize("name", ["phase-dist", "quad-dist"])
+    @pytest.mark.parametrize("name", ["quad-dist"])
     @pytest.mark.parametrize("chi", [1.0, -1.0])
     def test_gaussian_phase_spread_capped(self, name, chi):
         def config(t):
@@ -145,6 +145,22 @@ bogus = 3
             parse_config(config(limit * (1.0 + 1e-9)))
         assert any(e.startswith("line 5:") and "phase spread" in e for e in exc_info.value.errors)
         assert parse_config(config(limit * (1.0 - 1e-9))).chi == chi
+
+    def test_gaussian_phase_dist_width_capped(self):
+        # r0 / sigma = 1e5 needs 2^21 field-azimuth points; 3e4 needs 2^20
+        def config(sigma):
+            return (
+                MINIMAL.replace("name = moments", "name = phase-dist")
+                .replace("kind = delta\nr0 = 1.0", f"kind = gaussian\nr0 = 1.0\nsigma = {sigma}")
+            )
+
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(config(1e-5))
+        assert any(
+            e.startswith("line 13:") and "field too narrow: sigma = 1e-05" in e
+            for e in exc_info.value.errors
+        )
+        assert parse_config(config(1.0 / 3e4)).field.r0 == 1.0
 
     def test_compare_truncation_capped(self):
         # default_truncation(312) = 100,484 basis states; 311 needs 99,851
@@ -216,6 +232,20 @@ class TestScenarios:
         assert first_t[0][1] == pytest.approx(-kappa)
         assert first_t[-1][1] == pytest.approx(kappa)
         assert first_t[-1][2] < 0.0
+
+    def test_gaussian_phase_dist_past_old_spread_cap(self):
+        # sqrt(3) chi t = 250 pi; the series cost does not grow with the spread
+        t = 250.0 * math.pi / SQRT3
+        text = (
+            MINIMAL.replace("name = moments", "name = phase-dist")
+            .replace("times = 0.5, 1.0, 2.0", f"times = {t!r}")
+            .replace("kind = delta\nr0 = 1.0", "kind = gaussian\nr0 = 1.0\nsigma = 1.0")
+        )
+        rows = run_scenario(parse_config(text)).rows
+        assert len(rows) == 201
+        # periodic trapezoid over [-pi, pi]: the last row repeats the first
+        total = math.fsum(row[2] for row in rows[:-1]) * (2.0 * math.pi / 200)
+        assert abs(total - 1.0) < 1e-6
 
     def test_compare_columns_superset_of_moments(self):
         base = """
@@ -432,7 +462,7 @@ sigma = 1.0
         assert not out.exists()
         assert "produced inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, abscissa", [("phase-dist", "phi"), ("quad-dist", "y")])
+    @pytest.mark.parametrize("name, abscissa", [("quad-dist", "y")])
     def test_convergence_failure_names_time_and_abscissa(self, tmp_path, capsys, name, abscissa):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(

@@ -132,7 +132,7 @@ class TestFieldMarginal:
 
     def test_normalized_after_evolution(self):
         state = HybridState(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 1.0 / SQRT3)
-        fm = field_marginal(state, LOOSE)
+        fm = field_marginal(state)
         total = integrate_plane(fm.evaluate, 0j, fm.decay_scale, LOOSE)
         assert abs(total.value - 1.0) < 1e-8
 
@@ -140,8 +140,8 @@ class TestFieldMarginal:
         field = GaussianAmplitude(10.0, 1.0)
         chi_t = 1.0 / SQRT3
         state = HybridState(GROUND, field, 1.0, chi_t)
-        fm = field_marginal(state, IntegrationSpec(1e-9, 1e-11))
-        dist = phase_distribution_gaussian(GROUND, field, chi_t, IntegrationSpec(1e-9, 1e-11))
+        fm = field_marginal(state)
+        dist = phase_distribution_gaussian(GROUND, field, chi_t)
         for phi in (0.0, 0.5, 1.0):
             radial = integrate_interval(
                 lambda r: r * fm.evaluate(r * cmath.exp(-1j * phi)),
@@ -319,24 +319,20 @@ class TestAngularDensity:
 
 class TestGaussianPhaseLaw:
     def test_initial_peak_at_zero(self):
-        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 0.0, LOOSE)
+        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 0.0)
         grid = np.linspace(-0.5, 0.5, 21)
         values = [dist.evaluate(float(p)) for p in grid]
         assert grid[int(np.argmax(values))] == pytest.approx(0.0, abs=1e-12)
         assert min(values) >= 0.0
 
     def test_evolved_distribution_goes_negative(self):
-        dist = phase_distribution_gaussian(
-            GROUND, GaussianAmplitude(10.0, 1.0), 1.0 / SQRT3, LOOSE
-        )
+        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 1.0 / SQRT3)
         values = [dist.evaluate(float(p)) for p in np.linspace(0.6, 1.6, 21)]
         assert min(values) < -0.01
 
     def test_narrow_width_approaches_sharp_law(self):
         sharp = phase_distribution_delta(GROUND, 1.0)
-        narrow = phase_distribution_gaussian(
-            GROUND, GaussianAmplitude(1.0, 1e-3), 1.0, IntegrationSpec(1e-9, 1e-11)
-        )
+        narrow = phase_distribution_gaussian(GROUND, GaussianAmplitude(1.0, 1e-3), 1.0)
         for phi in (-1.5, -0.5, 0.3, 1.2):
             assert narrow.evaluate(phi) == pytest.approx(sharp.evaluate(phi), abs=1e-3)
 
@@ -344,16 +340,31 @@ class TestGaussianPhaseLaw:
         # p(phi; -chi t) = p(-phi; chi t)
         field = GaussianAmplitude(2.0, 0.7)
         for chi_t in (0.3, 2.5):
-            neg = phase_distribution_gaussian(GROUND, field, -chi_t, LOOSE)
-            pos = phase_distribution_gaussian(GROUND, field, chi_t, LOOSE)
+            neg = phase_distribution_gaussian(GROUND, field, -chi_t)
+            pos = phase_distribution_gaussian(GROUND, field, chi_t)
             assert neg.support == pos.support
             for phi in np.linspace(-math.pi, math.pi, 9):
                 assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
 
+    def test_no_adaptive_integrals(self, monkeypatch):
+        seen = []
+        original = model.integrate_interval
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_interval", counting)
+        field = GaussianAmplitude(2.0, 0.7)
+        dist = phase_distribution_gaussian(PHASE, field, 2.5)
+        fm = field_marginal(HybridState(PHASE, field, 1.0, 2.5))
+        for phi in (-2.0, 0.0, 1.1):
+            dist.evaluate(phi)
+            fm.evaluate(2.0 * cmath.exp(-1j * phi))
+        assert seen == []
+
     def test_normalized_over_period(self):
-        dist = phase_distribution_gaussian(
-            GROUND, GaussianAmplitude(2.0, 1.0), 0.4, IntegrationSpec(1e-7, 1e-9)
-        )
+        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(2.0, 1.0), 0.4)
         total = integrate_interval(dist.evaluate, -math.pi, math.pi, IntegrationSpec(1e-6, 1e-8))
         assert abs(total.value - 1.0) < 1e-6
 
@@ -370,7 +381,7 @@ class TestQuadratureDistribution:
         field = GaussianAmplitude(1.0, 1.0)
         chi_t = 1.0 / SQRT3
         dist = quadrature_distribution(GROUND, field, chi_t, LOOSE)
-        fm = field_marginal(HybridState(GROUND, field, 1.0, chi_t), LOOSE)
+        fm = field_marginal(HybridState(GROUND, field, 1.0, chi_t))
         marg = quadrature_marginal(fm, math.pi / 2.0, LOOSE)
         for y in (-0.8, 0.0, 0.9):
             assert dist.evaluate(y) == pytest.approx(marg.evaluate(y), abs=1e-8)
