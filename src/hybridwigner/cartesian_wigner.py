@@ -69,7 +69,6 @@ class MarginalDistribution:
     evaluate: Callable[[float], float]
     center: float
     scale: float
-    axis_angle: float | None = None
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,7 @@ def quadrature_marginal(
         res = integrate_interval(lambda u: W.evaluate(complex(s, u) * rot), lo, hi, spec)
         return res.value
 
-    return MarginalDistribution(
-        density, center=proj.real, scale=W.decay_scale, axis_angle=axis_angle
-    )
+    return MarginalDistribution(density, center=proj.real, scale=W.decay_scale)
 
 
 def fock_diag_element(

@@ -9,7 +9,7 @@ timestamps, and row order is fixed (ascending time, then ascending abscissa).
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure
 (a NaN or infinity anywhere aborts the run and is never written; a quad-dist
 quadrature that does not converge names the scenario, t and y), 4
-acceptance failure (verify only).
+acceptance failure (``hybridwigner verify``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ SCENARIOS = (
     "pfunction",
     "compare",
     "oscillators",
-    "verify",
 )
 
 # range(...) builds every time point in memory before any work starts.
@@ -105,7 +104,6 @@ class ScenarioConfig:
     quadrature: IntegrationSpec
     output: str | None = None
     beta0: complex = 1.0 + 0j
-    verify_filter: str | None = None
 
 
 @dataclass(frozen=True)
@@ -241,18 +239,11 @@ def parse_config(text: str) -> ScenarioConfig:
     elif "scenario" in sections:
         errors.append("[scenario] missing required key 'name'")
     chi = _take_float(scn, "chi", errors, "scenario", default=1.0)
-    if name == "verify":
-        scn.pop("times", None)
-        times: tuple[float, ...] = ()
-    else:
-        times = _parse_times(scn, errors)
+    times = _parse_times(scn, errors)
     beta0 = complex(
         _take_float(scn, "beta0_re", errors, "scenario", default=1.0),
         _take_float(scn, "beta0_im", errors, "scenario", default=0.0),
     )
-    verify_filter = None
-    if name == "verify" and "filter" in scn:
-        verify_filter, _ = scn.pop("filter")
 
     atom_section = sections.get("atom", {})
     atom = SpinHalfState.ground()
@@ -331,8 +322,8 @@ def parse_config(text: str) -> ScenarioConfig:
         for key, (_, lineno) in section.items():
             errors.append(f"line {lineno}: unknown key {key!r} in [{section_name}]")
 
-    if name is not None and name != "verify":
-        _validate_combination(name, atom_kind, field_state, chi, times, key_lines, errors)
+    if name is not None:
+        _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_lines, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -347,12 +338,24 @@ def parse_config(text: str) -> ScenarioConfig:
         quadrature=quadrature,
         output=output,
         beta0=beta0,
-        verify_filter=verify_filter,
     )
 
 
-def _validate_combination(name, atom_kind, field_state, chi, times, key_lines, errors):
+def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_lines, errors):
     delta = isinstance(field_state, DeltaAmplitude)
+    t_max = times[-1] if times else 0.0
+    # Each phase the runner forms at the largest time, multiplied in the same
+    # order, so that an overflow there is refused here.  The moment scenarios
+    # take the spread kappa only through j_n(kappa), which is 0 at inf.
+    phases = {}
+    if name in ("phase-dist", "pfunction"):
+        phases["sqrt(3) |chi| t"] = SQRT3 * abs(chi) * t_max
+    if name in ("moments", "correlations", "compare") and delta:
+        phases["2 |chi| r0^2 t"] = 2.0 * abs(chi) * field_state.r0 * field_state.r0 * t_max
+    elif name in ("moments", "correlations", "compare"):
+        phases["|chi| sigma^2 t"] = abs(chi) * field_state.sigma * field_state.sigma * t_max
+    if name == "oscillators":
+        phases["|chi| t"] = abs(chi) * t_max
     sharp_law = name == "pfunction" or (name == "phase-dist" and delta)
     if sharp_law and 0.0 in [chi * t for t in times]:
         line = key_lines.get("chi" if chi == 0.0 else "times")
@@ -366,6 +369,8 @@ def _validate_combination(name, atom_kind, field_state, chi, times, key_lines, e
                 f"line {key_lines['times']}: scenario {name}: phase spread"
                 f" sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
             )
+    if name == "quad-dist" and not delta and field_state.sigma * field_state.sigma == 0.0:
+        errors.append(f"line {key_lines.get('sigma')}: scenario {name}: field too narrow: sigma^2 = 0")
     if name == "phase-dist" and not delta:
         try:
             field_state.phase_points  # raises past the field-azimuth cap
@@ -377,11 +382,29 @@ def _validate_combination(name, atom_kind, field_state, chi, times, key_lines, e
         if atom_kind == "bloch":
             errors.append("scenario compare requires a pure ground or phase atom")
         try:
-            default_truncation(field_state.mean_amplitude)
+            n_max = default_truncation(field_state.mean_amplitude)
         except TruncationError as exc:
             errors.append(f"line {key_lines.get('r0')}: scenario compare: {exc}")
+        else:
+            phases["|chi| t n_max"] = abs(chi) * t_max * n_max
+        phases["2 |chi| <|alpha|^2> t"] = 2.0 * abs(chi) * field_state.mean_intensity * t_max
     if name == "oscillators" and not delta:
         errors.append("scenario oscillators uses a delta field for the initial amplitude")
+    if name == "oscillators" and delta:
+        energy = field_state.r0 * field_state.r0 + (beta0.real * beta0.real + beta0.imag * beta0.imag)
+        if not math.isfinite(energy):
+            # only a set amplitude can be this large, so its key has a line
+            sizes = {"r0": field_state.r0, "beta0_re": abs(beta0.real), "beta0_im": abs(beta0.imag)}
+            errors.append(
+                f"line {key_lines[max(sizes, key=sizes.get)]}: scenario oscillators:"
+                " energy |alpha|^2 + |beta|^2 is not finite"
+            )
+    for label, phase in phases.items():
+        if times and not math.isfinite(phase):
+            errors.append(
+                f"line {key_lines['times']}: scenario {name}: phase {label} is not finite"
+                f" at chi = {chi!r}, t = {t_max!r}"
+            )
 
 
 # -- scenario execution ------------------------------------------------------
@@ -522,30 +545,6 @@ def _run_oscillators(config: ScenarioConfig) -> ResultTable:
     )
 
 
-def _run_verify(config: ScenarioConfig) -> ResultTable:
-    from .acceptance import run_all
-
-    results = run_all(config.verify_filter)
-    rows = []
-    for res in results:
-        for check in res.checks:
-            rows.append(
-                (
-                    res.number,
-                    res.name,
-                    check.label,
-                    check.measured,
-                    check.bound,
-                    "pass" if check.passed else "FAIL",
-                )
-            )
-    return ResultTable(
-        ("criterion", "name", "check", "measured", "bound", "status"),
-        tuple(rows),
-        _metadata(config),
-    )
-
-
 def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
     lines = [
         f"hybridwigner {__version__}",
@@ -578,8 +577,6 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         "compare": _run_compare,
         "oscillators": _run_oscillators,
     }
-    if config.scenario == "verify":
-        return _run_verify(config)
     try:
         table = runners[config.scenario](config)
     except ConvergenceError as exc:
@@ -594,19 +591,10 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
 # -- CSV emission ------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise NumericError("refusing to write NaN")
-        return f"{value:.17g}"
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+def _format_cell(value: float) -> str:
+    if math.isnan(value):
+        raise NumericError("refusing to write NaN")
+    return f"{value:.17g}"
 
 
 def render_csv(table: ResultTable) -> str:
@@ -686,8 +674,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    if config.scenario == "verify" and any(r[-1] == "FAIL" for r in table.rows):
-        return 4
     return 0
 
 

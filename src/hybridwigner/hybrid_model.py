@@ -176,9 +176,10 @@ class GaussianAmplitude:
 
     def azimuth_points(self, r: float) -> int:
         """Points of a periodic grid that resolves polar_density(r, .) over one
-        period; raises ValueError past MAX_FIELD_AZIMUTH_POINTS."""
-        n = _n_phi(4.0 * r * self.r0 / (self.sigma * self.sigma))
-        if n > MAX_FIELD_AZIMUTH_POINTS:
+        period; raises ValueError past MAX_FIELD_AZIMUTH_POINTS, or when
+        sigma^2 underflows to 0."""
+        s2 = self.sigma * self.sigma
+        if s2 == 0.0 or (n := _n_phi(4.0 * r * self.r0 / s2)) > MAX_FIELD_AZIMUTH_POINTS:
             raise ValueError(
                 f"field too narrow: sigma = {self.sigma!r} at r0 = {self.r0!r}"
                 f" needs more than {MAX_FIELD_AZIMUTH_POINTS} azimuth points"
@@ -225,7 +226,6 @@ class PhaseDistribution:
 
     evaluate: Callable[[float], float] | None
     support: tuple[float, float]
-    periodic: bool = False
     delta_at: float | None = None
 
 
@@ -376,7 +376,7 @@ def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribu
             return 0.0
         return norm * (1.0 + sz * phi / chi_t)
 
-    return PhaseDistribution(density, (-kappa, kappa), periodic=False)
+    return PhaseDistribution(density, (-kappa, kappa))
 
 
 def phase_moments(
@@ -407,7 +407,7 @@ def phase_distribution_gaussian(
     n = field.phase_points
     samples = [field.angular_density(psi) for psi in (np.arange(n) * (TWO_PI / n)).tolist()]
     density = _ramp_series(np.array(samples), *_ramp_weights(n, SQRT3 * chi_t, atom.s[2]))
-    return PhaseDistribution(density, (-math.pi, math.pi), periodic=True)
+    return PhaseDistribution(density, (-math.pi, math.pi))
 
 
 def quadrature_distribution(
@@ -457,9 +457,7 @@ def quadrature_distribution(
         segs = _spike_segments(-1.0, 1.0, centers, widths)
         return pref * math.fsum(integrate_interval(integrand, a, b, spec).value for a, b in segs)
 
-    return MarginalDistribution(
-        density, center=0.0, scale=r0 + field.sigma, axis_angle=math.pi / 2
-    )
+    return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
 
 
 class ObservableSymbol(Enum):
@@ -540,7 +538,10 @@ def _ramp_weights(n: int, kappa: float, sz: float) -> tuple[np.ndarray, np.ndarr
     """Real and imaginary parts of w_m = j0(m kappa) - i sqrt(3) s_z j1(m kappa),
     m = 0 ... n/2: the average of exp(-i m kappa u) over the ramp weight
     (1 + sqrt(3) s_z u) / 2 of u = cos(theta) in [-1, 1]."""
-    j0, j1 = _spherical_bessel(2, np.arange(n // 2 + 1) * kappa)
+    # m kappa past the float range is inf, where spherical_jn gives the limit 0
+    with np.errstate(over="ignore"):
+        phases = np.arange(n // 2 + 1) * kappa
+    j0, j1 = _spherical_bessel(2, phases)
     return j0, -SQRT3 * sz * j1
 
 
@@ -613,16 +614,15 @@ def _n_phi(x_max: float) -> int:
     return n
 
 
-def _atom_azimuthal(
-    s: tuple[float, float, float], m: int, n: int = 32
-) -> Callable[[float], complex]:
-    """Trapezoid of W_atom(theta(u), phi) exp(-i m phi) over one period, as a
-    function of u = cos(theta).
+def _atom_azimuthal(s: tuple[float, float, float], m: int) -> Callable[[float], complex]:
+    """32-point trapezoid of W_atom(theta(u), phi) exp(-i m phi) over one
+    period, as a function of u = cos(theta).
 
     W_atom is linear in (1, cos phi, sin phi), so the trapezoid is formed from
     the three grid sums of exp(-i m phi) against them, taken once.
     """
     sx, sy, sz = s
+    n = 32
     grid = np.arange(n) * (TWO_PI / n)
     phase = np.exp(-1j * m * grid)
     weight = (TWO_PI / n) / (4.0 * math.pi)
@@ -757,26 +757,10 @@ def moment_correlation(
     return moments[_product_symbol(A, B)] - moments[A] * moments[B]
 
 
-def correlation(
-    state: HybridState,
-    A: ObservableSymbol,
-    B: ObservableSymbol,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    method: str = "closed",
-) -> complex:
-    """Cross-sector correlation <AB> - <A><B>.
-
-    method="closed" forms it from the closed-form moments with
-    ``moment_correlation``; method="quadrature" is the independent cross-check.
-    """
-    if method == "closed":
-        return moment_correlation(_closed_at(state), A, B)
-    AB = _product_symbol(A, B)
-    return (
-        hybrid_expectation(state, AB, spec, method)
-        - hybrid_expectation(state, A, spec, method)
-        * hybrid_expectation(state, B, spec, method)
-    )
+def correlation(state: HybridState, A: ObservableSymbol, B: ObservableSymbol) -> complex:
+    """Cross-sector correlation <AB> - <A><B> of the closed-form moments at
+    the state's time, formed by ``moment_correlation``."""
+    return moment_correlation(_closed_at(state), A, B)
 
 
 def semiclassical_standard(

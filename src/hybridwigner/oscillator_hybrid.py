@@ -59,14 +59,9 @@ class OscillatorPair:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Coupling strength; the frequency ratio is pinned to resonance."""
+    """Coupling strength of the resonant pair (unit frequency ratio)."""
 
     lam: float
-    mu: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mu != 1.0:
-            raise ValueError("only the resonant case mu = 1 is supported")
 
     @property
     def swap_time(self) -> float:
@@ -213,16 +208,14 @@ class NonquantumTransferReport:
 
 
 def nonclassical_transfer_check(
-    params: CouplingParams,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    w_classical: PhaseSpaceFunction | None = None,
+    params: CouplingParams, spec: IntegrationSpec = DEFAULT_SPEC
 ) -> NonclassicalTransferReport:
-    """Start the quantum slot in the first excited state; at the swap time the
-    classical slot inherits its negativity.  The origin value of the alpha
-    marginal is computed by honest plane quadrature, the grid sweep uses the
-    exact swap factorization.
+    """Start the classical slot in a unit Gaussian and the quantum slot in the
+    first excited state; at the swap time the classical slot inherits its
+    negativity.  The origin value of the alpha marginal is computed by honest
+    plane quadrature, the grid sweep uses the exact swap factorization.
     """
-    W_c = w_classical if w_classical is not None else gaussian_wigner(0, 1.0)
+    W_c = gaussian_wigner(0, 1.0)
     W_q = fock_wigner(1)
     tau = params.swap_time
     origin = alpha_marginal(W_c, W_q, params, tau, spec, method="quadrature").evaluate(0j)
@@ -233,19 +226,16 @@ def nonclassical_transfer_check(
 
 
 def nonquantum_transfer_check(
-    sigma: float,
-    params: CouplingParams,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    w_quantum: PhaseSpaceFunction | None = None,
+    sigma: float, params: CouplingParams, spec: IntegrationSpec = DEFAULT_SPEC
 ) -> NonquantumTransferReport:
-    """Start the classical slot in a width-sigma Gaussian; at the swap time the
-    quantum slot inherits it, and for sigma < 1 its excited-state diagonal
-    element goes negative.
+    """Start the classical slot in a width-sigma Gaussian and the quantum slot
+    in a unit one; at the swap time the quantum slot inherits the former, and
+    for sigma < 1 its excited-state diagonal element goes negative.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     W_c = gaussian_wigner(0, sigma)
-    W_q = w_quantum if w_quantum is not None else gaussian_wigner(0, 1.0)
+    W_q = gaussian_wigner(0, 1.0)
     tau = params.swap_time
     marg = beta_marginal(W_c, W_q, params, tau, spec)
     diag = fock_diag_element(marg, 1, spec)

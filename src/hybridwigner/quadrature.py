@@ -232,6 +232,31 @@ def _inner_spec(spec: IntegrationSpec) -> IntegrationSpec:
     )
 
 
+def _iterated(
+    ring: Callable[[float, Callable[[Callable[[float], Scalar]], Scalar]], Scalar],
+    lo: float,
+    hi: float,
+    spec: IntegrationSpec,
+) -> IntegrationResult:
+    """Integral over x in [lo, hi] of ring(x, azimuthal), where azimuthal(g)
+    integrates g over one period at ``_inner_spec(spec)``.  The error adds
+    (hi - lo) times the worst inner error, and the count is that of the inner
+    evaluations."""
+    inner = _inner_spec(spec)
+    inner_evals = 0
+    inner_err = 0.0
+
+    def azimuthal(g: Callable[[float], Scalar]) -> Scalar:
+        nonlocal inner_evals, inner_err
+        res = integrate_interval(g, 0.0, TWO_PI, inner)
+        inner_evals += res.evaluations
+        inner_err = max(inner_err, res.error_estimate)
+        return res.value
+
+    outer = integrate_interval(lambda x: ring(x, azimuthal), lo, hi, spec)
+    return IntegrationResult(outer.value, outer.error_estimate + (hi - lo) * inner_err, inner_evals)
+
+
 def integrate_sphere(
     f: Callable[[BlochPoint], Scalar],
     spec: IntegrationSpec = DEFAULT_SPEC,
@@ -241,20 +266,12 @@ def integrate_sphere(
     Internally substitutes u = cos(theta), which absorbs the sin(theta)
     Jacobian and tames integrands oscillating in cos(theta).
     """
-    inner = _inner_spec(spec)
-    inner_evals = 0
-    inner_err = 0.0
 
-    def ring(u: float) -> Scalar:
-        nonlocal inner_evals, inner_err
+    def ring(u: float, azimuthal) -> Scalar:
         theta = math.acos(min(1.0, max(-1.0, u)))
-        res = integrate_interval(lambda phi: f(BlochPoint(theta, phi)), 0.0, TWO_PI, inner)
-        inner_evals += res.evaluations
-        inner_err = max(inner_err, res.error_estimate)
-        return res.value
+        return azimuthal(lambda phi: f(BlochPoint(theta, phi)))
 
-    outer = integrate_interval(ring, -1.0, 1.0, spec)
-    return IntegrationResult(outer.value, outer.error_estimate + 2.0 * inner_err, inner_evals)
+    return _iterated(ring, -1.0, 1.0, spec)
 
 
 def integrate_plane(
@@ -270,25 +287,9 @@ def integrate_plane(
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
-    radius = spec.radial_cutoff_sigmas * width
-    inner = _inner_spec(spec)
-    inner_evals = 0
-    inner_err = 0.0
     center = complex(center)
 
-    def ring(rho: float) -> Scalar:
-        nonlocal inner_evals, inner_err
-        res = integrate_interval(
-            lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))),
-            0.0,
-            TWO_PI,
-            inner,
-        )
-        inner_evals += res.evaluations
-        inner_err = max(inner_err, res.error_estimate)
-        return rho * res.value
+    def ring(rho: float, azimuthal) -> Scalar:
+        return rho * azimuthal(lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))))
 
-    outer = integrate_interval(ring, 0.0, radius, spec)
-    return IntegrationResult(
-        outer.value, outer.error_estimate + radius * inner_err, inner_evals
-    )
+    return _iterated(ring, 0.0, spec.radial_cutoff_sigmas * width, spec)

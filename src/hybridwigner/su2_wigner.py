@@ -246,16 +246,13 @@ def wigner_to_spin(
 
 
 def su2_traciality(
-    W_A: SphereFunction,
-    W_B: SphereFunction,
-    j: float = 0.5,
-    spec: IntegrationSpec = DEFAULT_SPEC,
+    W_A: SphereFunction, W_B: SphereFunction, spec: IntegrationSpec = DEFAULT_SPEC
 ) -> float:
-    """tr(AB) computed as (4*pi / (2j+1)) * Integral[W_A W_B dOmega].
+    """tr(AB) of two spin-1/2 operators, computed as
+    (4*pi / (2j+1)) * Integral[W_A W_B dOmega] = 2*pi * Integral[W_A W_B dOmega].
 
     Products are evaluated as W_A * W_B, which is commutative in floating
     point, so swapping the arguments returns the identical value.
     """
-    dj = _doubled(j, "j")
     res = integrate_sphere(lambda p: W_A.evaluate(p) * W_B.evaluate(p), spec)
-    return FOUR_PI / (dj + 1) * res.value
+    return FOUR_PI / 2 * res.value

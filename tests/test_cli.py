@@ -31,6 +31,16 @@ r0 = 1.0
 """
 
 
+UNIT_GAUSSIAN = "kind = gaussian\nr0 = 1.0\nsigma = 1.0"
+
+
+def _scenario(name, chi, times, field, extra=""):
+    return (
+        f"[scenario]\nname = {name}\nchi = {chi}\ntimes = {times}\n{extra}\n"
+        f"[atom]\nkind = ground\n\n[field]\n{field}\n"
+    )
+
+
 class TestParsing:
     def test_minimal_config(self):
         config = parse_config(MINIMAL)
@@ -112,13 +122,6 @@ bogus = 3
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
         assert any(e.startswith("line 5:") and "non-negative" in e for e in exc_info.value.errors)
-
-    def test_filter_only_for_verify(self):
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config(MINIMAL.replace("chi = 1.0", "chi = 1.0\nfilter = sphere"))
-        assert any("unknown key 'filter'" in e for e in exc_info.value.errors)
-        config = parse_config("[scenario]\nname = verify\nfilter = sphere\n")
-        assert config.verify_filter == "sphere"
 
     def test_range_steps_capped(self):
         def times(steps):
@@ -479,6 +482,78 @@ sigma = 1.0
         where, _, cause = err[len(prefix):].partition(": ")
         assert math.isfinite(float(where))
         assert cause.startswith("no convergence after 1 subdivisions")
+
+    @pytest.mark.parametrize(
+        "name, chi, times, field, extra, key",
+        [
+            # sqrt(3) |chi| t overflows
+            ("phase-dist", "1e300", "1e9", UNIT_GAUSSIAN, "", "times"),
+            ("moments", "1e300", "1e9", UNIT_GAUSSIAN, "", "times"),
+            ("pfunction", "1e300", "1e9", UNIT_GAUSSIAN, "", "times"),
+            ("compare", "1e300", "1e10", UNIT_GAUSSIAN, "", "times"),
+            # 2 |chi| r0^2 t of a delta field overflows
+            ("moments", "1e300", "1e7", "kind = delta\nr0 = 10.0", "", "times"),
+            ("correlations", "1e300", "1e7", "kind = delta\nr0 = 10.0", "", "times"),
+            # compare: 2 |chi| <|alpha|^2> t of the mean-field model, |chi| t n_max of the quantum one
+            ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 10.0\nsigma = 1.0", "", "times"),
+            ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 0.0\nsigma = 1.0", "", "times"),
+            # |chi| t of the oscillator flow overflows
+            ("oscillators", "1e300", "1e9", "kind = delta\nr0 = 1.0", "", "times"),
+            # sigma^2 underflows to 0
+            ("phase-dist", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "sigma"),
+            ("quad-dist", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "sigma"),
+            # the oscillator energy |alpha|^2 + |beta|^2 overflows
+            ("oscillators", "1.0", "0.5", "kind = delta\nr0 = 1e200", "", "r0"),
+            ("oscillators", "1.0", "0.5", "kind = delta\nr0 = 1.0", "beta0_re = 1e200\n", "beta0_re"),
+        ],
+        ids=[
+            "phase-dist-kappa",
+            "moments-kappa",
+            "pfunction-kappa",
+            "compare-kappa",
+            "moments-delta-intensity",
+            "correlations-delta-intensity",
+            "compare-mean-field",
+            "compare-quantum",
+            "oscillators-flow",
+            "phase-dist-sigma",
+            "quad-dist-sigma",
+            "oscillators-r0",
+            "oscillators-beta0",
+        ],
+    )
+    def test_overflow_rejected_with_line(self, tmp_path, capsys, name, chi, times, field, extra, key):
+        text = _scenario(name, chi, times, field, extra)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        line = next(n for n, l in enumerate(text.splitlines(), 1) if l.startswith(f"{key} ="))
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: scenario {name}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, chi, times, field",
+        [
+            ("moments", "1e300", "1e7", "kind = gaussian\nr0 = 10.0\nsigma = 1.0"),
+            ("moments", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200"),
+            # m kappa overflows past the first modes, where j0 and j1 vanish
+            ("phase-dist", "1e154", "1e154", UNIT_GAUSSIAN),
+        ],
+        ids=["moments-gaussian-intensity", "moments-sigma", "phase-dist-modes"],
+    )
+    def test_large_finite_phases_run(self, tmp_path, name, chi, times, field):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_scenario(name, chi, times, field))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+
+    def test_verify_is_not_a_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nname = verify\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "line 2: unknown scenario 'verify'" in capsys.readouterr().err
 
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         import hybridwigner.cli as cli_module

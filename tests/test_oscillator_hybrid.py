@@ -74,10 +74,6 @@ class TestFlow:
         )
         assert np.max(np.abs(U - ref)) < 1e-14
 
-    def test_off_resonance_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingParams(1.0, mu=0.9)
-
 
 class TestJointDensity:
     def test_t0_product(self):
