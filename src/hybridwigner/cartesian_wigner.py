@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .quadrature import (
     DEFAULT_SPEC,
@@ -106,6 +105,20 @@ def gaussian_wigner(alpha0: complex, sigma: float) -> PhaseSpaceFunction:
     )
 
 
+def _laguerre(n: int, x: float) -> float:
+    """Laguerre polynomial L_n(x) from the three-term recurrence, carried as
+    the increment d_k = L_k - L_{k-1} in the operation order of scipy's
+    eval_genlaguerre at alpha = 0."""
+    if n == 0:
+        return 1.0
+    d = -x
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = d + p
+    return p
+
+
 def fock_wigner(n: int) -> PhaseSpaceFunction:
     """Number-state distribution (2/pi) (-1)^n L_n(4|beta|^2) exp(-2|beta|^2)."""
     if n < 0:
@@ -115,7 +128,7 @@ def fock_wigner(n: int) -> PhaseSpaceFunction:
 
     def w(beta: complex) -> float:
         r2 = beta.real * beta.real + beta.imag * beta.imag
-        return (2.0 / math.pi) * sign * float(eval_laguerre(n, 4.0 * r2)) * math.exp(-2.0 * r2)
+        return (2.0 / math.pi) * sign * _laguerre(n, 4.0 * r2) * math.exp(-2.0 * r2)
 
     return PhaseSpaceFunction(
         w, label=f"fock({n})", decay_scale=1.0 + math.sqrt(n), decay_center=0j

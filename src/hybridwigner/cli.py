@@ -348,7 +348,11 @@ def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_l
     # order, so that an overflow there is refused here.  The moment scenarios
     # take the spread kappa only through j_n(kappa), which is 0 at inf.
     phases = {}
-    if name in ("phase-dist", "pfunction"):
+    sharp_law = name == "pfunction" or (name == "phase-dist" and delta)
+    if sharp_law:
+        # the row grid spans the support [-kappa, kappa], a width of 2 kappa
+        phases["2 sqrt(3) |chi| t"] = 2.0 * (SQRT3 * abs(chi * t_max))
+    elif name == "phase-dist":
         phases["sqrt(3) |chi| t"] = SQRT3 * abs(chi) * t_max
     if name in ("moments", "correlations", "compare") and delta:
         phases["2 |chi| r0^2 t"] = 2.0 * abs(chi) * field_state.r0 * field_state.r0 * t_max
@@ -356,7 +360,6 @@ def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_l
         phases["|chi| sigma^2 t"] = abs(chi) * field_state.sigma * field_state.sigma * t_max
     if name == "oscillators":
         phases["|chi| t"] = abs(chi) * t_max
-    sharp_law = name == "pfunction" or (name == "phase-dist" and delta)
     if sharp_law and 0.0 in [chi * t for t in times]:
         line = key_lines.get("chi" if chi == 0.0 else "times")
         errors.append(f"line {line}: scenario {name} requires chi t != 0 (a point mass at 0)")

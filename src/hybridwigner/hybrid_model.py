@@ -30,7 +30,6 @@ from enum import Enum
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .quadrature import (
     BlochPoint,
@@ -522,14 +521,51 @@ def _frozen_field_factors(
     return f0, f1
 
 
+def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
+    """Taylor series of j_n at 0 <= x <= n:
+    x^n / (2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1)).
+
+    For n <= 2 each term is the last times -x^2 / (2k(2n+2k+1)), at most
+    2/7 in size, so 13 terms leave a tail below 1e-19 relative and the sum
+    does not cancel.
+    """
+    half_x2 = 0.5 * x * x
+    total = np.ones_like(x)
+    for k in range(13, 0, -1):
+        total = 1.0 - half_x2 * total / (k * (2 * n + 2 * k + 1))
+    return x**n / math.prod(range(1, 2 * n + 2, 2)) * total
+
+
 def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
-    """Rows j_0 ... j_{orders-1} at each signed x from one spherical_jn call;
-    j_n has the parity of n, so odd rows take the sign of x."""
+    """Rows j_0 ... j_{orders-1} at each signed x; j_n has the parity of n,
+    so odd rows take the sign of x.
+
+    Above |x| = n, j_n is sin x / x followed by the upward recurrence, in the
+    operation order of scipy's spherical_jn; at and below it, where those
+    forms cancel, it is ``_bessel_series``.  Each branch sees only its own
+    points, so neither divides by a tiny x.
+    """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    # spherical_jn returns NaN below the normal range, where j0, j1, j2 round to 1, 0, 0
+    # below the normal range j0, j1, j2 round to 1, 0, 0
     ax[ax < sys.float_info.min] = 0.0
-    bessel = spherical_jn(np.arange(orders)[:, None], ax[None, :])
+    bessel = np.full((orders, ax.size), np.nan)
+    bessel[:, np.isinf(ax)] = 0.0  # the limit at inf
+    for n in range(orders):
+        near = ax <= n
+        bessel[n, near] = _bessel_series(n, ax[near])
+    far = np.flatnonzero((ax > 0.0) & np.isfinite(ax))
+    xs = ax[far]
+    lower, row = None, np.sin(xs) / xs
+    for n in range(orders):
+        if n:
+            keep = xs > n
+            far, xs, row = far[keep], xs[keep], row[keep]
+            if n == 1:
+                lower, row = row, (row - np.cos(xs)) / xs
+            else:
+                lower, row = row, (2 * n - 1) * row / xs - lower[keep]
+        bessel[n, far] = row
     bessel[1::2] = np.where(x < 0.0, -bessel[1::2], bessel[1::2])
     return bessel
 
@@ -538,7 +574,7 @@ def _ramp_weights(n: int, kappa: float, sz: float) -> tuple[np.ndarray, np.ndarr
     """Real and imaginary parts of w_m = j0(m kappa) - i sqrt(3) s_z j1(m kappa),
     m = 0 ... n/2: the average of exp(-i m kappa u) over the ramp weight
     (1 + sqrt(3) s_z u) / 2 of u = cos(theta) in [-1, 1]."""
-    # m kappa past the float range is inf, where spherical_jn gives the limit 0
+    # m kappa past the float range is inf, where j0 and j1 take the limit 0
     with np.errstate(over="ignore"):
         phases = np.arange(n // 2 + 1) * kappa
     j0, j1 = _spherical_bessel(2, phases)

@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import lpmv
 
 from .quadrature import (
     BlochPoint,
@@ -124,6 +123,19 @@ def _cg(dj1: int, dm1: int, dj2: int, dm2: int, dj: int, dm: int) -> float:
     return sign * math.sqrt(float(total * total * norm))
 
 
+def _legendre(ell: int, m: int, x: float) -> float:
+    """Associated Legendre function P_ell^m(x), 0 <= m <= ell, with the
+    Condon-Shortley phase: P_m^m = (-1)^m (2m-1)!! (1-x^2)^(m/2), then the
+    upward recurrence in degree."""
+    p_low = (-1) ** m * math.prod(range(1, 2 * m, 2)) * math.sqrt(1.0 - x * x) ** m
+    if ell == m:
+        return p_low
+    p = x * (2 * m + 1) * p_low
+    for k in range(m + 2, ell + 1):
+        p_low, p = p, ((2 * k - 1) * x * p - (k + m - 1) * p_low) / (k - m)
+    return p
+
+
 def spherical_harmonic(ell: int, m: int, point: BlochPoint) -> complex:
     """Orthonormal spherical harmonic Y_{ell,m} with Condon-Shortley phase."""
     if ell < 0:
@@ -134,7 +146,7 @@ def spherical_harmonic(ell: int, m: int, point: BlochPoint) -> complex:
     norm = math.sqrt(
         (2 * ell + 1) / FOUR_PI * math.factorial(ell - mm) / math.factorial(ell + mm)
     )
-    val = norm * float(lpmv(mm, ell, math.cos(point.theta))) * cmath.exp(1j * mm * point.phi)
+    val = norm * _legendre(ell, mm, math.cos(point.theta)) * cmath.exp(1j * mm * point.phi)
     if m < 0:
         val = (-1) ** mm * val.conjugate()
     return val

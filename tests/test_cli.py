@@ -284,13 +284,13 @@ sigma = 1.0
         import hybridwigner.hybrid_model as model
 
         calls = []
-        original = model.spherical_jn
+        original = model._spherical_bessel
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(model, "spherical_jn", counting)
+        monkeypatch.setattr(model, "_spherical_bessel", counting)
         text = (resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text()
         table = run_scenario(parse_config(text))
         assert len(table.rows) > 1
@@ -497,6 +497,9 @@ sigma = 1.0
             # compare: 2 |chi| <|alpha|^2> t of the mean-field model, |chi| t n_max of the quantum one
             ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 10.0\nsigma = 1.0", "", "times"),
             ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 0.0\nsigma = 1.0", "", "times"),
+            # the width 2 sqrt(3) |chi| t of a sharp law's row grid overflows
+            ("pfunction", "1e154", "1e154", UNIT_GAUSSIAN, "", "times"),
+            ("phase-dist", "1e154", "1e154", "kind = delta\nr0 = 1.0", "", "times"),
             # |chi| t of the oscillator flow overflows
             ("oscillators", "1e300", "1e9", "kind = delta\nr0 = 1.0", "", "times"),
             # sigma^2 underflows to 0
@@ -515,6 +518,8 @@ sigma = 1.0
             "correlations-delta-intensity",
             "compare-mean-field",
             "compare-quantum",
+            "pfunction-width",
+            "phase-dist-delta-width",
             "oscillators-flow",
             "phase-dist-sigma",
             "quad-dist-sigma",
@@ -548,6 +553,16 @@ sigma = 1.0
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(_scenario(name, chi, times, field))
         assert main(["run", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
+
+    def test_sharp_law_with_finite_width_runs(self, tmp_path):
+        # kappa = 8.7e307: the width 2 kappa is still below the float range
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_scenario("pfunction", "1.0", "5e307", UNIT_GAUSSIAN))
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 101
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_verify_is_not_a_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import spherical_jn
 
 from hybridwigner.quadrature import (
     BlochPoint,
@@ -554,10 +553,10 @@ class TestQuadratureRoute:
 
 
 def _closed_reference(atom, field, chi, t):
-    """One time point of the closed route from scalar Bessel calls."""
+    """One time point of the closed route, with j0, j1, j2 taken one kappa at a time."""
     sx, sy, sz = atom.s
     kappa = SQRT3 * chi * t
-    j0, j1, j2 = (float(spherical_jn(n, abs(kappa))) for n in range(3))
+    j0, j1, j2 = model._spherical_bessel(3, [abs(kappa)])[:, 0].tolist()
     if kappa < 0.0:
         j1 = -j1
     mean_alpha, f0, f1 = _field_factors(field, chi, t)
