@@ -39,7 +39,7 @@ from .hybrid_model import (
     quadrature_distribution,
     semiclassical_moments,
 )
-from .quantum_reference import TruncationError, default_truncation, evolve_quantum, quantum_moments
+from .quantum_reference import TruncationError, default_truncation, quantum_moments
 from .oscillator_hybrid import CouplingParams, OscillatorPair, pair_flow
 
 __all__ = [
@@ -224,7 +224,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario config; reports all errors at once."""
     errors: list[str] = []
     sections = _parse_sections(text, errors)
-    key_lines = {k: n for p in ("scenario", "field") for k, (_, n) in sections.get(p, {}).items()}
+    # "section.key" -> line, taken before the keys are consumed below
+    key_lines = {f"{p}.{k}": n for p, section in sections.items() for k, (_, n) in section.items()}
 
     scn = sections.get("scenario", {})
     if "scenario" not in sections:
@@ -361,43 +362,52 @@ def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_l
     if name == "oscillators":
         phases["|chi| t"] = abs(chi) * t_max
     if sharp_law and 0.0 in [chi * t for t in times]:
-        line = key_lines.get("chi" if chi == 0.0 else "times")
+        line = key_lines.get("scenario.chi" if chi == 0.0 else "scenario.times")
         errors.append(f"line {line}: scenario {name} requires chi t != 0 (a point mass at 0)")
     if name == "quad-dist" and delta:
-        errors.append("scenario quad-dist requires a gaussian field")
+        errors.append(f"line {key_lines['field.kind']}: scenario quad-dist requires a gaussian field")
     if name == "quad-dist" and not delta and times:
         spread = SQRT3 * abs(chi) * times[-1]
         if spread > MAX_PHASE_SPREAD:
             errors.append(
-                f"line {key_lines['times']}: scenario {name}: phase spread"
+                f"line {key_lines['scenario.times']}: scenario {name}: phase spread"
                 f" sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
             )
     if name == "quad-dist" and not delta and field_state.sigma * field_state.sigma == 0.0:
-        errors.append(f"line {key_lines.get('sigma')}: scenario {name}: field too narrow: sigma^2 = 0")
+        errors.append(f"line {key_lines.get('field.sigma')}: scenario {name}: field too narrow: sigma^2 = 0")
     if name == "phase-dist" and not delta:
         try:
             field_state.phase_points  # raises past the field-azimuth cap
         except ValueError as exc:
-            errors.append(f"line {key_lines.get('sigma')}: scenario {name}: {exc}")
+            errors.append(f"line {key_lines.get('field.sigma')}: scenario {name}: {exc}")
     if name == "compare":
         if delta or abs(field_state.sigma - 1.0) > 1e-12:
-            errors.append("scenario compare requires a gaussian field with sigma = 1")
+            # a default field is a unit-width Gaussian, so the culprit line is set
+            line = key_lines["field.kind" if delta else "field.sigma"]
+            errors.append(f"line {line}: scenario compare requires a gaussian field with sigma = 1")
         if atom_kind == "bloch":
-            errors.append("scenario compare requires a pure ground or phase atom")
+            line = key_lines["atom.kind"]
+            errors.append(f"line {line}: scenario compare requires a pure ground or phase atom")
         try:
             n_max = default_truncation(field_state.mean_amplitude)
         except TruncationError as exc:
-            errors.append(f"line {key_lines.get('r0')}: scenario compare: {exc}")
+            errors.append(f"line {key_lines.get('field.r0')}: scenario compare: {exc}")
         else:
             phases["|chi| t n_max"] = abs(chi) * t_max * n_max
         phases["2 |chi| <|alpha|^2> t"] = 2.0 * abs(chi) * field_state.mean_intensity * t_max
     if name == "oscillators" and not delta:
-        errors.append("scenario oscillators uses a delta field for the initial amplitude")
+        # without a [field] section the default Gaussian comes from the scenario name
+        line = key_lines.get("field.kind", key_lines["scenario.name"])
+        errors.append(f"line {line}: scenario oscillators uses a delta field for the initial amplitude")
     if name == "oscillators" and delta:
         energy = field_state.r0 * field_state.r0 + (beta0.real * beta0.real + beta0.imag * beta0.imag)
         if not math.isfinite(energy):
             # only a set amplitude can be this large, so its key has a line
-            sizes = {"r0": field_state.r0, "beta0_re": abs(beta0.real), "beta0_im": abs(beta0.imag)}
+            sizes = {
+                "field.r0": field_state.r0,
+                "scenario.beta0_re": abs(beta0.real),
+                "scenario.beta0_im": abs(beta0.imag),
+            }
             errors.append(
                 f"line {key_lines[max(sizes, key=sizes.get)]}: scenario oscillators:"
                 " energy |alpha|^2 + |beta|^2 is not finite"
@@ -405,7 +415,7 @@ def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_l
     for label, phase in phases.items():
         if times and not math.isfinite(phase):
             errors.append(
-                f"line {key_lines['times']}: scenario {name}: phase {label} is not finite"
+                f"line {key_lines['scenario.times']}: scenario {name}: phase {label} is not finite"
                 f" at chi = {chi!r}, t = {t_max!r}"
             )
 
@@ -504,13 +514,12 @@ def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
 
 def _run_compare(config: ScenarioConfig) -> ResultTable:
     c_e, c_g = _atom_amplitudes(config)
-    alpha = config.field.mean_amplitude
     args = (config.atom, config.field, config.chi, config.times)
     models = zip(
         closed_moments(*args),
         semiclassical_moments(*args),
         semiclassical_moments(*args, mean_field=True),
-        [quantum_moments(evolve_quantum(c_e, c_g, alpha, config.chi, t)) for t in config.times],
+        quantum_moments(c_e, c_g, config.field.mean_amplitude, config.chi, config.times),
     )
     rows = [
         tuple(

@@ -32,6 +32,7 @@ r0 = 1.0
 
 
 UNIT_GAUSSIAN = "kind = gaussian\nr0 = 1.0\nsigma = 1.0"
+DELTA = "kind = delta\nr0 = 1.0"
 
 
 def _scenario(name, chi, times, field, extra=""):
@@ -317,7 +318,7 @@ sigma = 1.0
         text = (resources.files("hybridwigner") / "configs" / "fig5.cfg").read_text()
         config = parse_config(text)
         run_scenario(config)
-        assert counts == {"quantum_moments": len(config.times), "semiclassical_moments": 2}
+        assert counts == {"quantum_moments": 1, "semiclassical_moments": 2}
 
     def test_oscillator_scenario_energy_column(self):
         text = """
@@ -563,6 +564,46 @@ sigma = 1.0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 101
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    @pytest.mark.parametrize(
+        "text, key_line, message",
+        [
+            (_scenario("quad-dist", "1.0", "0.5", DELTA), "kind = delta", "requires a gaussian field"),
+            (_scenario("compare", "1.0", "0.5", DELTA), "kind = delta", "sigma = 1"),
+            (
+                _scenario("compare", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 2.0"),
+                "sigma = 2.0",
+                "sigma = 1",
+            ),
+            (
+                _scenario("compare", "1.0", "0.5", UNIT_GAUSSIAN).replace(
+                    "kind = ground", "kind = bloch\ns = 0.3, 0.0, -0.4"
+                ),
+                "kind = bloch",
+                "pure ground or phase atom",
+            ),
+            (_scenario("oscillators", "1.0", "0.5", UNIT_GAUSSIAN), "kind = gaussian", "delta field"),
+            # no [field] section: the default Gaussian comes with the scenario name
+            ("[scenario]\nname = oscillators\ntimes = 0.5\n", "name = oscillators", "delta field"),
+        ],
+        ids=[
+            "quad-dist-delta",
+            "compare-delta",
+            "compare-sigma",
+            "compare-bloch",
+            "oscillators-gaussian",
+            "oscillators-default-field",
+        ],
+    )
+    def test_combination_error_names_line(self, tmp_path, capsys, text, key_line, message):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out.csv")]) == 1
+        line = text.splitlines().index(key_line) + 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: scenario ")
+        assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_verify_is_not_a_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -1,14 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hybridwigner.hybrid_model import ObservableSymbol, moment_correlation
 from hybridwigner.quantum_reference import (
+    _BLOCK_AMPLITUDES,
     MAX_TRUNCATION,
     AtomFieldVector,
     TruncationError,
+    _coherent_column,
     coherent_overlap,
     default_truncation,
     evolve_quantum,
@@ -30,33 +33,33 @@ def _fock_overlap(alpha, beta, N=80):
 
 class TestEvolution:
     def test_t0_is_product_state(self):
-        st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, 0.0)
-        up, low = st.amplitudes
+        st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, (0.0,))
+        up, low = st.amplitudes[0]
         assert np.allclose(up, low, atol=1e-15)
 
     def test_ground_atom_gives_rotated_coherent_state(self):
         alpha, chi, t = 1.0, 1.0, 0.7
-        st = evolve_quantum(0.0, 1.0, alpha, chi, t)
-        ref = evolve_quantum(0.0, 1.0, alpha * cmath.exp(1j * chi * t), chi, 0.0, N=st.truncation)
+        st = evolve_quantum(0.0, 1.0, alpha, chi, (t,))
+        ref = evolve_quantum(0.0, 1.0, alpha * cmath.exp(1j * chi * t), chi, (0.0,), N=st.truncation)
         assert np.allclose(st.amplitudes, ref.amplitudes, atol=1e-14)
 
     def test_norm_conserved(self):
-        for t in (0.0, 1.0, 17.3):
-            st = evolve_quantum(0.6, 0.8, 2.0, 1.0, t)
-            assert st.norm() == pytest.approx(1.0, abs=1e-13)
+        st = evolve_quantum(0.6, 0.8, 2.0, 1.0, (0.0, 1.0, 17.3))
+        for norm in st.norm():
+            assert norm == pytest.approx(1.0, abs=1e-13)
 
     def test_large_amplitude_normalized(self):
         for alpha in (17.0, 30.0):
-            st = evolve_quantum(0.6, 0.8, alpha, 1.0, 0.3)
-            assert st.norm() == pytest.approx(1.0, abs=1e-14)
+            st = evolve_quantum(0.6, 0.8, alpha, 1.0, (0.3,))
+            assert st.norm()[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError):
-            evolve_quantum(1.0, 1.0, 1.0, 1.0, 0.0)
+            evolve_quantum(1.0, 1.0, 1.0, 1.0, (0.0,))
 
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
-            evolve_quantum(INV_SQRT2, INV_SQRT2, 3.0, 1.0, 0.0, N=10)
+            evolve_quantum(INV_SQRT2, INV_SQRT2, 3.0, 1.0, (0.0,), N=10)
 
     def test_default_truncation_capped(self):
         # |alpha| = 311 needs 99,851 states, |alpha| = 312 needs 100,484
@@ -68,8 +71,8 @@ class TestEvolution:
 
     def test_default_truncation_keeps_tail_small(self):
         for alpha in (0.5, 1.0, 3.0):
-            st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.3)
-            tail = np.sum(np.abs(st.amplitudes[:, -1]) ** 2)
+            st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.3,))
+            tail = np.sum(np.abs(st.amplitudes[0, :, -1]) ** 2)
             assert tail < 1e-14
             assert st.truncation == default_truncation(alpha)
 
@@ -77,17 +80,17 @@ class TestEvolution:
 class TestExpectations:
     def test_amplitude_cosine(self):
         alpha, chi = 1.0, 1.0
-        for t in (0.2, 0.9, 2.0):
-            st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, chi, t, N=40)
-            assert quantum_moments(st)[ObservableSymbol.A] == pytest.approx(
+        times = (0.2, 0.9, 2.0)
+        for t, moments in zip(times, quantum_moments(INV_SQRT2, INV_SQRT2, alpha, chi, times, N=40)):
+            assert moments[ObservableSymbol.A] == pytest.approx(
                 alpha * math.cos(chi * t), abs=1e-13
             )
 
     def test_coherence_raising_closed_form(self):
         alpha, chi = 1.0, 1.0
-        for t in (0.2, 0.9, 2.0):
-            st = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, chi, t, N=40)
-            value = quantum_moments(st)[ObservableSymbol.SIGMA_MINUS_ADAG]
+        times = (0.2, 0.9, 2.0)
+        for t, moments in zip(times, quantum_moments(INV_SQRT2, INV_SQRT2, alpha, chi, times, N=40)):
+            value = moments[ObservableSymbol.SIGMA_MINUS_ADAG]
             closed = (
                 0.5
                 * np.conj(alpha)
@@ -100,52 +103,115 @@ class TestExpectations:
     def test_inversion_constant(self):
         for ce, cg in ((0.6, 0.8), (INV_SQRT2, INV_SQRT2)):
             ref = abs(ce) ** 2 - abs(cg) ** 2
-            for t in (0.0, 1.3, 4.0):
-                st = evolve_quantum(ce, cg, 1.5, 1.0, t)
-                assert quantum_moments(st)[ObservableSymbol.SIGMA_Z] == pytest.approx(
-                    ref, abs=1e-13
-                )
+            for moments in quantum_moments(ce, cg, 1.5, 1.0, (0.0, 1.3, 4.0)):
+                assert moments[ObservableSymbol.SIGMA_Z] == pytest.approx(ref, abs=1e-13)
 
     def test_truncation_robustness(self):
         alpha = 3.0
-        a = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.8)
-        b = evolve_quantum(INV_SQRT2, INV_SQRT2, alpha, 1.0, 0.8, N=2 * a.truncation)
-        ma, mb = quantum_moments(a), quantum_moments(b)
+        n = default_truncation(alpha)
+        ma = quantum_moments(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.8,))[0]
+        mb = quantum_moments(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.8,), N=2 * n)[0]
         for obs in ObservableSymbol:
             assert ma[obs] == pytest.approx(mb[obs], abs=1e-10)
 
 
-def _parent_expressions(state):
-    """The six per-observable sums of the former one-observable route."""
-    up, low = state.amplitudes[0], state.amplitudes[1]
-    root = np.sqrt(np.arange(1, state.truncation + 1))
+def _parent_state(c_e, c_g, alpha, chi, t):
+    """The former one-time evolution, as it formed each level."""
+    coherent = _coherent_column(alpha, default_truncation(alpha))
+    ns = np.arange(len(coherent))
+    upper = c_e * np.exp(-1j * chi * t * ns) * coherent
+    lower = c_g * np.exp(1j * chi * t * ns) * coherent
+    return upper, lower
+
+
+def _parent_expressions(up, low):
+    """The former one-state moment sums."""
+    root = np.sqrt(np.arange(1, len(up)))
+    a_up = np.sum(np.conj(up[:-1]) * root * up[1:])
+    a_low = np.sum(np.conj(low[:-1]) * root * low[1:])
     return {
-        ObservableSymbol.A: complex(
-            np.sum(np.conj(up[:-1]) * root * up[1:]) + np.sum(np.conj(low[:-1]) * root * low[1:])
-        ),
+        ObservableSymbol.A: complex(a_up + a_low),
         ObservableSymbol.ADAG: complex(
             np.sum(np.conj(up[1:]) * root * up[:-1]) + np.sum(np.conj(low[1:]) * root * low[:-1])
         ),
         ObservableSymbol.SIGMA_Z: complex(np.sum(np.abs(up) ** 2) - np.sum(np.abs(low) ** 2)),
         ObservableSymbol.SIGMA_MINUS: complex(np.sum(np.conj(up) * low)),
         ObservableSymbol.SIGMA_MINUS_ADAG: complex(np.sum(np.conj(up[1:]) * root * low[:-1])),
-        ObservableSymbol.SIGMA_Z_A: complex(
-            np.sum(np.conj(up[:-1]) * root * up[1:]) - np.sum(np.conj(low[:-1]) * root * low[1:])
-        ),
+        ObservableSymbol.SIGMA_Z_A: complex(a_up - a_low),
     }
 
 
-class TestQuantumMoments:
-    @pytest.mark.parametrize("c_e, c_g", [(0.0, 1.0), (INV_SQRT2, INV_SQRT2), (0.6, 0.8)])
-    @pytest.mark.parametrize("alpha", [1.0, 3.0 - 1.0j])
-    def test_matches_per_observable_sums_exactly(self, c_e, c_g, alpha):
-        for t in (0.4, 2.3):
-            state = evolve_quantum(c_e, c_g, alpha, 1.0, t)
-            moments = quantum_moments(state)
-            assert set(moments) == set(ObservableSymbol)
-            reference = _parent_expressions(state)
-            for obs in ObservableSymbol:
-                assert moments[obs] == reference[obs]
+def _grid(alpha):
+    """Times spanning two full blocks and part of a third."""
+    step = max(1, _BLOCK_AMPLITUDES // (default_truncation(alpha) + 1))
+    return [0.0137 * k for k in range(2 * step + 3)]
+
+
+ATOMS = {
+    "ground": (0.0, 1.0),
+    "excited": (1.0, 0.0),
+    "phase": (INV_SQRT2, INV_SQRT2),
+    "complex": (complex(0.6), 0.8 * cmath.exp(0.9j)),
+}
+
+
+class TestGridRoute:
+    @pytest.mark.parametrize("chi", [1.0, -0.7])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0, 30.0, 3.0 - 1.0j])
+    def test_equals_one_state_expressions(self, alpha, chi):
+        times = _grid(alpha)
+        for c_e, c_g in ATOMS.values():
+            grid = quantum_moments(c_e, c_g, alpha, chi, times)
+            amplitudes = evolve_quantum(c_e, c_g, alpha, chi, times).amplitudes
+            assert len(grid) == len(times)
+            for t, moments, state in zip(times, grid, amplitudes):
+                up, low = _parent_state(c_e, c_g, alpha, chi, t)
+                assert np.array_equal(state[0], up) and np.array_equal(state[1], low)
+                assert set(moments) == set(ObservableSymbol)
+                reference = _parent_expressions(up, low)
+                for obs in ObservableSymbol:
+                    assert moments[obs] == reference[obs]
+
+    def test_scalar_time_is_one_time_grid(self):
+        c_e, c_g = ATOMS["complex"]
+        times = _grid(1.0)
+        grid = quantum_moments(c_e, c_g, 1.0, 1.0, times)
+        assert [quantum_moments(c_e, c_g, 1.0, 1.0, (t,))[0] for t in times] == grid
+        assert quantum_moments(c_e, c_g, 1.0, 1.0, ()) == []
+
+    def test_errors_on_a_grid(self):
+        times = _grid(3.0)
+        with pytest.raises(TruncationError):
+            quantum_moments(INV_SQRT2, INV_SQRT2, 3.0, 1.0, times, N=10)
+        with pytest.raises(TruncationError):
+            evolve_quantum(INV_SQRT2, INV_SQRT2, 3.0, 1.0, times, N=10)
+        with pytest.raises(ValueError, match="atomic amplitudes"):
+            quantum_moments(1.0, 1.0, 1.0, 1.0, times)
+        with pytest.raises(ValueError, match="atomic amplitudes"):
+            evolve_quantum(1.0, 1.0, 1.0, 1.0, times)
+
+    def test_every_time_of_a_block_is_checked(self):
+        block = np.array(evolve_quantum(0.6, 0.8, 1.0, 1.0, (0.0, 0.5, 1.0)).amplitudes)
+        unnormalized = block.copy()
+        unnormalized[-1] *= 1.001
+        with pytest.raises(ValueError, match="normalized"):
+            AtomFieldVector(unnormalized)
+        fat_tail = block.copy()
+        fat_tail[1, 0, -1] = 1e-6
+        with pytest.raises(TruncationError):
+            AtomFieldVector(fat_tail)
+
+    def test_working_set_bounded(self):
+        # unblocked, this grid allocates about 213 MB at once
+        times = [15.0 * k / 300 for k in range(301)]
+        tracemalloc.start()
+        try:
+            moments = quantum_moments(INV_SQRT2, INV_SQRT2, 100.0, 1.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(moments) == 301
+        assert peak < 4e6
 
 
 class TestCoherentOverlap:
@@ -171,43 +237,36 @@ class TestCoherentOverlap:
         assert cmath.phase(value) == pytest.approx(phase, abs=1e-14)
 
 
-def _correlation(state, A, B):
-    return moment_correlation(quantum_moments(state), A, B)
-
-
 class TestCorrelations:
     def test_ground_atom_correlation_vanishes(self):
-        for t in (0.3, 1.1, 6.0):
-            st = evolve_quantum(0.0, 1.0, 1.0, 1.0, t)
-            value = _correlation(st, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)
+        for moments in quantum_moments(0.0, 1.0, 1.0, 1.0, (0.3, 1.1, 6.0)):
+            value = moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)
             assert abs(value) < 1e-12
 
     def test_product_state_uncorrelated(self):
-        st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, 0.0)
-        value = _correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+        moments = quantum_moments(INV_SQRT2, INV_SQRT2, 1.0, 1.0, (0.0,))[0]
+        value = moment_correlation(moments, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
         assert abs(value) < 1e-13
 
     def test_periodic_up_to_sign(self):
         chi = 1.0
+        pair = (ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
         for t in (0.37, 1.9):
-            s0 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t, N=40)
-            s1 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t + math.pi / chi, N=40)
-            s2 = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, chi, t + 2 * math.pi / chi, N=40)
-            v0 = _correlation(s0, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
-            v1 = _correlation(s1, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
-            v2 = _correlation(s2, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)
+            times = (t, t + math.pi / chi, t + 2 * math.pi / chi)
+            m0, m1, m2 = quantum_moments(INV_SQRT2, INV_SQRT2, 1.0, chi, times, N=40)
+            v0, v1, v2 = (moment_correlation(m, *pair) for m in (m0, m1, m2))
             assert min(abs(v1 - v0), abs(v1 + v0)) < 1e-12
             assert abs(v2 - v0) < 1e-12
 
     def test_unsupported_pair_rejected(self):
-        st = evolve_quantum(INV_SQRT2, INV_SQRT2, 1.0, 1.0, 0.5)
+        moments = quantum_moments(INV_SQRT2, INV_SQRT2, 1.0, 1.0, (0.5,))[0]
         with pytest.raises(ValueError):
-            _correlation(st, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.A)
+            moment_correlation(moments, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.A)
 
 
 def test_vector_validation():
-    bad = np.zeros((2, 5), dtype=complex)
-    bad[0, 0] = 1.0
-    bad[0, -1] = 1e-6  # unnormalized and fat tail
+    bad = np.zeros((1, 2, 5), dtype=complex)
+    bad[0, 0, 0] = 1.0
+    bad[0, 0, -1] = 1e-6  # unnormalized and fat tail
     with pytest.raises(ValueError):
         AtomFieldVector(bad)
