@@ -55,10 +55,9 @@ from .hybrid_model import (
     atom_marginal,
     atomic_pfunction,
     closed_moments,
-    correlation,
+    expectation_quadrature,
     field_marginal,
     flow_map,
-    hybrid_expectation,
     joint_wigner,
     moment_correlation,
     phase_distribution_delta,

@@ -35,8 +35,8 @@ from .hybrid_model import (
     HybridState,
     ObservableSymbol,
     atomic_pfunction,
-    correlation,
-    hybrid_expectation,
+    closed_moments,
+    expectation_quadrature,
     moment_correlation,
     phase_distribution_delta,
     phase_moments,
@@ -156,9 +156,9 @@ def criterion_4() -> CriterionResult:
     for chi_t in np.linspace(0.2, 10.0, 50):
         state = HybridState(phase, DeltaAmplitude(r0), chi=1.0, t=float(chi_t))
         kappa = SQRT3 * chi_t
-        adag = hybrid_expectation(state, ObservableSymbol.ADAG, method="quadrature")
+        adag = expectation_quadrature(state, ObservableSymbol.ADAG)
         worst_adag = max(worst_adag, abs(adag - r0 * math.sin(kappa) / kappa))
-        sma = hybrid_expectation(state, ObservableSymbol.SIGMA_MINUS_ADAG, method="quadrature")
+        sma = expectation_quadrature(state, ObservableSymbol.SIGMA_MINUS_ADAG)
         display = (
             cmath.exp(-2j * chi_t * r0 * r0)
             / (chi_t * chi_t)
@@ -186,20 +186,22 @@ def criterion_5() -> CriterionResult:
         ObservableSymbol.ADAG,
         ObservableSymbol.SIGMA_MINUS_ADAG,
     )
+    times = (0.1, 0.5, 1.0, 2.0)
+    gaussian = GaussianAmplitude(1.0, 1.0)
     worst_rel = 0.0
-    for t in (0.1, 0.5, 1.0, 2.0):
-        state = HybridState(phase, GaussianAmplitude(1.0, 1.0), chi=1.0, t=t)
+    for t, moments in zip(times, closed_moments(phase, gaussian, 1.0, times)):
+        state = HybridState(phase, gaussian, chi=1.0, t=t)
         for obs in observables:
-            closed = hybrid_expectation(state, obs)
-            quad = hybrid_expectation(state, obs, method="quadrature")
+            closed = moments[obs]
+            quad = expectation_quadrature(state, obs)
             worst_rel = max(worst_rel, abs(closed - quad) / abs(closed))
     worst_limit = 0.0
-    for t in (0.1, 0.5, 1.0, 2.0):
-        narrow = HybridState(phase, GaussianAmplitude(1.0, 1e-3), chi=1.0, t=t)
-        sharp = HybridState(phase, DeltaAmplitude(1.0), chi=1.0, t=t)
+    for narrow, sharp in zip(
+        closed_moments(phase, GaussianAmplitude(1.0, 1e-3), 1.0, times),
+        closed_moments(phase, DeltaAmplitude(1.0), 1.0, times),
+    ):
         for obs in observables:
-            a = hybrid_expectation(narrow, obs)
-            b = hybrid_expectation(sharp, obs)
+            a, b = narrow[obs], sharp[obs]
             worst_limit = max(worst_limit, abs(a - b) / abs(b))
     checks = [
         _row("closed vs quadrature relative deviation", worst_rel, 1e-6),
@@ -218,16 +220,15 @@ def criterion_6() -> CriterionResult:
     """
     ground = SpinHalfState.ground()
     phase = SpinHalfState.phase_state()
-    ts = np.linspace(5.0, 50.0, 181)
-    g_vals = []
-    p_vals = []
-    for t in ts:
-        sg = HybridState(ground, DeltaAmplitude(1.0), chi=1.0, t=float(t))
-        g_vals.append(abs(correlation(sg, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)) * t)
-        sp = HybridState(phase, GaussianAmplitude(1.0, 1.0), chi=1.0, t=float(t))
-        p_vals.append(
-            abs(correlation(sp, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)) * t * t
-        )
+    ts = np.linspace(5.0, 50.0, 181).tolist()
+    g_vals = [
+        abs(moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)) * t
+        for t, moments in zip(ts, closed_moments(ground, DeltaAmplitude(1.0), 1.0, ts))
+    ]
+    p_vals = [
+        abs(moment_correlation(moments, ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG)) * t * t
+        for t, moments in zip(ts, closed_moments(phase, GaussianAmplitude(1.0, 1.0), 1.0, ts))
+    ]
     g_ratio = max(g_vals) / g_vals[0]
     p_ratio = max(p_vals) / p_vals[0]
     checks = [
@@ -354,14 +355,14 @@ def criterion_11() -> CriterionResult:
         (SpinHalfState.ground(), "ground"),
         (SpinHalfState.phase_state(), "superposition"),
     ):
-        for chi_t in (0.5, 2.0):
+        chi_ts = (0.5, 2.0)
+        for chi_t, moments in zip(chi_ts, closed_moments(atom, DeltaAmplitude(r0), 1.0, chi_ts)):
             p = atomic_pfunction(atom, chi_t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
             ).value
-            state = HybridState(atom, DeltaAmplitude(r0), chi=1.0, t=chi_t)
-            direct = hybrid_expectation(state, ObservableSymbol.ADAG)
+            direct = moments[ObservableSymbol.ADAG]
             checks.append(
                 _row(
                     f"{label} chi_t={chi_t}: rebuilt raising moment",

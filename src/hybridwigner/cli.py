@@ -6,8 +6,9 @@ and writes one CSV table per run.  Identical configs produce byte-identical
 files: floats are printed with 17 significant digits, metadata carries no
 timestamps, and row order is fixed (ascending time, then ascending abscissa).
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure
-(a NaN or infinity anywhere aborts the run and is never written; a quad-dist
+Exit codes: 0 success, 1 config error (or a ``hybridwigner verify --filter``
+that matches no criterion), 2 I/O error, 3 numeric failure (a NaN or
+infinity anywhere aborts the run and is never written; a quad-dist
 quadrature that does not converge names the scenario, t and y), 4
 acceptance failure (``hybridwigner verify``).
 """
@@ -297,7 +298,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     quad_section = sections.get("quadrature", {})
     quad_kwargs = {}
-    for key in ("relative_tolerance", "absolute_tolerance", "radial_cutoff_sigmas"):
+    for key in ("relative_tolerance", "absolute_tolerance"):
         if key in quad_section:
             v = _take_float(quad_section, key, errors, "quadrature")
             if v is not None:
@@ -395,6 +396,14 @@ def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_l
         else:
             phases["|chi| t n_max"] = abs(chi) * t_max * n_max
         phases["2 |chi| <|alpha|^2> t"] = 2.0 * abs(chi) * field_state.mean_intensity * t_max
+    if name != "oscillators":
+        # only the oscillator pair has a second amplitude
+        for key in ("beta0_re", "beta0_im"):
+            if f"scenario.{key}" in key_lines:
+                errors.append(
+                    f"line {key_lines[f'scenario.{key}']}: scenario {name} takes no {key}"
+                    " (the second amplitude of oscillators)"
+                )
     if name == "oscillators" and not delta:
         # without a [field] section the default Gaussian comes from the scenario name
         line = key_lines.get("field.kind", key_lines["scenario.name"])
@@ -571,6 +580,8 @@ def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
         f" maxsub {config.quadrature.max_subdivisions}"
         f" cutoff {config.quadrature.radial_cutoff_sigmas!r}",
     ]
+    if config.scenario == "oscillators":
+        lines.append(f"beta0 = {config.beta0!r}")
     return tuple(lines)
 
 
@@ -645,6 +656,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .acceptance import run_all
 
         results = run_all(args.filter)
+        if not results:
+            print(f"error: no acceptance criterion matches filter {args.filter!r}", file=sys.stderr)
+            return 1
         failed = False
         for res in results:
             status = "PASS" if res.passed else "FAIL"

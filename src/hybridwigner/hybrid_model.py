@@ -59,9 +59,8 @@ __all__ = [
     "phase_moments",
     "quadrature_distribution",
     "closed_moments",
-    "hybrid_expectation",
+    "expectation_quadrature",
     "moment_correlation",
-    "correlation",
     "semiclassical_standard",
     "semiclassical_moments",
     "atomic_pfunction",
@@ -459,11 +458,23 @@ def quadrature_distribution(
     return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
 
 
+# Sector data of the symbols.  An atomic kind gives (m_atom, polar): its symbol
+# is polar(cos theta) exp(-i m_atom phi_atom).  A field kind gives m_field: its
+# symbol is r^|m_field| exp(-i m_field phi) at alpha = r exp(-i phi).
+_ATOMIC_SECTORS: dict[str, tuple[int, Callable[[float], float]]] = {
+    "one": (0, lambda u: 1.0),
+    "sz": (0, lambda u: SQRT3 * u),
+    "sm": (1, lambda u: 0.5 * SQRT3 * math.sqrt(max(0.0, 1.0 - u * u))),
+}
+_FIELD_ORDERS = {"one": 0, "a": 1, "adag": -1}
+
+
 class ObservableSymbol(Enum):
     """Supported operators and their phase-space symbols.
 
     Each member is a product of an atomic factor and a field factor; the
-    symbol of the product is the product of the sector symbols.
+    symbol of the product is the product of the sector symbols, whose data
+    (``m_atom``, ``polar``, ``m_field``) come from the sector tables.
     """
 
     A = ("one", "a")
@@ -476,20 +487,15 @@ class ObservableSymbol(Enum):
     def __init__(self, atomic_kind: str, field_kind: str):
         self.atomic_kind = atomic_kind
         self.field_kind = field_kind
+        self.m_atom, self.polar = _ATOMIC_SECTORS[atomic_kind]
+        self.m_field = _FIELD_ORDERS[field_kind]
 
     def atomic_symbol(self, point: BlochPoint) -> complex:
-        if self.atomic_kind == "one":
-            return 1.0 + 0j
-        if self.atomic_kind == "sz":
-            return SQRT3 * math.cos(point.theta) + 0j
-        return 0.5 * SQRT3 * math.sin(point.theta) * cmath.exp(-1j * point.phi)
+        return self.polar(math.cos(point.theta)) * cmath.exp(-1j * self.m_atom * point.phi)
 
     def field_symbol(self, alpha: complex) -> complex:
-        if self.field_kind == "one":
-            return 1.0 + 0j
-        if self.field_kind == "a":
-            return complex(alpha)
-        return complex(alpha).conjugate()
+        r, phi = _polar_of(alpha)
+        return r ** abs(self.m_field) * cmath.exp(-1j * self.m_field * phi)
 
     def symbol(self, point: BlochPoint, alpha: complex) -> complex:
         return self.atomic_symbol(point) * self.field_symbol(alpha)
@@ -632,10 +638,6 @@ def closed_moments(
     return moments
 
 
-def _closed_at(state: HybridState) -> dict[ObservableSymbol, complex]:
-    return closed_moments(state.atom, state.field, state.chi, (state.t,))[0]
-
-
 def _n_phi(x_max: float) -> int:
     # Periodic trapezoid resolution for exp(x cos(phi))-type profiles; the
     # Fourier tail of exp(x cos phi) dies once the harmonic index passes ~x.
@@ -698,10 +700,11 @@ def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
     return row
 
 
-def _expectation_quadrature(
-    state: HybridState, obs: ObservableSymbol, spec: IntegrationSpec
+def expectation_quadrature(
+    state: HybridState, obs: ObservableSymbol, spec: IntegrationSpec = DEFAULT_SPEC
 ) -> complex:
-    """Direct quadrature of the symbol against the transported joint density.
+    """Direct quadrature of the symbol against the transported joint density:
+    the independent cross-check of ``closed_moments`` at the state's time.
 
     Azimuthal integrals are fixed-order periodic trapezoids (spectrally exact
     for these profiles); the remaining coordinates use adaptive panels.  The
@@ -710,16 +713,8 @@ def _expectation_quadrature(
     """
     s = state.atom.s
     chi, t, kappa = state.chi, state.t, state.kappa
-    m_a = 1 if obs.atomic_kind == "sm" else 0
-    m_f = {"one": 0, "a": 1, "adag": -1}[obs.field_kind]
+    m_a, m_f, g_theta = obs.m_atom, obs.m_field, obs.polar
     atom_row = _atom_azimuthal(s, m_a)
-
-    def g_theta(u: float) -> float:
-        if obs.atomic_kind == "one":
-            return 1.0
-        if obs.atomic_kind == "sz":
-            return SQRT3 * u
-        return 0.5 * SQRT3 * math.sqrt(max(0.0, 1.0 - u * u))
 
     field = state.field
     if isinstance(field, DeltaAmplitude):
@@ -748,33 +743,12 @@ def _expectation_quadrature(
     return integrate_interval(outer, -1.0, 1.0, spec).value
 
 
-def hybrid_expectation(
-    state: HybridState,
-    obs: ObservableSymbol,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    method: str = "closed",
-) -> complex:
-    """Phase-space average of the observable's symbol at time t.
-
-    method="closed" uses the analytically reduced forms (delta fields collapse
-    exactly, Gaussian fields reduce to elementary Gaussian integrals);
-    method="quadrature" integrates the transported joint density directly and
-    exists as the independent cross-check of the closed route.
-    """
-    if not isinstance(obs, ObservableSymbol):
-        raise ValueError(f"unsupported observable {obs!r}")
-    if method == "closed":
-        return _closed_at(state)[obs]
-    if method == "quadrature":
-        return _expectation_quadrature(state, obs, spec)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _product_symbol(A: ObservableSymbol, B: ObservableSymbol) -> ObservableSymbol:
-    """The member whose sector kinds are A's atomic and B's field kind."""
-    if A.field_kind != "one" or A.atomic_kind == "one":
+    """The member whose sector kinds are A's atomic and B's field kind (no
+    member is the identity, so a factor's other kind is never "one")."""
+    if A.field_kind != "one":
         raise ValueError("first factor must be a purely atomic observable")
-    if B.atomic_kind != "one" or B.field_kind == "one":
+    if B.atomic_kind != "one":
         raise ValueError("second factor must be a purely field observable")
     try:
         return ObservableSymbol((A.atomic_kind, B.field_kind))
@@ -791,12 +765,6 @@ def moment_correlation(
     need operator-ordering rules that are out of scope here.
     """
     return moments[_product_symbol(A, B)] - moments[A] * moments[B]
-
-
-def correlation(state: HybridState, A: ObservableSymbol, B: ObservableSymbol) -> complex:
-    """Cross-sector correlation <AB> - <A><B> of the closed-form moments at
-    the state's time, formed by ``moment_correlation``."""
-    return moment_correlation(_closed_at(state), A, B)
 
 
 def semiclassical_standard(

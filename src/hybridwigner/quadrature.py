@@ -75,14 +75,15 @@ class IntegrationSpec:
     radial_cutoff_sigmas: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.relative_tolerance <= 0.0:
-            raise ValueError("relative_tolerance must be positive")
-        if self.absolute_tolerance <= 0.0:
-            raise ValueError("absolute_tolerance must be positive")
+        # NaN compares False, so each float bound is written as not (x > bound)
+        if not (self.relative_tolerance > 0.0) or not math.isfinite(self.relative_tolerance):
+            raise ValueError("relative_tolerance must be positive and finite")
+        if not (self.absolute_tolerance > 0.0) or not math.isfinite(self.absolute_tolerance):
+            raise ValueError("absolute_tolerance must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.radial_cutoff_sigmas < 6.0:
-            raise ValueError("radial_cutoff_sigmas must be at least 6")
+        if not (self.radial_cutoff_sigmas >= 6.0) or not math.isfinite(self.radial_cutoff_sigmas):
+            raise ValueError("radial_cutoff_sigmas must be finite and at least 6")
 
 
 DEFAULT_SPEC = IntegrationSpec()

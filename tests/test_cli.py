@@ -209,6 +209,37 @@ sigma = 1.0
         errors = exc_info.value.errors
         assert any(e.startswith(f"line {line}:") and "chi t != 0" in e for e in errors)
 
+    def test_radial_cutoff_key_rejected(self):
+        # no scenario reads it: quad-dist takes only the tolerances and max_subdivisions
+        text = MINIMAL + "\n[quadrature]\nradial_cutoff_sigmas = 12\n"
+        line = text.splitlines().index("radial_cutoff_sigmas = 12") + 1
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert exc_info.value.errors == [
+            f"line {line}: unknown key 'radial_cutoff_sigmas' in [quadrature]"
+        ]
+
+    @pytest.mark.parametrize("key", ["beta0_re", "beta0_im"])
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("moments", DELTA),
+            ("correlations", DELTA),
+            ("phase-dist", DELTA),
+            ("pfunction", DELTA),
+            ("quad-dist", UNIT_GAUSSIAN),
+            ("compare", UNIT_GAUSSIAN),
+        ],
+        ids=["moments", "correlations", "phase-dist", "pfunction", "quad-dist", "compare"],
+    )
+    def test_beta0_outside_oscillators_rejected(self, name, field, key):
+        text = _scenario(name, "1.0", "0.5", field, f"{key} = 7\n")
+        line = text.splitlines().index(f"{key} = 7") + 1
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        (error,) = exc_info.value.errors
+        assert error.startswith(f"line {line}: scenario {name} takes no {key}")
+
     def test_quadrature_overrides(self):
         text = MINIMAL + "\n[quadrature]\nrelative_tolerance = 1e-8\nmax_subdivisions = 1024\n"
         config = parse_config(text)
@@ -336,6 +367,13 @@ r0 = 1.0
         table = run_scenario(parse_config(text))
         energies = [row[5] for row in table.rows]
         assert max(abs(e - energies[0]) for e in energies) < 1e-12
+
+    def test_oscillator_metadata_names_beta0(self):
+        text = _scenario("oscillators", "1.0", "0.5", DELTA, "beta0_re = 0.5\nbeta0_im = -0.5\n")
+        metadata = run_scenario(parse_config(text)).metadata
+        assert "beta0 = (0.5-0.5j)" in metadata
+        other = run_scenario(parse_config(text.replace("beta0_re = 0.5", "beta0_re = 2"))).metadata
+        assert metadata != other
 
 
 class TestEmission:
@@ -604,6 +642,22 @@ sigma = 1.0
         assert err.startswith(f"config error: line {line}: scenario ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    def test_verify_filter_passes(self, capsys):
+        assert main(["verify", "--filter", "sphere"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] criterion 9: sphere representation\n")
+
+    def test_verify_failing_criterion_exits_4(self, capsys):
+        # criterion 3 fails by design (its measured values are pinned in test_acceptance)
+        assert main(["verify", "--filter", "quadrature negativity"]) == 4
+        assert capsys.readouterr().out.startswith("[FAIL] criterion 3:")
+
+    def test_verify_filter_without_match_exits_1(self, capsys):
+        assert main(["verify", "--filter", "no such criterion"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no acceptance criterion matches filter 'no such criterion'" in captured.err
 
     def test_verify_is_not_a_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -23,10 +23,9 @@ from hybridwigner.hybrid_model import (
     atom_marginal,
     atomic_pfunction,
     closed_moments,
-    correlation,
+    expectation_quadrature,
     field_marginal,
     flow_map,
-    hybrid_expectation,
     joint_wigner,
     phase_distribution_delta,
     phase_distribution_gaussian,
@@ -403,19 +402,17 @@ class TestQuadratureDistribution:
 class TestExpectations:
     def test_sigma_z_is_population_imbalance(self):
         for field in (DeltaAmplitude(1.0), GaussianAmplitude(1.0, 1.0)):
-            state = HybridState(GROUND, field, 1.0, 1.7)
-            assert hybrid_expectation(state, ObservableSymbol.SIGMA_Z) == pytest.approx(
-                -1.0, abs=1e-15
-            )
+            (moments,) = closed_moments(GROUND, field, 1.0, (1.7,))
+            assert moments[ObservableSymbol.SIGMA_Z] == pytest.approx(-1.0, abs=1e-15)
 
     def test_superposition_sharp_field_displays(self):
         r0 = 1.0
-        for chi_t in (0.4, 1.0, 3.0):
-            state = HybridState(PHASE, DeltaAmplitude(r0), 1.0, chi_t)
+        chi_ts = (0.4, 1.0, 3.0)
+        for chi_t, moments in zip(chi_ts, closed_moments(PHASE, DeltaAmplitude(r0), 1.0, chi_ts)):
             kappa = SQRT3 * chi_t
-            adag = hybrid_expectation(state, ObservableSymbol.ADAG)
+            adag = moments[ObservableSymbol.ADAG]
             assert adag == pytest.approx(r0 * math.sin(kappa) / kappa, abs=1e-14)
-            sma = hybrid_expectation(state, ObservableSymbol.SIGMA_MINUS_ADAG)
+            sma = moments[ObservableSymbol.SIGMA_MINUS_ADAG]
             display = (
                 cmath.exp(-2j * chi_t * r0 * r0)
                 / chi_t**2
@@ -425,35 +422,32 @@ class TestExpectations:
             assert sma / display == pytest.approx(0.5, abs=1e-12)
 
     def test_raising_moment_field_profile_independent(self):
-        for chi_t in (0.5, 2.0):
-            sharp = HybridState(PHASE, DeltaAmplitude(1.5), 1.0, chi_t)
-            broad = HybridState(PHASE, GaussianAmplitude(1.5, 1.0), 1.0, chi_t)
-            a = hybrid_expectation(sharp, ObservableSymbol.ADAG)
-            b = hybrid_expectation(broad, ObservableSymbol.ADAG)
+        chi_ts = (0.5, 2.0)
+        for sharp, broad in zip(
+            closed_moments(PHASE, DeltaAmplitude(1.5), 1.0, chi_ts),
+            closed_moments(PHASE, GaussianAmplitude(1.5, 1.0), 1.0, chi_ts),
+        ):
+            a = sharp[ObservableSymbol.ADAG]
+            b = broad[ObservableSymbol.ADAG]
             assert a == pytest.approx(b, abs=1e-8)
 
     @pytest.mark.parametrize("field", [DeltaAmplitude(1.0), GaussianAmplitude(1.0, 1.0)])
     @pytest.mark.parametrize("obs", list(ObservableSymbol))
     def test_closed_matches_quadrature(self, field, obs):
-        state = HybridState(SpinHalfState((0.6, -0.3, 0.5)), field, 1.0, 0.8)
-        closed = hybrid_expectation(state, obs)
-        quad = hybrid_expectation(state, obs, method="quadrature")
+        atom = SpinHalfState((0.6, -0.3, 0.5))
+        closed = closed_moments(atom, field, 1.0, (0.8,))[0][obs]
+        quad = expectation_quadrature(HybridState(atom, field, 1.0, 0.8), obs)
         assert closed == pytest.approx(quad, abs=2e-10)
 
     def test_superposition_gaussian_coherence(self):
         # closed display with the width-dependent drag factor
         r0, sigma, chi = 1.0, 1.0, 1.0
-        for t in (0.3, 1.1):
-            state = HybridState(PHASE, GaussianAmplitude(r0, sigma), chi, t)
+        times = (0.3, 1.1)
+        for t, moments in zip(times, closed_moments(PHASE, GaussianAmplitude(r0, sigma), chi, times)):
             denom = 1.0 + 1j * chi * sigma * sigma * t
             display = cmath.exp(-2j * chi * r0 * r0 * t / denom) / denom
-            sm = hybrid_expectation(state, ObservableSymbol.SIGMA_MINUS)
+            sm = moments[ObservableSymbol.SIGMA_MINUS]
             assert sm / display == pytest.approx(0.5, abs=1e-12)
-
-    def test_unknown_method_rejected(self):
-        state = HybridState(GROUND, DeltaAmplitude(1.0), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            hybrid_expectation(state, ObservableSymbol.A, method="sampling")
 
 
 def _per_u_atom_trapezoid(s, u, m, n=32):
@@ -471,16 +465,8 @@ def _nested_quadrature(state, obs, spec):
     """Gaussian-field quadrature route with the radial integral rerun at every u."""
     s = state.atom.s
     chi, t, kappa = state.chi, state.t, state.kappa
-    m_a = 1 if obs.atomic_kind == "sm" else 0
-    m_f = {"one": 0, "a": 1, "adag": -1}[obs.field_kind]
+    m_a, m_f, g_theta = obs.m_atom, obs.m_field, obs.polar
     atom_row = model._atom_azimuthal(s, m_a)
-
-    def g_theta(u):
-        if obs.atomic_kind == "one":
-            return 1.0
-        if obs.atomic_kind == "sz":
-            return SQRT3 * u
-        return 0.5 * SQRT3 * math.sqrt(max(0.0, 1.0 - u * u))
 
     field = state.field
     r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
@@ -505,7 +491,7 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("obs", list(ObservableSymbol))
     def test_radial_integral_once_equals_nested(self, obs, chi):
         state = HybridState(self.ATOM, GaussianAmplitude(1.5, 0.8), chi, 0.9)
-        assert model._expectation_quadrature(state, obs, LOOSE) == _nested_quadrature(
+        assert expectation_quadrature(state, obs, LOOSE) == _nested_quadrature(
             state, obs, LOOSE
         )
 
@@ -531,7 +517,7 @@ class TestQuadratureRoute:
 
         monkeypatch.setattr(model, "integrate_interval", counting)
         state = HybridState(self.ATOM, field, 1.0, 0.8)
-        hybrid_expectation(state, ObservableSymbol.SIGMA_MINUS_ADAG, method="quadrature")
+        expectation_quadrature(state, ObservableSymbol.SIGMA_MINUS_ADAG)
         assert len(seen) == calls
 
     # the field-azimuth trapezoid aliased at all six with 2048 points
@@ -540,16 +526,16 @@ class TestQuadratureRoute:
         [(10.0, 0.03), (10.0, 0.01), (10.0, 1e-3), (1.0, 1e-3), (3.0, 0.01), (30.0, 0.1)],
     )
     def test_narrow_field_matches_closed(self, r0, sigma):
-        state = HybridState(PHASE, GaussianAmplitude(r0, sigma), 1.0, 0.5)
-        closed = hybrid_expectation(state, ObservableSymbol.ADAG)
-        quad = hybrid_expectation(state, ObservableSymbol.ADAG, method="quadrature")
+        field = GaussianAmplitude(r0, sigma)
+        closed = closed_moments(PHASE, field, 1.0, (0.5,))[0][ObservableSymbol.ADAG]
+        quad = expectation_quadrature(HybridState(PHASE, field, 1.0, 0.5), ObservableSymbol.ADAG)
         assert quad == pytest.approx(closed, rel=1e-9)
 
     def test_field_azimuth_cap_raises(self):
         assert model._n_phi(1e30) > model.MAX_FIELD_AZIMUTH_POINTS
         state = HybridState(PHASE, GaussianAmplitude(10.0, 1e-5), 1.0, 0.5)
         with pytest.raises(ValueError, match="sigma = 1e-05 at r0 = 10.0"):
-            hybrid_expectation(state, ObservableSymbol.ADAG, method="quadrature")
+            expectation_quadrature(state, ObservableSymbol.ADAG)
 
 
 def _closed_reference(atom, field, chi, t):
@@ -582,10 +568,10 @@ class TestClosedMoments:
         assert len(moments) == len(self.TIMES)
         for t, values in zip(self.TIMES, moments):
             reference = _closed_reference(self.ATOM, field, chi, t)
-            state = HybridState(self.ATOM, field, chi, t)
+            (one_time,) = closed_moments(self.ATOM, field, chi, (t,))
             for obs in ObservableSymbol:
                 assert values[obs] == reference[obs]
-                assert hybrid_expectation(state, obs) == reference[obs]
+                assert one_time[obs] == reference[obs]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -602,28 +588,29 @@ class TestClosedMoments:
 class TestCorrelation:
     def test_zero_at_t0(self):
         for field in (DeltaAmplitude(1.0), GaussianAmplitude(1.0, 1.0)):
-            state = HybridState(PHASE, field, 1.0, 0.0)
+            (moments,) = closed_moments(PHASE, field, 1.0, (0.0,))
             for pair in (
                 (ObservableSymbol.SIGMA_Z, ObservableSymbol.A),
                 (ObservableSymbol.SIGMA_MINUS, ObservableSymbol.ADAG),
             ):
-                assert abs(correlation(state, *pair)) < 1e-14
+                assert abs(moment_correlation(moments, *pair)) < 1e-14
 
     def test_ground_sharp_field_decays_like_inverse_time(self):
-        values = []
-        for t in (5.0, 10.0, 20.0, 40.0):
-            state = HybridState(GROUND, DeltaAmplitude(1.0), 1.0, t)
-            values.append(abs(correlation(state, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)) * t)
+        times = (5.0, 10.0, 20.0, 40.0)
+        values = [
+            abs(moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.A)) * t
+            for t, moments in zip(times, closed_moments(GROUND, DeltaAmplitude(1.0), 1.0, times))
+        ]
         assert max(values) < 3.0 * max(values[0], 0.1)
 
     def test_same_sector_pairs_rejected(self):
-        state = HybridState(PHASE, DeltaAmplitude(1.0), 1.0, 1.0)
+        (moments,) = closed_moments(PHASE, DeltaAmplitude(1.0), 1.0, (1.0,))
         with pytest.raises(ValueError):
-            correlation(state, ObservableSymbol.SIGMA_Z, ObservableSymbol.SIGMA_MINUS)
+            moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.SIGMA_MINUS)
         with pytest.raises(ValueError):
-            correlation(state, ObservableSymbol.A, ObservableSymbol.ADAG)
+            moment_correlation(moments, ObservableSymbol.A, ObservableSymbol.ADAG)
         with pytest.raises(ValueError):
-            correlation(state, ObservableSymbol.SIGMA_Z, ObservableSymbol.ADAG)
+            moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.ADAG)
 
 
 class TestSemiclassical:
@@ -707,27 +694,27 @@ class TestPFunction:
 
     def test_moment_reconstruction(self):
         r0 = 1.3
-        for chi_t in (0.5, 2.0):
+        chi_ts = (0.5, 2.0)
+        for chi_t, moments in zip(chi_ts, closed_moments(GROUND, DeltaAmplitude(r0), 1.0, chi_ts)):
             p = atomic_pfunction(GROUND, chi_t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
             ).value
-            state = HybridState(GROUND, DeltaAmplitude(r0), 1.0, chi_t)
-            direct = hybrid_expectation(state, ObservableSymbol.ADAG)
+            direct = moments[ObservableSymbol.ADAG]
             assert rebuilt == pytest.approx(direct, abs=1e-10)
 
     def test_negative_chi_moment_reconstruction(self):
         # the mirrored law agrees with the closed route, where j1 is odd in kappa
         r0 = 1.3
-        for t in (0.5, 2.0):
+        times = (0.5, 2.0)
+        for t, moments in zip(times, closed_moments(GROUND, DeltaAmplitude(r0), -1.0, times)):
             p = atomic_pfunction(GROUND, -t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
             ).value
-            state = HybridState(GROUND, DeltaAmplitude(r0), -1.0, t)
-            direct = hybrid_expectation(state, ObservableSymbol.ADAG)
+            direct = moments[ObservableSymbol.ADAG]
             assert rebuilt == pytest.approx(direct, abs=1e-10)
 
 

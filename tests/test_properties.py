@@ -15,9 +15,8 @@ from hybridwigner.hybrid_model import (
     HybridState,
     ObservableSymbol,
     closed_moments,
-    correlation,
+    expectation_quadrature,
     field_marginal,
-    hybrid_expectation,
     moment_correlation,
     phase_distribution_gaussian,
 )
@@ -33,7 +32,6 @@ _KEYS = {
         "relative_tolerance",
         "absolute_tolerance",
         "max_subdivisions",
-        "radial_cutoff_sigmas",
     ),
     "output": ("path",),
 }
@@ -138,11 +136,11 @@ _PAIRS = [
 
 @FEW
 @given(_ATOMS, _FIELDS, _CHI, st.floats(0.0, 20.0))
-def test_moment_correlation_matches_correlation(atom, field, chi, t):
+def test_grid_correlation_matches_one_time_table(atom, field, chi, t):
     (moments,) = closed_moments(atom, field, chi, (t,))
-    state = HybridState(atom, field, chi, t)
+    on_grid = closed_moments(atom, field, chi, (0.0, t, 2.0 * t))[1]
     for a, b in _PAIRS:
-        assert moment_correlation(moments, a, b) == correlation(state, a, b)
+        assert moment_correlation(moments, a, b) == moment_correlation(on_grid, a, b)
 
 
 @st.composite
@@ -169,7 +167,7 @@ def test_closed_route_matches_quadrature_route(atom, field, chi, t):
     state = HybridState(atom, field, chi, t)
     for obs in ObservableSymbol:
         closed = moments[obs]
-        quad = hybrid_expectation(state, obs, method="quadrature")
+        quad = expectation_quadrature(state, obs)
         assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
 
 

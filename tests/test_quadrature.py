@@ -96,6 +96,11 @@ def test_spec_validation():
         IntegrationSpec(max_subdivisions=0)
     with pytest.raises(ValueError):
         IntegrationSpec(radial_cutoff_sigmas=5.0)
+    # a NaN tolerance would stop integrate_interval after one panel, silently
+    for field in ("relative_tolerance", "absolute_tolerance", "radial_cutoff_sigmas"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                IntegrationSpec(**{field: value})
 
 
 def test_bloch_point_normalization():
