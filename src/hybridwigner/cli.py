@@ -1,8 +1,9 @@
 """Config-driven scenario runner with deterministic CSV output.
 
 A scenario file is a small INI-style text config (sections [scenario],
-[atom], [field], [quadrature], [output]); ``run`` dispatches to the library
-and writes one CSV table per run.  Identical configs produce byte-identical
+[atom], [field], [quadrature], [output]).  Each scenario is one ``_SCENARIOS``
+record: its columns, rows, the states it takes and the limits on its work;
+``run`` writes one CSV table per run.  Identical configs produce byte-identical
 files: floats are printed with 17 significant digits, metadata carries no
 timestamps, and row order is fixed (ascending time, then ascending abscissa).
 
@@ -19,11 +20,12 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from . import __version__
-from .quadrature import ConvergenceError, IntegrationSpec
+from .quadrature import DEFAULT_SPEC, ConvergenceError, IntegrationSpec
 from .su2_wigner import SQRT3, SpinHalfState
 from .hybrid_model import (
     MAX_PHASE_SPREAD,
@@ -55,18 +57,11 @@ __all__ = [
     "main",
 ]
 
-SCENARIOS = (
-    "phase-dist",
-    "quad-dist",
-    "moments",
-    "correlations",
-    "pfunction",
-    "compare",
-    "oscillators",
-)
-
 # range(...) builds every time point in memory before any work starts.
 MAX_RANGE_STEPS = 100_000
+# A quad-dist integral keeps every panel it splits: at tolerances of 1e-300 a
+# budget of 10**12 grew past 200 MB in 20 s; this default gives up in 2 s.
+MAX_SUBDIVISIONS = DEFAULT_SPEC.max_subdivisions
 
 _MOMENT_COLUMNS = (
     ("a", ObservableSymbol.A),
@@ -234,7 +229,7 @@ def parse_config(text: str) -> ScenarioConfig:
     name = None
     if "name" in scn:
         value, lineno = scn.pop("name")
-        if value not in SCENARIOS:
+        if value not in _SCENARIOS:
             errors.append(f"line {lineno}: unknown scenario {value!r}")
         else:
             name = value
@@ -309,11 +304,16 @@ def parse_config(text: str) -> ScenarioConfig:
             quad_kwargs["max_subdivisions"] = int(value)
         except ValueError:
             errors.append(f"line {lineno}: max_subdivisions must be an integer")
-    try:
-        quadrature = IntegrationSpec(**quad_kwargs)
-    except ValueError as exc:
-        errors.append(f"[quadrature] {exc}")
-        quadrature = IntegrationSpec()
+    quadrature = IntegrationSpec()
+    for key, value in quad_kwargs.items():
+        line = key_lines[f"quadrature.{key}"]
+        try:
+            # one key at a time, so that a refusal names its own line
+            quadrature = replace(quadrature, **{key: value})
+        except ValueError as exc:
+            errors.append(f"line {line}: {exc}")
+        if key == "max_subdivisions" and value > MAX_SUBDIVISIONS:
+            errors.append(f"line {line}: max_subdivisions must be at most {MAX_SUBDIVISIONS}")
 
     output = None
     out_section = sections.get("output", {})
@@ -344,174 +344,156 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate_combination(name, atom_kind, field_state, chi, times, beta0, key_lines, errors):
-    delta = isinstance(field_state, DeltaAmplitude)
+    scenario = _SCENARIOS[name]
     t_max = times[-1] if times else 0.0
-    # Each phase the runner forms at the largest time, multiplied in the same
-    # order, so that an overflow there is refused here.  The moment scenarios
-    # take the spread kappa only through j_n(kappa), which is 0 at inf.
-    phases = {}
-    sharp_law = name == "pfunction" or (name == "phase-dist" and delta)
-    if sharp_law:
-        # the row grid spans the support [-kappa, kappa], a width of 2 kappa
-        phases["2 sqrt(3) |chi| t"] = 2.0 * (SQRT3 * abs(chi * t_max))
-    elif name == "phase-dist":
-        phases["sqrt(3) |chi| t"] = SQRT3 * abs(chi) * t_max
-    if name in ("moments", "correlations", "compare") and delta:
-        phases["2 |chi| r0^2 t"] = 2.0 * abs(chi) * field_state.r0 * field_state.r0 * t_max
-    elif name in ("moments", "correlations", "compare"):
-        phases["|chi| sigma^2 t"] = abs(chi) * field_state.sigma * field_state.sigma * t_max
-    if name == "oscillators":
-        phases["|chi| t"] = abs(chi) * t_max
-    if sharp_law and 0.0 in [chi * t for t in times]:
-        line = key_lines.get("scenario.chi" if chi == 0.0 else "scenario.times")
-        errors.append(f"line {line}: scenario {name} requires chi t != 0 (a point mass at 0)")
-    if name == "quad-dist" and delta:
-        errors.append(f"line {key_lines['field.kind']}: scenario quad-dist requires a gaussian field")
-    if name == "quad-dist" and not delta and times:
-        spread = SQRT3 * abs(chi) * times[-1]
-        if spread > MAX_PHASE_SPREAD:
-            errors.append(
-                f"line {key_lines['scenario.times']}: scenario {name}: phase spread"
-                f" sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
-            )
-    if name == "quad-dist" and not delta and field_state.sigma * field_state.sigma == 0.0:
-        errors.append(f"line {key_lines.get('field.sigma')}: scenario {name}: field too narrow: sigma^2 = 0")
-    if name == "phase-dist" and not delta:
-        try:
-            field_state.phase_points  # raises past the field-azimuth cap
-        except ValueError as exc:
-            errors.append(f"line {key_lines.get('field.sigma')}: scenario {name}: {exc}")
-    if name == "compare":
-        if delta or abs(field_state.sigma - 1.0) > 1e-12:
-            # a default field is a unit-width Gaussian, so the culprit line is set
-            line = key_lines["field.kind" if delta else "field.sigma"]
-            errors.append(f"line {line}: scenario compare requires a gaussian field with sigma = 1")
-        if atom_kind == "bloch":
-            line = key_lines["atom.kind"]
-            errors.append(f"line {line}: scenario compare requires a pure ground or phase atom")
-        try:
-            n_max = default_truncation(field_state.mean_amplitude)
-        except TruncationError as exc:
-            errors.append(f"line {key_lines.get('field.r0')}: scenario compare: {exc}")
-        else:
-            phases["|chi| t n_max"] = abs(chi) * t_max * n_max
-        phases["2 |chi| <|alpha|^2> t"] = 2.0 * abs(chi) * field_state.mean_intensity * t_max
-    if name != "oscillators":
-        # only the oscillator pair has a second amplitude
+
+    def refuse(key, text):  # text continues "scenario <name>"
+        errors.append(f"line {key_lines.get(key)}: scenario {name}{text}")
+
+    if scenario.field_kind is not None and not isinstance(field_state, scenario.field_kind):
+        # without a [field] section the default Gaussian comes from the scenario name
+        refuse("field.kind" if "field.kind" in key_lines else "scenario.name", scenario.field_refusal)
+    elif scenario.unit_width and abs(field_state.sigma - 1.0) > 1e-12:
+        refuse("field.sigma", scenario.field_refusal)
+    if atom_kind == "bloch" and not scenario.bloch:
+        refuse("atom.kind", " requires a pure ground or phase atom")
+    caps, phases = scenario.limits(field_state, chi, times, t_max, beta0)
+    for key, text in caps:
+        refuse(key, text)
+    if not scenario.beta0:
         for key in ("beta0_re", "beta0_im"):
             if f"scenario.{key}" in key_lines:
-                errors.append(
-                    f"line {key_lines[f'scenario.{key}']}: scenario {name} takes no {key}"
-                    " (the second amplitude of oscillators)"
-                )
-    if name == "oscillators" and not delta:
-        # without a [field] section the default Gaussian comes from the scenario name
-        line = key_lines.get("field.kind", key_lines["scenario.name"])
-        errors.append(f"line {line}: scenario oscillators uses a delta field for the initial amplitude")
-    if name == "oscillators" and delta:
-        energy = field_state.r0 * field_state.r0 + (beta0.real * beta0.real + beta0.imag * beta0.imag)
-        if not math.isfinite(energy):
-            # only a set amplitude can be this large, so its key has a line
-            sizes = {
-                "field.r0": field_state.r0,
-                "scenario.beta0_re": abs(beta0.real),
-                "scenario.beta0_im": abs(beta0.imag),
-            }
-            errors.append(
-                f"line {key_lines[max(sizes, key=sizes.get)]}: scenario oscillators:"
-                " energy |alpha|^2 + |beta|^2 is not finite"
-            )
+                refuse(f"scenario.{key}", f" takes no {key} (the second amplitude of oscillators)")
     for label, phase in phases.items():
         if times and not math.isfinite(phase):
-            errors.append(
-                f"line {key_lines['scenario.times']}: scenario {name}: phase {label} is not finite"
-                f" at chi = {chi!r}, t = {t_max!r}"
-            )
+            refuse("scenario.times", f": phase {label} is not finite at chi = {chi!r}, t = {t_max!r}")
+
+
+# A limits function of (field, chi, times, t_max, beta0) gives the work caps a
+# config breaks, as (key whose line is named, message), and each phase the run
+# forms at t_max, multiplied in the run's order, so that an overflow is refused.
+
+
+def _sharp_limits(field, chi, times, t, beta0):
+    caps = []
+    if 0.0 in [chi * s for s in times]:
+        key = "scenario.chi" if chi == 0.0 else "scenario.times"
+        caps.append((key, " requires chi t != 0 (a point mass at 0)"))
+    # the row grid spans the support [-kappa, kappa], a width of 2 kappa
+    return caps, {"2 sqrt(3) |chi| t": 2.0 * (SQRT3 * abs(chi * t))}
+
+
+def _phase_dist_limits(field, chi, times, t, beta0):
+    if isinstance(field, DeltaAmplitude):
+        return _sharp_limits(field, chi, times, t, beta0)
+    caps = []
+    try:
+        field.phase_points  # raises past the field-azimuth cap
+    except ValueError as exc:
+        caps.append(("field.sigma", f": {exc}"))
+    return caps, {"sqrt(3) |chi| t": SQRT3 * abs(chi) * t}
+
+
+def _quad_dist_limits(field, chi, times, t, beta0):
+    caps = []
+    if isinstance(field, GaussianAmplitude):
+        spread = SQRT3 * abs(chi) * t
+        if spread > MAX_PHASE_SPREAD:
+            limit = f"sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
+            caps.append(("scenario.times", f": phase spread {limit}"))
+        if field.sigma * field.sigma == 0.0:
+            caps.append(("field.sigma", ": field too narrow: sigma^2 = 0"))
+    return caps, {}
+
+
+def _moment_limits(field, chi, times, t, beta0):
+    # the field factor; the spread kappa enters only through j_n(kappa), which is 0 at inf
+    if isinstance(field, DeltaAmplitude):
+        return [], {"2 |chi| r0^2 t": 2.0 * abs(chi) * field.r0 * field.r0 * t}
+    return [], {"|chi| sigma^2 t": abs(chi) * field.sigma * field.sigma * t}
+
+
+def _compare_limits(field, chi, times, t, beta0):
+    caps, phases = _moment_limits(field, chi, times, t, beta0)
+    try:
+        phases["|chi| t n_max"] = abs(chi) * t * default_truncation(field.mean_amplitude)
+    except TruncationError as exc:
+        caps.append(("field.r0", f": {exc}"))
+    phases["2 |chi| <|alpha|^2> t"] = 2.0 * abs(chi) * field.mean_intensity * t
+    return caps, phases
+
+
+def _oscillator_limits(field, chi, times, t, beta0):
+    caps = []
+    energy = field.r0 * field.r0 + (beta0.real * beta0.real + beta0.imag * beta0.imag)
+    if isinstance(field, DeltaAmplitude) and not math.isfinite(energy):
+        # only a set amplitude can be this large, so its key has a line
+        sizes = {"field.r0": field.r0, "scenario.beta0_re": abs(beta0.real)}
+        sizes["scenario.beta0_im"] = abs(beta0.imag)
+        caps.append((max(sizes, key=sizes.get), ": energy |alpha|^2 + |beta|^2 is not finite"))
+    return caps, {"|chi| t": abs(chi) * t}
 
 
 # -- scenario execution ------------------------------------------------------
+# A rows function reaches the library through module globals at call time, so
+# that a replaced module attribute (a test double, a tracer) takes effect.
 
 
-def _complex_triple(z: complex) -> tuple[float, float, float]:
-    return (z.real, z.imag, abs(z))
+def _triples(values) -> list[float]:
+    return [x for z in values for x in (z.real, z.imag, abs(z))]
 
 
-def _phase_rows(t: float, dist: PhaseDistribution, points: int) -> list[tuple]:
-    """(t, x, density(x)) on ``points`` equispaced x across the support."""
-    lo, hi = dist.support
-    step = (hi - lo) / (points - 1)
-    # pin the last point so accumulated rounding cannot push it off-support
-    return [(t, x, dist.evaluate(x)) for x in [lo + k * step for k in range(points - 1)] + [hi]]
+def _law_rows(config: ScenarioConfig, law: Callable[[float], PhaseDistribution], points: int) -> list[tuple]:
+    """(t, x, density(x)) on ``points`` equispaced x across each law(chi t)'s support."""
+    rows = []
+    for t in config.times:
+        dist = law(config.chi * t)
+        lo, hi = dist.support
+        step = (hi - lo) / (points - 1)
+        # pin the last point so accumulated rounding cannot push it off-support
+        rows += [(t, x, dist.evaluate(x)) for x in [lo + k * step for k in range(points - 1)] + [hi]]
+    return rows
 
 
-def _map_times(fn: Callable[[float], list[tuple]], times) -> list[tuple]:
-    return [row for t in times for row in fn(t)]
+def _phase_dist_rows(config: ScenarioConfig) -> list[tuple]:
+    if isinstance(config.field, DeltaAmplitude):
+        return _law_rows(config, lambda chi_t: phase_distribution_delta(config.atom, chi_t), 101)
+    return _law_rows(config, lambda chi_t: phase_distribution_gaussian(config.atom, config.field, chi_t), 201)
 
 
-def _run_phase_dist(config: ScenarioConfig) -> ResultTable:
-    def rows_at(t: float) -> list[tuple]:
-        chi_t = config.chi * t
-        if isinstance(config.field, DeltaAmplitude):
-            return _phase_rows(t, phase_distribution_delta(config.atom, chi_t), 101)
-        return _phase_rows(t, phase_distribution_gaussian(config.atom, config.field, chi_t), 201)
-
-    rows = _map_times(rows_at, config.times)
-    return ResultTable(("t", "phi", "density"), tuple(rows), _metadata(config))
+def _pfunction_rows(config: ScenarioConfig) -> list[tuple]:
+    return _law_rows(config, lambda chi_t: atomic_pfunction(config.atom, chi_t), 101)
 
 
-def _run_quad_dist(config: ScenarioConfig) -> ResultTable:
-    field = config.field
-    half = field.r0 + 5.0 * field.sigma
-
-    def rows_at(t: float) -> list[tuple]:
-        dist = quadrature_distribution(
-            config.atom, field, config.chi * t, config.quadrature
-        )
-        rows = []
+def _quad_dist_rows(config: ScenarioConfig) -> list[tuple]:
+    half = config.field.r0 + 5.0 * config.field.sigma
+    rows = []
+    for t in config.times:
+        dist = quadrature_distribution(config.atom, config.field, config.chi * t, config.quadrature)
         for y in (-half + k * (2.0 * half) / 200.0 for k in range(201)):
             try:
                 rows.append((t, y, dist.evaluate(y)))
             except ConvergenceError as exc:
                 # name the time and abscissa where it happened
                 raise NumericError(f"scenario quad-dist: t = {t!r}, y = {y!r}: {exc}") from exc
-        return rows
-
-    rows = _map_times(rows_at, config.times)
-    return ResultTable(("t", "y", "p"), tuple(rows), _metadata(config))
-
-
-def _run_pfunction(config: ScenarioConfig) -> ResultTable:
-    def rows_at(t: float) -> list[tuple]:
-        return _phase_rows(t, atomic_pfunction(config.atom, config.chi * t), 101)
-
-    rows = _map_times(rows_at, config.times)
-    return ResultTable(("t", "delta", "p"), tuple(rows), _metadata(config))
+    return rows
 
 
 def _moment_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
-    return [x for _, obs in _MOMENT_COLUMNS for x in _complex_triple(moments[obs])]
+    return _triples(moments[obs] for _, obs in _MOMENT_COLUMNS)
 
 
 def _corr_values(moments: dict[ObservableSymbol, complex]) -> list[float]:
-    return [
-        x for _, a, b in _CORR_COLUMNS for x in _complex_triple(moment_correlation(moments, a, b))
-    ]
+    return _triples(moment_correlation(moments, a, b) for _, a, b in _CORR_COLUMNS)
 
 
-def _headers(columns, prefix: str = "") -> list[str]:
-    return [f"{prefix}{column[0]}_{part}" for column in columns for part in ("re", "im", "abs")]
+def _headers(columns, prefix: str = "") -> tuple[str, ...]:
+    return tuple(f"{prefix}{column[0]}_{part}" for column in columns for part in ("re", "im", "abs"))
 
 
-def _run_moments(config: ScenarioConfig) -> ResultTable:
+def _closed_rows(values, config: ScenarioConfig) -> list[tuple]:
     hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
-    rows = [tuple([t] + _moment_values(moments)) for t, moments in zip(config.times, hybrid)]
-    return ResultTable(tuple(["t"] + _headers(_MOMENT_COLUMNS)), tuple(rows), _metadata(config))
-
-
-def _run_correlations(config: ScenarioConfig) -> ResultTable:
-    hybrid = closed_moments(config.atom, config.field, config.chi, config.times)
-    rows = [tuple([t] + _corr_values(moments)) for t, moments in zip(config.times, hybrid)]
-    return ResultTable(tuple(["t"] + _headers(_CORR_COLUMNS)), tuple(rows), _metadata(config))
+    return [tuple([t] + values(moments)) for t, moments in zip(config.times, hybrid)]
 
 
 def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
@@ -521,7 +503,7 @@ def _atom_amplitudes(config: ScenarioConfig) -> tuple[complex, complex]:
     return complex(math.cos(theta / 2.0)), math.sin(theta / 2.0) * cmath.exp(1j * phi)
 
 
-def _run_compare(config: ScenarioConfig) -> ResultTable:
+def _compare_rows(config: ScenarioConfig) -> list[tuple]:
     c_e, c_g = _atom_amplitudes(config)
     args = (config.atom, config.field, config.chi, config.times)
     models = zip(
@@ -530,7 +512,7 @@ def _run_compare(config: ScenarioConfig) -> ResultTable:
         semiclassical_moments(*args, mean_field=True),
         quantum_moments(c_e, c_g, config.field.mean_amplitude, config.chi, config.times),
     )
-    rows = [
+    return [
         tuple(
             [t]
             + _moment_values(hybrid)
@@ -542,32 +524,67 @@ def _run_compare(config: ScenarioConfig) -> ResultTable:
         )
         for t, (hybrid, sc, mf, quantum) in zip(config.times, models)
     ]
-    columns = ["t"] + _headers(_MOMENT_COLUMNS) + _headers(_CORR_COLUMNS)
-    for prefix in ("sc_", "mf_", "q_"):
-        columns += _headers(_MOMENT_COLUMNS, prefix)
-    columns += _headers(_CORR_COLUMNS, "q_")
-    return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
-def _run_oscillators(config: ScenarioConfig) -> ResultTable:
+def _oscillator_rows(config: ScenarioConfig) -> list[tuple]:
     params = CouplingParams(config.chi)
     gamma0 = OscillatorPair(config.field.mean_amplitude, config.beta0)
-
-    def rows_at(t: float) -> list[tuple]:
+    rows = []
+    for t in config.times:
         g = pair_flow(gamma0, params, t)
         energy = abs(g.alpha) ** 2 + abs(g.beta) ** 2
-        return [(t, g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, energy)]
-
-    rows = _map_times(rows_at, config.times)
-    return ResultTable(
-        ("t", "alpha_re", "alpha_im", "beta_re", "beta_im", "energy"),
-        tuple(rows),
-        _metadata(config),
-    )
+        rows.append((t, g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, energy))
+    return rows
 
 
-def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
-    lines = [
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario: its table, the states it takes and the limits on its work."""
+
+    columns: tuple[str, ...]
+    rows: Callable[[ScenarioConfig], list[tuple]]
+    limits: Callable[..., tuple[list[tuple[str, str]], dict[str, float]]]
+    field_kind: type | None = None  # the one field type it takes, if not both
+    field_refusal: str = ""
+    unit_width: bool = False  # Gaussian fields of sigma = 1 only
+    bloch: bool = True  # takes a bloch atom
+    beta0: bool = False  # takes beta0_re/beta0_im, and echoes beta0 in the metadata
+
+
+_SCENARIOS = {
+    "phase-dist": _Scenario(("t", "phi", "density"), _phase_dist_rows, _phase_dist_limits),
+    "quad-dist": _Scenario(
+        ("t", "y", "p"), _quad_dist_rows, _quad_dist_limits, GaussianAmplitude, " requires a gaussian field"
+    ),
+    "moments": _Scenario(
+        ("t",) + _headers(_MOMENT_COLUMNS), partial(_closed_rows, _moment_values), _moment_limits
+    ),
+    "correlations": _Scenario(
+        ("t",) + _headers(_CORR_COLUMNS), partial(_closed_rows, _corr_values), _moment_limits
+    ),
+    "pfunction": _Scenario(("t", "delta", "p"), _pfunction_rows, _sharp_limits),
+    "compare": _Scenario(
+        ("t",) + _headers(_MOMENT_COLUMNS) + _headers(_CORR_COLUMNS)
+        + _headers(_MOMENT_COLUMNS, "sc_") + _headers(_MOMENT_COLUMNS, "mf_")
+        + _headers(_MOMENT_COLUMNS, "q_") + _headers(_CORR_COLUMNS, "q_"),
+        _compare_rows, _compare_limits,
+        GaussianAmplitude, " requires a gaussian field with sigma = 1", unit_width=True, bloch=False,
+    ),
+    "oscillators": _Scenario(
+        ("t", "alpha_re", "alpha_im", "beta_re", "beta_im", "energy"), _oscillator_rows,
+        _oscillator_limits, DeltaAmplitude, " uses a delta field for the initial amplitude", beta0=True,
+    ),
+}
+
+
+def run_scenario(config: ScenarioConfig) -> ResultTable:
+    """Compute the table for a validated config.
+
+    Raises NumericError if any produced value is NaN or infinite, or if a
+    quad-dist quadrature does not converge (naming its t and y).
+    """
+    scenario = _SCENARIOS[config.scenario]
+    metadata = [
         f"hybridwigner {__version__}",
         f"scenario = {config.scenario}",
         f"atom = {config.atom_kind} s={config.atom.s}",
@@ -580,30 +597,9 @@ def _metadata(config: ScenarioConfig) -> tuple[str, ...]:
         f" maxsub {config.quadrature.max_subdivisions}"
         f" cutoff {config.quadrature.radial_cutoff_sigmas!r}",
     ]
-    if config.scenario == "oscillators":
-        lines.append(f"beta0 = {config.beta0!r}")
-    return tuple(lines)
-
-
-def run_scenario(config: ScenarioConfig) -> ResultTable:
-    """Compute the table for a validated config.
-
-    Raises NumericError if any produced value is NaN or infinite; a quadrature
-    convergence failure is reported the same way.
-    """
-    runners = {
-        "phase-dist": _run_phase_dist,
-        "quad-dist": _run_quad_dist,
-        "pfunction": _run_pfunction,
-        "moments": _run_moments,
-        "correlations": _run_correlations,
-        "compare": _run_compare,
-        "oscillators": _run_oscillators,
-    }
-    try:
-        table = runners[config.scenario](config)
-    except ConvergenceError as exc:
-        raise NumericError(f"scenario {config.scenario}: {exc}") from exc
+    if scenario.beta0:
+        metadata.append(f"beta0 = {config.beta0!r}")
+    table = ResultTable(scenario.columns, tuple(scenario.rows(config)), tuple(metadata))
     for row in table.rows:
         for item in row:
             if isinstance(item, float) and not math.isfinite(item):

@@ -97,11 +97,12 @@ def evolve_pair_wigner(
     t: float,
 ) -> PairDistribution:
     """Product initial density composed with the inverse flow."""
-    Uinv = flow_matrix(params, -t)
+    # Python complex: a numpy scalar product costs about 2.5 times as much
+    u00, u01, u10, u11 = (complex(u) for u in flow_matrix(params, -t).ravel())
 
     def w(alpha: complex, beta: complex) -> float:
-        a0 = Uinv[0, 0] * alpha + Uinv[0, 1] * beta
-        b0 = Uinv[1, 0] * alpha + Uinv[1, 1] * beta
+        a0 = u00 * alpha + u01 * beta
+        b0 = u10 * alpha + u11 * beta
         return W_c.evaluate(a0) * W_q.evaluate(b0)
 
     return PairDistribution(w, label=f"pair(t={t:.6g})")

@@ -4,6 +4,7 @@ import pytest
 
 from hybridwigner.cli import (
     MAX_RANGE_STEPS,
+    MAX_SUBDIVISIONS,
     ConfigError,
     NumericError,
     ResultTable,
@@ -245,6 +246,95 @@ sigma = 1.0
         config = parse_config(text)
         assert config.quadrature.relative_tolerance == 1e-8
         assert config.quadrature.max_subdivisions == 1024
+
+    @pytest.mark.parametrize(
+        "keys, errors",
+        [
+            ("relative_tolerance = -1", ["relative_tolerance must be positive and finite"]),
+            ("max_subdivisions = 0", ["max_subdivisions must be at least 1"]),
+            (
+                "relative_tolerance = 0\nabsolute_tolerance = -1e-12\nmax_subdivisions = 65537",
+                [
+                    "relative_tolerance must be positive and finite",
+                    "absolute_tolerance must be positive and finite",
+                    f"max_subdivisions must be at most {MAX_SUBDIVISIONS}",
+                ],
+            ),
+        ],
+        ids=["rel", "maxsub-zero", "each-on-its-line"],
+    )
+    def test_quadrature_errors_name_line(self, keys, errors):
+        text = MINIMAL + f"\n[quadrature]\n{keys}\n"
+        lines = text.splitlines()
+        first = len(lines) - len(keys.splitlines()) + 1
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert exc_info.value.errors == [f"line {first + k}: {e}" for k, e in enumerate(errors)]
+
+    def test_max_subdivisions_capped(self):
+        def config(n):
+            return MINIMAL + f"\n[quadrature]\nmax_subdivisions = {n}\n"
+
+        line = len(config(0).splitlines())
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(config(MAX_SUBDIVISIONS + 1))
+        assert exc_info.value.errors == [f"line {line}: max_subdivisions must be at most {MAX_SUBDIVISIONS}"]
+        assert parse_config(config(MAX_SUBDIVISIONS)).quadrature.max_subdivisions == MAX_SUBDIVISIONS
+
+    @pytest.mark.parametrize(
+        "text, errors",
+        [
+            (
+                _scenario("compare", "1e300", "1e9", DELTA, "beta0_re = 2\n").replace(
+                    "kind = ground", "kind = bloch\ns = 0.3, 0.0, -0.4"
+                ),
+                [
+                    "line 12: scenario compare requires a gaussian field with sigma = 1",
+                    "line 8: scenario compare requires a pure ground or phase atom",
+                    "line 5: scenario compare takes no beta0_re (the second amplitude of oscillators)",
+                    "line 4: scenario compare: phase 2 |chi| r0^2 t is not finite"
+                    " at chi = 1e+300, t = 1000000000.0",
+                    "line 4: scenario compare: phase |chi| t n_max is not finite"
+                    " at chi = 1e+300, t = 1000000000.0",
+                    "line 4: scenario compare: phase 2 |chi| <|alpha|^2> t is not finite"
+                    " at chi = 1e+300, t = 1000000000.0",
+                ],
+            ),
+            (
+                _scenario(
+                    "quad-dist", "1.0", "1000", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200",
+                    "beta0_im = 3\n",
+                ),
+                [
+                    "line 4: scenario quad-dist: phase spread sqrt(3) |chi| t = 1732.05"
+                    " exceeds 628.319",
+                    "line 13: scenario quad-dist: field too narrow: sigma^2 = 0",
+                    "line 5: scenario quad-dist takes no beta0_im (the second amplitude of oscillators)",
+                ],
+            ),
+            (
+                "[scenario]\nname = oscillators\nchi = 1e300\ntimes = 0.5, 1e9\n",
+                [
+                    "line 2: scenario oscillators uses a delta field for the initial amplitude",
+                    "line 4: scenario oscillators: phase |chi| t is not finite"
+                    " at chi = 1e+300, t = 1000000000.0",
+                ],
+            ),
+            (
+                _scenario("pfunction", "0", "0.5", DELTA, "beta0_re = 2\n"),
+                [
+                    "line 3: scenario pfunction requires chi t != 0 (a point mass at 0)",
+                    "line 5: scenario pfunction takes no beta0_re (the second amplitude of oscillators)",
+                ],
+            ),
+        ],
+        ids=["compare", "quad-dist", "oscillators", "pfunction"],
+    )
+    def test_combination_errors_in_order(self, text, errors):
+        # field, atom, work caps, beta0, then the phases in the order the run forms them
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert exc_info.value.errors == errors
 
 
 class TestScenarios:
@@ -687,3 +777,23 @@ def test_bundled_figure_configs_parse():
         text = (resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text()
         config = parse_config(text)
         assert config.times
+
+
+def test_readme_names_the_scenarios():
+    import re
+    from pathlib import Path
+
+    from hybridwigner.cli import _SCENARIOS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("name = "))
+    comment = [lines[start].partition("#")[2]]
+    for line in lines[start + 1 :]:
+        if not line.lstrip().startswith("#"):
+            break
+        comment.append(line.partition("#")[2])
+    listed = [name.strip() for name in " ".join(comment).split("|") if name.strip()]
+    section = readme.split("### Scenarios and columns\n", 1)[1].split("\n#", 1)[0]
+    bullets = re.findall(r"^- `([a-z-]+)`:", section, re.M)
+    assert listed == bullets == list(_SCENARIOS)

@@ -95,6 +95,21 @@ class TestJointDensity:
             ref = W_c.evaluate(rot * b) * W_q.evaluate(rot * a)
             assert joint.evaluate(a, b) == pytest.approx(ref, rel=1e-12)
 
+    def test_inverse_flow_products_unchanged(self):
+        # the closure reads U^-1's entries once as Python complex; each product
+        # must equal the one formed with numpy's complex128 entries, bit for bit
+        W_c = gaussian_wigner(0.3 - 0.2j, 1.0)
+        W_q = fock_wigner(2)
+        rng = np.random.default_rng(7)
+        for t in (0.6, 2.3, -1.1):
+            joint = evolve_pair_wigner(W_c, W_q, PARAMS, t)
+            Uinv = flow_matrix(PARAMS, -t)
+            for a_re, a_im, b_re, b_im in rng.normal(scale=1.5, size=(2000, 4)):
+                alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
+                a0 = Uinv[0, 0] * alpha + Uinv[0, 1] * beta
+                b0 = Uinv[1, 0] * alpha + Uinv[1, 1] * beta
+                assert joint.evaluate(alpha, beta) == W_c.evaluate(a0) * W_q.evaluate(b0)
+
     def test_normalization_at_generic_time(self):
         W_c = gaussian_wigner(0.0, 1.0)
         W_q = fock_wigner(1)
