@@ -8,81 +8,18 @@ from deterministic quadrature.
 
 __version__ = "0.1.0"
 
-from .quadrature import (
-    BlochPoint,
-    ConvergenceError,
-    DEFAULT_SPEC,
-    IntegrationResult,
-    IntegrationSpec,
-    integrate_interval,
-    integrate_plane,
-    integrate_sphere,
+from . import cartesian_wigner, hybrid_model, oscillator_hybrid
+from . import quadrature, quantum_reference, su2_wigner
+from .quadrature import *
+from .su2_wigner import *
+from .cartesian_wigner import *
+from .hybrid_model import *
+from .quantum_reference import *
+from .oscillator_hybrid import *
+
+# Each physics module's __all__ is the one list of its public names; the
+# package re-exports them all (cli and acceptance stay behind their modules).
+_MODULES = (
+    quadrature, su2_wigner, cartesian_wigner, hybrid_model, quantum_reference, oscillator_hybrid
 )
-from .su2_wigner import (
-    SphereFunction,
-    SpinHalfState,
-    clebsch_gordan,
-    spherical_harmonic,
-    spin_half_kernel,
-    spin_wigner,
-    su2_kernel,
-    su2_traciality,
-    wigner_to_spin,
-)
-from .cartesian_wigner import (
-    MarginalDistribution,
-    NonclassicalReport,
-    NonquantumReport,
-    PhaseSpaceFunction,
-    fock_diag_element,
-    fock_wigner,
-    gaussian_wigner,
-    nonclassical_check,
-    nonquantum_check,
-    overlap_trace,
-    plane_grid,
-    quadrature_marginal,
-)
-from .hybrid_model import (
-    AnalyticPathRequiredError,
-    DeltaAmplitude,
-    FieldState,
-    GaussianAmplitude,
-    HybridState,
-    ObservableSymbol,
-    PhaseDistribution,
-    SIGMA_MINUS_SCALE,
-    atom_marginal,
-    atomic_pfunction,
-    closed_moments,
-    expectation_quadrature,
-    field_marginal,
-    flow_map,
-    joint_wigner,
-    moment_correlation,
-    phase_distribution_delta,
-    phase_distribution_gaussian,
-    phase_moments,
-    quadrature_distribution,
-    semiclassical_moments,
-    semiclassical_standard,
-)
-from .quantum_reference import (
-    AtomFieldVector,
-    TruncationError,
-    coherent_overlap,
-    default_truncation,
-    evolve_quantum,
-    quantum_moments,
-)
-from .oscillator_hybrid import (
-    CouplingParams,
-    OscillatorPair,
-    alpha_marginal,
-    beta_marginal,
-    evolve_pair_wigner,
-    flow_matrix,
-    nonclassical_transfer_check,
-    nonquantum_transfer_check,
-    pair_flow,
-)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -29,6 +29,8 @@ from .quadrature import (
 __all__ = [
     "NEGATIVITY_THRESHOLD",
     "PhaseSpaceFunction",
+    "GaussianWigner",
+    "FockWigner",
     "MarginalDistribution",
     "NonquantumReport",
     "NonclassicalReport",
@@ -62,6 +64,19 @@ class PhaseSpaceFunction:
 
 
 @dataclass(frozen=True)
+class GaussianWigner(PhaseSpaceFunction):
+    """A ``gaussian_wigner`` state: its centre alpha0 is ``decay_center`` and
+    its width sigma is ``decay_scale``."""
+
+
+@dataclass(frozen=True)
+class FockWigner(PhaseSpaceFunction):
+    """A ``fock_wigner`` state of number ``n``."""
+
+    n: int = 0
+
+
+@dataclass(frozen=True)
 class MarginalDistribution:
     """One-dimensional density along a rotated quadrature axis."""
 
@@ -84,7 +99,7 @@ class NonclassicalReport:
     value: float
 
 
-def gaussian_wigner(alpha0: complex, sigma: float) -> PhaseSpaceFunction:
+def gaussian_wigner(alpha0: complex, sigma: float) -> GaussianWigner:
     """Normalized Gaussian (2 / (pi sigma^2)) exp(-2 |beta - alpha0|^2 / sigma^2).
 
     sigma = 1 is the distribution of an ideal coherent state; narrower widths
@@ -100,7 +115,7 @@ def gaussian_wigner(alpha0: complex, sigma: float) -> PhaseSpaceFunction:
         d = beta - alpha0
         return norm * math.exp(-inv * (d.real * d.real + d.imag * d.imag))
 
-    return PhaseSpaceFunction(
+    return GaussianWigner(
         w, label=f"gaussian({alpha0:.6g},{sigma:.6g})", decay_scale=sigma, decay_center=alpha0
     )
 
@@ -119,7 +134,7 @@ def _laguerre(n: int, x: float) -> float:
     return p
 
 
-def fock_wigner(n: int) -> PhaseSpaceFunction:
+def fock_wigner(n: int) -> FockWigner:
     """Number-state distribution (2/pi) (-1)^n L_n(4|beta|^2) exp(-2|beta|^2)."""
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -130,9 +145,7 @@ def fock_wigner(n: int) -> PhaseSpaceFunction:
         r2 = beta.real * beta.real + beta.imag * beta.imag
         return (2.0 / math.pi) * sign * _laguerre(n, 4.0 * r2) * math.exp(-2.0 * r2)
 
-    return PhaseSpaceFunction(
-        w, label=f"fock({n})", decay_scale=1.0 + math.sqrt(n), decay_center=0j
-    )
+    return FockWigner(w, label=f"fock({n})", decay_scale=1.0 + math.sqrt(n), n=n)
 
 
 def _joint_domain(

@@ -408,9 +408,16 @@ def _quad_dist_limits(field, chi, times, t, beta0):
 
 def _moment_limits(field, chi, times, t, beta0):
     # the field factor; the spread kappa enters only through j_n(kappa), which is 0 at inf
+    intensity = {"2 |chi| r0^2 t": 2.0 * abs(chi) * field.r0 * field.r0 * t}
     if isinstance(field, DeltaAmplitude):
-        return [], {"2 |chi| r0^2 t": 2.0 * abs(chi) * field.r0 * field.r0 * t}
-    return [], {"|chi| sigma^2 t": abs(chi) * field.sigma * field.sigma * t}
+        return [], intensity
+    # F1 divides by (1 + i chi sigma^2 t)^2, whose two parts overflow with 2 chi sigma^2 t;
+    # F0's exponent -2i chi r0^2 t / (1 + i chi sigma^2 t) is NaN once it overflows at sigma^2 t = 0
+    width = abs(chi) * field.sigma * field.sigma * t
+    phases = {"2 |chi| sigma^2 t": 2.0 * width}
+    if width == 0.0:
+        phases.update(intensity)
+    return [], phases
 
 
 def _compare_limits(field, chi, times, t, beta0):

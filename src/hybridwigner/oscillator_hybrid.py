@@ -5,7 +5,8 @@ The flow of the pair amplitudes gamma = (alpha, beta) is the unitary matrix
     U(t) = [[cos(lambda t), -i sin(lambda t)],
             [-i sin(lambda t), cos(lambda t)]] * exp(-i t),
 
-so joint distributions just ride along: W_t(gamma) = W_0(U(-t) gamma).  At
+so joint distributions just ride along: W_t(gamma) = W_0(U(-t) gamma), and
+each marginal is a convolution of the two rescaled initial ones.  At
 lambda t = pi/2 the two amplitudes swap (up to a phase), which transports
 negativity into the "classical" slot and sub-quantum Gaussians into the
 "quantum" slot; the two transfer checks below quantify exactly that.
@@ -22,6 +23,8 @@ import numpy as np
 
 from .quadrature import DEFAULT_SPEC, IntegrationSpec, integrate_plane
 from .cartesian_wigner import (
+    FockWigner,
+    GaussianWigner,
     NonclassicalReport,
     NonquantumReport,
     PhaseSpaceFunction,
@@ -36,12 +39,12 @@ from .cartesian_wigner import (
 __all__ = [
     "OscillatorPair",
     "CouplingParams",
-    "PairDistribution",
     "pair_flow",
     "flow_matrix",
     "evolve_pair_wigner",
     "alpha_marginal",
     "beta_marginal",
+    "marginal_quadrature",
     "NonclassicalTransferReport",
     "NonquantumTransferReport",
     "nonclassical_transfer_check",
@@ -82,21 +85,14 @@ def pair_flow(gamma: OscillatorPair, params: CouplingParams, t: float) -> Oscill
     return OscillatorPair(complex(vec[0]), complex(vec[1]))
 
 
-@dataclass(frozen=True)
-class PairDistribution:
-    """Evaluable joint density on the (alpha, beta) double plane."""
-
-    evaluate: Callable[[complex, complex], float]
-    label: str = ""
-
-
 def evolve_pair_wigner(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
     params: CouplingParams,
     t: float,
-) -> PairDistribution:
-    """Product initial density composed with the inverse flow."""
+) -> Callable[[complex, complex], float]:
+    """Joint density w(alpha, beta) at time t: the product initial density
+    composed with the inverse flow."""
     # Python complex: a numpy scalar product costs about 2.5 times as much
     u00, u01, u10, u11 = (complex(u) for u in flow_matrix(params, -t).ravel())
 
@@ -105,7 +101,11 @@ def evolve_pair_wigner(
         b0 = u10 * alpha + u11 * beta
         return W_c.evaluate(a0) * W_q.evaluate(b0)
 
-    return PairDistribution(w, label=f"pair(t={t:.6g})")
+    return w
+
+
+def _marginal_label(t: float, keep_alpha: bool) -> str:
+    return f"{'alpha' if keep_alpha else 'beta'}-marginal(t={t:.6g})"
 
 
 def _marginal(
@@ -114,49 +114,57 @@ def _marginal(
     params: CouplingParams,
     t: float,
     keep_alpha: bool,
-    spec: IntegrationSpec,
-    method: str,
 ) -> PhaseSpaceFunction:
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    c = math.cos(params.lam * t)
-    s = math.sin(params.lam * t)
-    kept_label = "alpha" if keep_alpha else "beta"
-    scale = W_c.decay_scale + W_q.decay_scale
-    center = 0j
+    """Closed marginal of a Gaussian slot (width sigma_g) and a Gaussian or
+    Fock(n) slot (width sigma_o, 1 for Fock), with c and s the magnitudes of
+    their coefficients in the kept row of U(t):
 
-    if method == "auto" and abs(s) < 1e-15:
-        own = W_c if keep_alpha else W_q
-        rot = cmath.exp(1j * t)
+        W(z) = 2/(pi D^2) exp(-2 r^2/D^2) sum_k C(n,k) (4 s^2 r^2/D^4)^k q^(n-k) / k!
 
-        def w_id(z: complex) -> float:
-            return own.evaluate(rot * z)
+    where D^2 = c^2 sigma_g^2 + s^2 sigma_o^2, q = (c^2 sigma_g^2 - s^2 sigma_o^2)/D^2
+    and r = |z - z0|, z0 the row applied to the centres.  This is Cahill and
+    Glauber's s-ordered number-state distribution (Phys. Rev. 177, 1882 (1969)),
+    rescaled; D^2 > 0 is its only divisor, so t = 0, the swap time and q = 0
+    are ordinary points.
+    """
+    if isinstance(W_c, GaussianWigner) and isinstance(W_q, (GaussianWigner, FockWigner)):
+        gauss, other = W_c, W_q
+    elif isinstance(W_q, GaussianWigner) and isinstance(W_c, FockWigner):
+        gauss, other = W_q, W_c
+    else:
+        raise TypeError(
+            f"no closed marginal for {type(W_c).__name__} x {type(W_q).__name__}: "
+            "it needs a Gaussian in one slot and a Gaussian or number state in the "
+            "other; integrate other pairs with marginal_quadrature"
+        )
+    # |U00| = |U11| = |cos lam t| and |U01| = |U10| = |sin lam t|
+    c, s = abs(math.cos(params.lam * t)), abs(math.sin(params.lam * t))
+    if keep_alpha != (gauss is W_c):
+        c, s = s, c
+    u_c, u_q = flow_matrix(params, t)[0 if keep_alpha else 1]
+    z0 = complex(u_c * W_c.decay_center + u_q * W_q.decay_center)
+    n, sigma_o = (other.n, 1.0) if isinstance(other, FockWigner) else (0, other.decay_scale)
+    c2 = (c * gauss.decay_scale) ** 2
+    s2 = (s * sigma_o) ** 2
+    d2 = c2 + s2
+    if n == 0:
+        return gaussian_wigner(z0, math.sqrt(d2))
+    q = (c2 - s2) / d2
+    coeffs = [math.comb(n, k) * q ** (n - k) / math.factorial(k) for k in range(n, -1, -1)]
+    x_per_r2 = 4.0 * s2 / (d2 * d2)
+    norm = 2.0 / (math.pi * d2)
+    inv = 2.0 / d2
 
-        return PhaseSpaceFunction(w_id, f"{kept_label}-marginal(t={t:.6g})", own.decay_scale, center)
+    def w(z: complex) -> float:
+        d = z - z0
+        r2 = d.real * d.real + d.imag * d.imag
+        x = x_per_r2 * r2
+        poly = 0.0
+        for coef in coeffs:  # Horner, highest power first
+            poly = poly * x + coef
+        return norm * poly * math.exp(-inv * r2)
 
-    if method == "auto" and abs(c) < 1e-15:
-        # Swap point: the kept slot carries the other subsystem's initial
-        # distribution, rotated by the accumulated free phase.
-        other = W_q if keep_alpha else W_c
-        sign = 1.0 if s > 0 else -1.0
-        rot = 1j * sign * cmath.exp(1j * t)
-
-        def w_swap(z: complex) -> float:
-            return other.evaluate(rot * z)
-
-        return PhaseSpaceFunction(w_swap, f"{kept_label}-marginal(t={t:.6g})", other.decay_scale, center)
-
-    joint = evolve_pair_wigner(W_c, W_q, params, t)
-    width = W_c.decay_scale + W_q.decay_scale + abs(W_c.decay_center) + abs(W_q.decay_center)
-
-    def w_quad(z: complex) -> float:
-        if keep_alpha:
-            f = lambda beta: joint.evaluate(z, beta)
-        else:
-            f = lambda alpha: joint.evaluate(alpha, z)
-        return integrate_plane(f, 0j, width + abs(z) / max(spec.radial_cutoff_sigmas, 1.0), spec).value
-
-    return PhaseSpaceFunction(w_quad, f"{kept_label}-marginal(t={t:.6g})", scale, center)
+    return PhaseSpaceFunction(w, _marginal_label(t, keep_alpha), math.sqrt(d2) + s * math.sqrt(n), z0)
 
 
 def alpha_marginal(
@@ -164,15 +172,12 @@ def alpha_marginal(
     W_q: PhaseSpaceFunction,
     params: CouplingParams,
     t: float,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    method: str = "auto",
 ) -> PhaseSpaceFunction:
-    """Distribution of the nominally classical amplitude at time t.
-
-    method="auto" exploits the exact factorization at t = 0 and at the swap
-    time; method="quadrature" always integrates the other plane numerically.
+    """Distribution of the nominally classical amplitude at time t, in closed
+    form for a Gaussian in one slot and a Gaussian or number state in the
+    other.  Any other pair raises TypeError; ``marginal_quadrature`` takes it.
     """
-    return _marginal(W_c, W_q, params, t, True, spec, method)
+    return _marginal(W_c, W_q, params, t, True)
 
 
 def beta_marginal(
@@ -180,11 +185,35 @@ def beta_marginal(
     W_q: PhaseSpaceFunction,
     params: CouplingParams,
     t: float,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-    method: str = "auto",
 ) -> PhaseSpaceFunction:
-    """Distribution of the nominally quantum amplitude at time t."""
-    return _marginal(W_c, W_q, params, t, False, spec, method)
+    """Distribution of the nominally quantum amplitude at time t; covers the
+    pairs ``alpha_marginal`` covers."""
+    return _marginal(W_c, W_q, params, t, False)
+
+
+def marginal_quadrature(
+    W_c: PhaseSpaceFunction,
+    W_q: PhaseSpaceFunction,
+    params: CouplingParams,
+    t: float,
+    keep_alpha: bool,
+    spec: IntegrationSpec = DEFAULT_SPEC,
+) -> PhaseSpaceFunction:
+    """The independent cross-check of ``alpha_marginal`` (keep_alpha) and
+    ``beta_marginal``, for any pair of plane states: each point integrates
+    the joint density over the other plane.
+    """
+    joint = evolve_pair_wigner(W_c, W_q, params, t)
+    width = W_c.decay_scale + W_q.decay_scale + abs(W_c.decay_center) + abs(W_q.decay_center)
+
+    def w(z: complex) -> float:
+        if keep_alpha:
+            f = lambda beta: joint(z, beta)
+        else:
+            f = lambda alpha: joint(alpha, z)
+        return integrate_plane(f, 0j, width + abs(z) / max(spec.radial_cutoff_sigmas, 1.0), spec).value
+
+    return PhaseSpaceFunction(w, _marginal_label(t, keep_alpha), W_c.decay_scale + W_q.decay_scale)
 
 
 @dataclass(frozen=True)
@@ -214,13 +243,14 @@ def nonclassical_transfer_check(
     """Start the classical slot in a unit Gaussian and the quantum slot in the
     first excited state; at the swap time the classical slot inherits its
     negativity.  The origin value of the alpha marginal is computed by honest
-    plane quadrature, the grid sweep uses the exact swap factorization.
+    plane quadrature (``marginal_quadrature``), the grid sweep uses the closed
+    marginal.
     """
     W_c = gaussian_wigner(0, 1.0)
     W_q = fock_wigner(1)
     tau = params.swap_time
-    origin = alpha_marginal(W_c, W_q, params, tau, spec, method="quadrature").evaluate(0j)
-    marg = alpha_marginal(W_c, W_q, params, tau, spec)
+    origin = marginal_quadrature(W_c, W_q, params, tau, True, spec).evaluate(0j)
+    marg = alpha_marginal(W_c, W_q, params, tau)
     grid = plane_grid(0j, 3.0, 21)
     report = nonclassical_check(marg, grid)
     return NonclassicalTransferReport(origin, report)
@@ -238,7 +268,7 @@ def nonquantum_transfer_check(
     W_c = gaussian_wigner(0, sigma)
     W_q = gaussian_wigner(0, 1.0)
     tau = params.swap_time
-    marg = beta_marginal(W_c, W_q, params, tau, spec)
+    marg = beta_marginal(W_c, W_q, params, tau)
     diag = fock_diag_element(marg, 1, spec)
     report = nonquantum_check(marg, max_n=1, axes=(0.0,), spec=spec)
     return NonquantumTransferReport(sigma, diag, report)

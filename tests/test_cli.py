@@ -623,6 +623,12 @@ sigma = 1.0
             # 2 |chi| r0^2 t of a delta field overflows
             ("moments", "1e300", "1e7", "kind = delta\nr0 = 10.0", "", "times"),
             ("correlations", "1e300", "1e7", "kind = delta\nr0 = 10.0", "", "times"),
+            # a Gaussian's 2 |chi| sigma^2 t overflows: both parts of F1's (1 + i chi sigma^2 t)^2 do
+            ("moments", "1e154", "1e154", UNIT_GAUSSIAN, "", "times"),
+            ("correlations", "1e154", "1e154", UNIT_GAUSSIAN, "", "times"),
+            # a Gaussian's sigma^2 t underflows to 0 and its 2 |chi| r0^2 t overflows
+            ("moments", "1e9", "1e300", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "times"),
+            ("correlations", "1e9", "1e300", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "times"),
             # compare: 2 |chi| <|alpha|^2> t of the mean-field model, |chi| t n_max of the quantum one
             ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 10.0\nsigma = 1.0", "", "times"),
             ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 0.0\nsigma = 1.0", "", "times"),
@@ -645,6 +651,10 @@ sigma = 1.0
             "compare-kappa",
             "moments-delta-intensity",
             "correlations-delta-intensity",
+            "moments-gaussian-width",
+            "correlations-gaussian-width",
+            "moments-gaussian-underflow",
+            "correlations-gaussian-underflow",
             "compare-mean-field",
             "compare-quantum",
             "pfunction-width",

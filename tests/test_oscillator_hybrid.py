@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwigner.quadrature import IntegrationSpec, integrate_plane
-from hybridwigner.cartesian_wigner import fock_wigner, gaussian_wigner
+from hybridwigner.cartesian_wigner import PhaseSpaceFunction, fock_wigner, gaussian_wigner
 from hybridwigner.oscillator_hybrid import (
     CouplingParams,
     OscillatorPair,
@@ -13,6 +15,7 @@ from hybridwigner.oscillator_hybrid import (
     beta_marginal,
     evolve_pair_wigner,
     flow_matrix,
+    marginal_quadrature,
     nonclassical_transfer_check,
     nonquantum_transfer_check,
     pair_flow,
@@ -81,7 +84,7 @@ class TestJointDensity:
         W_q = fock_wigner(1)
         joint = evolve_pair_wigner(W_c, W_q, PARAMS, 0.0)
         for a, b in ((0.1 + 0.2j, -0.3j), (1.0, 0.5 + 0.5j)):
-            assert joint.evaluate(a, b) == pytest.approx(
+            assert joint(a, b) == pytest.approx(
                 W_c.evaluate(a) * W_q.evaluate(b), rel=1e-12
             )
 
@@ -93,7 +96,7 @@ class TestJointDensity:
         rot = 1j * cmath.exp(1j * tau)
         for a, b in ((0.4 - 0.1j, 0.2j), (0.0, 1.0)):
             ref = W_c.evaluate(rot * b) * W_q.evaluate(rot * a)
-            assert joint.evaluate(a, b) == pytest.approx(ref, rel=1e-12)
+            assert joint(a, b) == pytest.approx(ref, rel=1e-12)
 
     def test_inverse_flow_products_unchanged(self):
         # the closure reads U^-1's entries once as Python complex; each product
@@ -108,7 +111,7 @@ class TestJointDensity:
                 alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
                 a0 = Uinv[0, 0] * alpha + Uinv[0, 1] * beta
                 b0 = Uinv[1, 0] * alpha + Uinv[1, 1] * beta
-                assert joint.evaluate(alpha, beta) == W_c.evaluate(a0) * W_q.evaluate(b0)
+                assert joint(alpha, beta) == W_c.evaluate(a0) * W_q.evaluate(b0)
 
     def test_normalization_at_generic_time(self):
         W_c = gaussian_wigner(0.0, 1.0)
@@ -118,7 +121,7 @@ class TestJointDensity:
 
         def beta_slice(alpha):
             return integrate_plane(
-                lambda b: joint.evaluate(alpha, b), 0j, 2.5, IntegrationSpec(1e-7, 1e-9)
+                lambda b: joint(alpha, b), 0j, 2.5, IntegrationSpec(1e-7, 1e-9)
             ).value
 
         total = integrate_plane(beta_slice, 0j, 2.5, spec)
@@ -137,16 +140,52 @@ class TestMarginals:
                 z = complex(x, y)
                 assert marg.evaluate(z) == pytest.approx(f1.evaluate(z), abs=1e-8)
 
-    def test_quadrature_path_agrees_with_fast_path(self):
+    # t = pi/4 at sigma_c = 1 is the q = 0 point: c sigma_c = s there
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("sigma_c", [1.0, 0.5])
+    @pytest.mark.parametrize("t", [0.4, 1.1, math.pi / 4])
+    @pytest.mark.parametrize("center", [0j, 0.3 - 0.2j])
+    def test_quadrature_path_agrees_with_fast_path(self, n, sigma_c, t, center):
+        W_c = gaussian_wigner(center, sigma_c)
+        W_q = fock_wigner(n)
+        spec = IntegrationSpec(1e-10, 1e-12)
+        for closed, keep_alpha in ((alpha_marginal, True), (beta_marginal, False)):
+            fast = closed(W_c, W_q, PARAMS, t)
+            quad = marginal_quadrature(W_c, W_q, PARAMS, t, keep_alpha, spec)
+            for z in (0j, 0.5 + 0.2j, -1.0j, 0.9 - 0.7j):
+                assert abs(quad.evaluate(z) - fast.evaluate(z)) < 1e-12
+
+    def test_swap_quadrature_agrees_with_closed_form(self):
         W_c = gaussian_wigner(0.0, 1.0)
         W_q = fock_wigner(1)
         tau = PARAMS.swap_time
         fast = alpha_marginal(W_c, W_q, PARAMS, tau)
-        quad = alpha_marginal(
-            W_c, W_q, PARAMS, tau, IntegrationSpec(1e-9, 1e-11), method="quadrature"
-        )
+        quad = marginal_quadrature(W_c, W_q, PARAMS, tau, True, IntegrationSpec(1e-9, 1e-11))
         for z in (0j, 0.5 + 0.2j, -1.0j):
             assert quad.evaluate(z) == pytest.approx(fast.evaluate(z), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 3),
+        sigma_g=st.floats(0.2, 2.0),
+        t=st.floats(0.0, 2.0 * math.pi),
+        center=st.complex_numbers(max_magnitude=2.0),
+        keep_alpha=st.booleans(),
+        fock_classical=st.booleans(),
+    )
+    def test_closed_marginal_normalized(self, n, sigma_g, t, center, keep_alpha, fock_classical):
+        W_g, W_f = gaussian_wigner(center, sigma_g), fock_wigner(n)
+        W_c, W_q = (W_f, W_g) if fock_classical else (W_g, W_f)
+        marg = (alpha_marginal if keep_alpha else beta_marginal)(W_c, W_q, PARAMS, t)
+        total = integrate_plane(marg.evaluate, marg.decay_center, marg.decay_scale)
+        assert abs(total.value - 1.0) < 1e-9
+
+    def test_pairs_without_closed_form_raise(self):
+        plain = PhaseSpaceFunction(fock_wigner(1).evaluate, "plain", 2.0)
+        for W_c, W_q in ((fock_wigner(1), fock_wigner(2)), (gaussian_wigner(0, 1.0), plain)):
+            for closed in (alpha_marginal, beta_marginal):
+                with pytest.raises(TypeError, match="marginal_quadrature"):
+                    closed(W_c, W_q, PARAMS, 0.4)
 
     def test_t0_marginals_are_the_inputs(self):
         W_c = gaussian_wigner(0.7, 0.8)
@@ -160,7 +199,7 @@ class TestMarginals:
     def test_generic_time_marginal_normalized(self):
         W_c = gaussian_wigner(0.0, 1.0)
         W_q = gaussian_wigner(0.0, 1.0)
-        marg = alpha_marginal(W_c, W_q, PARAMS, 0.4, IntegrationSpec(1e-7, 1e-9))
+        marg = alpha_marginal(W_c, W_q, PARAMS, 0.4)
         total = integrate_plane(marg.evaluate, 0j, 2.0, IntegrationSpec(1e-6, 1e-8))
         assert abs(total.value - 1.0) < 1e-6
 
