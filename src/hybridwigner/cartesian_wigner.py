@@ -21,6 +21,7 @@ import numpy as np
 
 from .quadrature import (
     DEFAULT_SPEC,
+    RADIAL_CUTOFF_SIGMAS,
     IntegrationSpec,
     integrate_interval,
     integrate_plane,
@@ -54,11 +55,11 @@ class PhaseSpaceFunction:
     """Evaluable function of a complex amplitude with decay hints.
 
     ``decay_scale`` and ``decay_center`` tell plane integrals where the mass
-    sits; they are hints, not a support guarantee.
+    sits: they cut off ``RADIAL_CUTOFF_SIGMAS`` decay scales from the centre.
+    They are hints, not a support guarantee.
     """
 
     evaluate: Callable[[complex], float]
-    label: str
     decay_scale: float
     decay_center: complex = 0j
 
@@ -115,9 +116,7 @@ def gaussian_wigner(alpha0: complex, sigma: float) -> GaussianWigner:
         d = beta - alpha0
         return norm * math.exp(-inv * (d.real * d.real + d.imag * d.imag))
 
-    return GaussianWigner(
-        w, label=f"gaussian({alpha0:.6g},{sigma:.6g})", decay_scale=sigma, decay_center=alpha0
-    )
+    return GaussianWigner(w, decay_scale=sigma, decay_center=alpha0)
 
 
 def _laguerre(n: int, x: float) -> float:
@@ -145,7 +144,7 @@ def fock_wigner(n: int) -> FockWigner:
         r2 = beta.real * beta.real + beta.imag * beta.imag
         return (2.0 / math.pi) * sign * _laguerre(n, 4.0 * r2) * math.exp(-2.0 * r2)
 
-    return FockWigner(w, label=f"fock({n})", decay_scale=1.0 + math.sqrt(n), n=n)
+    return FockWigner(w, decay_scale=1.0 + math.sqrt(n), n=n)
 
 
 def _joint_domain(
@@ -180,7 +179,7 @@ def quadrature_marginal(
     """
     rot = complex(math.cos(axis_angle), math.sin(axis_angle))
     proj = W.decay_center * rot.conjugate()
-    half = spec.radial_cutoff_sigmas * W.decay_scale
+    half = RADIAL_CUTOFF_SIGMAS * W.decay_scale
     lo, hi = proj.imag - half, proj.imag + half
 
     def density(s: float) -> float:

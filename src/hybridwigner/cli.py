@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from . import __version__
-from .quadrature import DEFAULT_SPEC, ConvergenceError, IntegrationSpec
+from .quadrature import DEFAULT_SPEC, RADIAL_CUTOFF_SIGMAS, ConvergenceError, IntegrationSpec
 from .su2_wigner import SQRT3, SpinHalfState
 from .hybrid_model import (
     MAX_PHASE_SPREAD,
@@ -602,7 +602,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         f"quadrature = rel {config.quadrature.relative_tolerance!r}"
         f" abs {config.quadrature.absolute_tolerance!r}"
         f" maxsub {config.quadrature.max_subdivisions}"
-        f" cutoff {config.quadrature.radial_cutoff_sigmas!r}",
+        f" cutoff {RADIAL_CUTOFF_SIGMAS!r}",
     ]
     if scenario.beta0:
         metadata.append(f"beta0 = {config.beta0!r}")

@@ -34,10 +34,11 @@ import numpy as np
 from .quadrature import (
     BlochPoint,
     DEFAULT_SPEC,
+    RADIAL_CUTOFF_SIGMAS,
     IntegrationSpec,
     integrate_interval,
 )
-from .su2_wigner import SQRT3, SphereFunction, SpinHalfState, spin_wigner
+from .su2_wigner import SQRT3, SpinHalfState, spin_wigner
 from .cartesian_wigner import MarginalDistribution, PhaseSpaceFunction
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "FieldState",
     "HybridState",
     "PhaseDistribution",
-    "JointDistribution",
     "ObservableSymbol",
     "flow_map",
     "joint_wigner",
@@ -169,8 +169,9 @@ class GaussianAmplitude:
         ridge = (self.r0 * cos_psi) / (self.sigma * math.sqrt(TWO_PI))
         return floor + ridge * math.exp(-c * c * sin_psi * sin_psi) * math.erfc(-c * cos_psi)
 
-    def radial_bounds(self, cutoff: float) -> tuple[float, float]:
-        return max(0.0, self.r0 - cutoff * self.sigma), self.r0 + cutoff * self.sigma
+    def radial_bounds(self) -> tuple[float, float]:
+        half = RADIAL_CUTOFF_SIGMAS * self.sigma
+        return max(0.0, self.r0 - half), self.r0 + half
 
     def azimuth_points(self, r: float) -> int:
         """Points of a periodic grid that resolves polar_density(r, .) over one
@@ -187,8 +188,8 @@ class GaussianAmplitude:
     @property
     def phase_points(self) -> int:
         """Points of the phase-law grid.  The phase law integrates every circle,
-        so it takes the grid of the outermost one of the default radial window."""
-        return self.azimuth_points(self.radial_bounds(DEFAULT_SPEC.radial_cutoff_sigmas)[1])
+        so it takes the grid of the outermost one of the radial window."""
+        return self.azimuth_points(self.radial_bounds()[1])
 
 
 FieldState = Union[DeltaAmplitude, GaussianAmplitude]
@@ -218,21 +219,13 @@ class PhaseDistribution:
     """Density of the field phase.
 
     Delta-field results live on the unwrapped line with compact support;
-    Gaussian-field results are 2pi-periodic.  ``delta_at`` marks the t = 0
-    degenerate case where the phase is still perfectly defined.
+    Gaussian-field results are 2pi-periodic.  ``evaluate`` is None at
+    chi t = 0 for a delta field, where the phase is still perfectly defined
+    (at 0).
     """
 
     evaluate: Callable[[float], float] | None
     support: tuple[float, float]
-    delta_at: float | None = None
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Evaluable joint density on (Bloch sphere) x (plane)."""
-
-    evaluate: Callable[[BlochPoint, complex], float]
-    label: str = ""
 
 
 def flow_map(
@@ -264,7 +257,7 @@ def _polar_of(alpha: complex) -> tuple[float, float]:
     return abs(alpha), -cmath.phase(alpha) if alpha != 0 else 0.0
 
 
-def joint_wigner(state: HybridState) -> JointDistribution:
+def joint_wigner(state: HybridState) -> Callable[[BlochPoint, complex], float]:
     """Joint density W_t(Omega, alpha), both arguments pulled back by the flow.
 
     Only Gaussian fields have a pointwise joint density; delta fields must go
@@ -282,11 +275,9 @@ def joint_wigner(state: HybridState) -> JointDistribution:
     def w(point: BlochPoint, alpha: complex) -> float:
         r, phi_f = _polar_of(alpha)
         shifted = BlochPoint(point.theta, point.phi - 2.0 * chi * r * r * t)
-        return atom_w.evaluate(shifted) * field.polar_density(
-            r, phi_f - kappa * math.cos(point.theta)
-        )
+        return atom_w(shifted) * field.polar_density(r, phi_f - kappa * math.cos(point.theta))
 
-    return JointDistribution(w, label=f"joint(t={state.t:.6g})")
+    return w
 
 
 def _spike_segments(
@@ -329,12 +320,7 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
         profile, weights = grids[n]
         return _ramp_series(profile(r), *weights)(phi_f)
 
-    return PhaseSpaceFunction(
-        w,
-        label=f"field-marginal(t={state.t:.6g})",
-        decay_scale=field.r0 + field.sigma,
-        decay_center=0j,
-    )
+    return PhaseSpaceFunction(w, decay_scale=field.r0 + field.sigma, decay_center=0j)
 
 
 def _rotated_atom(atom: SpinHalfState, factor: complex) -> SpinHalfState:
@@ -344,7 +330,7 @@ def _rotated_atom(atom: SpinHalfState, factor: complex) -> SpinHalfState:
     return SpinHalfState((trans.real, trans.imag, sz))
 
 
-def atom_marginal(state: HybridState) -> SphereFunction:
+def atom_marginal(state: HybridState) -> Callable[[BlochPoint], float]:
     """Atomic distribution after tracing out the field.
 
     The field azimuth integrates away exactly, leaving the transverse Bloch
@@ -364,7 +350,7 @@ def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribu
     the ground state it dips negative on the outer part of the support.
     """
     if chi_t == 0.0:
-        return PhaseDistribution(None, (0.0, 0.0), delta_at=0.0)
+        return PhaseDistribution(None, (0.0, 0.0))
     kappa = SQRT3 * abs(chi_t)
     sz = atom.s[2]
     norm = 1.0 / (2.0 * kappa)
@@ -382,7 +368,7 @@ def phase_moments(
 ) -> tuple[float, float]:
     """Mean and variance of a compact-support phase density by quadrature."""
     if dist.evaluate is None:
-        return dist.delta_at or 0.0, 0.0
+        return 0.0, 0.0
     lo, hi = dist.support
     mean = integrate_interval(lambda p: p * dist.evaluate(p), lo, hi, spec).value
     second = integrate_interval(lambda p: p * p * dist.evaluate(p), lo, hi, spec).value
@@ -728,7 +714,7 @@ def expectation_quadrature(
 
         return const * integrate_interval(f, -1.0, 1.0, spec).value
 
-    r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
+    r_lo, r_hi = field.radial_bounds()
     field_row = _field_azimuthal_table(field, m_f, field.azimuth_points(r_hi))
 
     def radial(r: float) -> complex:
@@ -773,7 +759,7 @@ def semiclassical_standard(
     chi: float,
     t: float,
     mean_field: bool = False,
-) -> SphereFunction:
+) -> Callable[[BlochPoint], float]:
     """Atomic distribution when the field is frozen (no back-reaction).
 
     mean_field=False averages the atomic azimuth shift over the full field

@@ -21,14 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, IntegrationSpec, integrate_plane
+from .quadrature import DEFAULT_SPEC, RADIAL_CUTOFF_SIGMAS, IntegrationSpec, integrate_plane
 from .cartesian_wigner import (
     FockWigner,
     GaussianWigner,
     NonclassicalReport,
     NonquantumReport,
     PhaseSpaceFunction,
-    fock_diag_element,
     fock_wigner,
     gaussian_wigner,
     nonclassical_check,
@@ -104,10 +103,6 @@ def evolve_pair_wigner(
     return w
 
 
-def _marginal_label(t: float, keep_alpha: bool) -> str:
-    return f"{'alpha' if keep_alpha else 'beta'}-marginal(t={t:.6g})"
-
-
 def _marginal(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
@@ -164,7 +159,7 @@ def _marginal(
             poly = poly * x + coef
         return norm * poly * math.exp(-inv * r2)
 
-    return PhaseSpaceFunction(w, _marginal_label(t, keep_alpha), math.sqrt(d2) + s * math.sqrt(n), z0)
+    return PhaseSpaceFunction(w, math.sqrt(d2) + s * math.sqrt(n), z0)
 
 
 def alpha_marginal(
@@ -211,9 +206,9 @@ def marginal_quadrature(
             f = lambda beta: joint(z, beta)
         else:
             f = lambda alpha: joint(alpha, z)
-        return integrate_plane(f, 0j, width + abs(z) / max(spec.radial_cutoff_sigmas, 1.0), spec).value
+        return integrate_plane(f, 0j, width + abs(z) / RADIAL_CUTOFF_SIGMAS, spec).value
 
-    return PhaseSpaceFunction(w, _marginal_label(t, keep_alpha), W_c.decay_scale + W_q.decay_scale)
+    return PhaseSpaceFunction(w, W_c.decay_scale + W_q.decay_scale)
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,6 @@ class NonclassicalTransferReport:
 
 @dataclass(frozen=True)
 class NonquantumTransferReport:
-    sigma: float
     excited_diag: float
     report: NonquantumReport
 
@@ -269,6 +263,5 @@ def nonquantum_transfer_check(
     W_q = gaussian_wigner(0, 1.0)
     tau = params.swap_time
     marg = beta_marginal(W_c, W_q, params, tau)
-    diag = fock_diag_element(marg, 1, spec)
     report = nonquantum_check(marg, max_n=1, axes=(0.0,), spec=spec)
-    return NonquantumTransferReport(sigma, diag, report)
+    return NonquantumTransferReport(dict(report.diag_elements)[1], report)

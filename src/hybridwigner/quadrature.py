@@ -23,12 +23,17 @@ __all__ = [
     "ConvergenceError",
     "BlochPoint",
     "DEFAULT_SPEC",
+    "RADIAL_CUTOFF_SIGMAS",
     "integrate_interval",
     "integrate_sphere",
     "integrate_plane",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Where plane integrals and radial windows truncate the radial coordinate, in
+# units of the integrand's decay scale.
+RADIAL_CUTOFF_SIGMAS = 10.0
 
 # 15-point Kronrod abscissae on (0, 1]; the embedded 7-point Gauss rule sits
 # at the odd indices.  Constants are the classic QUADPACK dqk15 values.
@@ -63,16 +68,11 @@ Scalar = Union[float, complex]
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Tolerances and limits shared by every integration routine.
-
-    ``radial_cutoff_sigmas`` sets where plane integrals truncate the radial
-    coordinate, in units of the integrand's decay scale.
-    """
+    """Tolerances and subdivision budget shared by every integration routine."""
 
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-12
     max_subdivisions: int = 1 << 16
-    radial_cutoff_sigmas: float = 10.0
 
     def __post_init__(self) -> None:
         # NaN compares False, so each float bound is written as not (x > bound)
@@ -82,8 +82,6 @@ class IntegrationSpec:
             raise ValueError("absolute_tolerance must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if not (self.radial_cutoff_sigmas >= 6.0) or not math.isfinite(self.radial_cutoff_sigmas):
-            raise ValueError("radial_cutoff_sigmas must be finite and at least 6")
 
 
 DEFAULT_SPEC = IntegrationSpec()
@@ -281,10 +279,11 @@ def integrate_plane(
     width: float,
     spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> IntegrationResult:
-    """Integrate f(alpha) d^2alpha over the disk |alpha - center| <= cutoff * width.
+    """Integrate f(alpha) d^2alpha over the disk
+    |alpha - center| <= RADIAL_CUTOFF_SIGMAS * width.
 
     The integrand must decay at least Gaussian-fast with scale ``width`` away
-    from ``center``; the truncation radius is ``radial_cutoff_sigmas * width``.
+    from ``center``.
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
@@ -293,4 +292,4 @@ def integrate_plane(
     def ring(rho: float, azimuthal) -> Scalar:
         return rho * azimuthal(lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))))
 
-    return _iterated(ring, 0.0, spec.radial_cutoff_sigmas * width, spec)
+    return _iterated(ring, 0.0, RADIAL_CUTOFF_SIGMAS * width, spec)

@@ -34,7 +34,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "SpinHalfState",
-    "SphereFunction",
     "clebsch_gordan",
     "spherical_harmonic",
     "su2_kernel",
@@ -227,15 +226,7 @@ class SpinHalfState:
         return 0.5 * (np.eye(2, dtype=complex) + sx * PAULI_X + sy * PAULI_Y + sz * PAULI_Z)
 
 
-@dataclass(frozen=True)
-class SphereFunction:
-    """Real-valued function on the Bloch sphere."""
-
-    evaluate: Callable[[BlochPoint], float]
-    label: str = ""
-
-
-def spin_wigner(state: SpinHalfState) -> SphereFunction:
+def spin_wigner(state: SpinHalfState) -> Callable[[BlochPoint], float]:
     """Sphere distribution of a spin-1/2 state: (1 + sqrt(3) n.s) / (4*pi)."""
     sx, sy, sz = state.s
 
@@ -243,22 +234,24 @@ def spin_wigner(state: SpinHalfState) -> SphereFunction:
         nx, ny, nz = point.unit_vector
         return (1.0 + SQRT3 * (nx * sx + ny * sy + nz * sz)) / FOUR_PI
 
-    return SphereFunction(w, label=f"spin({sx:.6g},{sy:.6g},{sz:.6g})")
+    return w
 
 
 def wigner_to_spin(
-    W: SphereFunction, spec: IntegrationSpec = DEFAULT_SPEC
+    W: Callable[[BlochPoint], float], spec: IntegrationSpec = DEFAULT_SPEC
 ) -> SpinHalfState:
     """Recover the Bloch vector: s_k = sqrt(3) * Integral[n_k W(Omega) dOmega]."""
     comps = []
     for axis in range(3):
-        res = integrate_sphere(lambda p, ax=axis: p.unit_vector[ax] * W.evaluate(p), spec)
+        res = integrate_sphere(lambda p, ax=axis: p.unit_vector[ax] * W(p), spec)
         comps.append(SQRT3 * res.value)
     return SpinHalfState(tuple(comps))
 
 
 def su2_traciality(
-    W_A: SphereFunction, W_B: SphereFunction, spec: IntegrationSpec = DEFAULT_SPEC
+    W_A: Callable[[BlochPoint], float],
+    W_B: Callable[[BlochPoint], float],
+    spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> float:
     """tr(AB) of two spin-1/2 operators, computed as
     (4*pi / (2j+1)) * Integral[W_A W_B dOmega] = 2*pi * Integral[W_A W_B dOmega].
@@ -266,5 +259,5 @@ def su2_traciality(
     Products are evaluated as W_A * W_B, which is commutative in floating
     point, so swapping the arguments returns the identical value.
     """
-    res = integrate_sphere(lambda p: W_A.evaluate(p) * W_B.evaluate(p), spec)
+    res = integrate_sphere(lambda p: W_A(p) * W_B(p), spec)
     return FOUR_PI / 2 * res.value

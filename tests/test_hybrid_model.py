@@ -94,8 +94,8 @@ class TestJointWigner:
         g = gaussian_wigner(1.0, 1.0)
         for theta, phi, alpha in ((0.3, 1.0, 0.7 + 0.1j), (2.0, 4.0, -0.4j)):
             pt = BlochPoint(theta, phi)
-            assert jd.evaluate(pt, alpha) == pytest.approx(
-                wq.evaluate(pt) * g.evaluate(alpha), rel=1e-12
+            assert jd(pt, alpha) == pytest.approx(
+                wq(pt) * g.evaluate(alpha), rel=1e-12
             )
 
     def test_delta_requires_analytic_path(self):
@@ -106,7 +106,7 @@ class TestJointWigner:
     def test_ground_joint_negative_at_north_pole(self):
         state = HybridState(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 0.8)
         jd = joint_wigner(state)
-        assert jd.evaluate(BlochPoint(0.0, 0.0), 1.0 + 0j) < 0.0
+        assert jd(BlochPoint(0.0, 0.0), 1.0 + 0j) < 0.0
 
     def test_normalization_after_evolution(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.7)
@@ -114,7 +114,7 @@ class TestJointWigner:
         spec = IntegrationSpec(1e-6, 1e-8)
 
         def sphere_slice(alpha):
-            return integrate_sphere(lambda pt: jd.evaluate(pt, alpha), IntegrationSpec(1e-7, 1e-9)).value
+            return integrate_sphere(lambda pt: jd(pt, alpha), IntegrationSpec(1e-7, 1e-9)).value
 
         total = integrate_plane(sphere_slice, 0j, 2.0, spec)
         assert abs(total.value - 1.0) < 1e-6
@@ -163,14 +163,14 @@ class TestAtomMarginal:
             for theta in np.linspace(0.01, math.pi - 0.01, 7):
                 for phi in np.linspace(0.0, 6.0, 5):
                     pt = BlochPoint(float(theta), float(phi))
-                    assert am.evaluate(pt) == pytest.approx(wq.evaluate(pt), abs=1e-10)
+                    assert am(pt) == pytest.approx(wq(pt), abs=1e-10)
 
     def test_t0_is_initial_distribution(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.0)
         am = atom_marginal(state)
         wq = spin_wigner(PHASE)
         pt = BlochPoint(1.0, 2.0)
-        assert am.evaluate(pt) == pytest.approx(wq.evaluate(pt), abs=1e-12)
+        assert am(pt) == pytest.approx(wq(pt), abs=1e-12)
 
     def test_phase_atom_delta_field_is_rotated(self):
         r0, chi, t = 2.0, 1.0, 1.3
@@ -180,7 +180,7 @@ class TestAtomMarginal:
         for theta in (0.4, 1.5, 2.8):
             for phi in (0.0, 2.0, 5.0):
                 ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
-                assert am.evaluate(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-12)
+                assert am(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-12)
 
     def test_gaussian_matches_direct_marginalization(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.7)
@@ -188,12 +188,12 @@ class TestAtomMarginal:
         jd = joint_wigner(state)
         for theta, phi in ((0.4, 0.3), (2.3, 5.0)):
             pt = BlochPoint(theta, phi)
-            direct = integrate_plane(lambda a: jd.evaluate(pt, a), 0j, 2.0, LOOSE).value
-            assert am.evaluate(pt) == pytest.approx(direct, abs=1e-9)
+            direct = integrate_plane(lambda a: jd(pt, a), 0j, 2.0, LOOSE).value
+            assert am(pt) == pytest.approx(direct, abs=1e-9)
 
     def test_normalized(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 2.0)
-        assert abs(integrate_sphere(atom_marginal(state).evaluate).value - 1.0) < 1e-10
+        assert abs(integrate_sphere(atom_marginal(state)).value - 1.0) < 1e-10
 
 
 class TestDeltaPhaseLaw:
@@ -240,7 +240,7 @@ class TestDeltaPhaseLaw:
     def test_t0_sentinel(self):
         dist = phase_distribution_delta(GROUND, 0.0)
         assert dist.evaluate is None
-        assert dist.delta_at == 0.0
+        assert phase_moments(dist) == (0.0, 0.0)
 
     @pytest.mark.parametrize("atom", [GROUND, SpinHalfState((0.6, -0.3, 0.5))])
     def test_negative_chi_mirrors(self, atom):
@@ -267,8 +267,14 @@ def _radial_reference(field: GaussianAmplitude, psi: float) -> float:
         d2 = (r - field.r0) ** 2 + 4.0 * r * field.r0 * h * h
         return r * (2.0 / (math.pi * s2)) * math.exp(-2.0 * d2 / s2)
 
-    lo, hi = field.radial_bounds(10.0)
+    lo, hi = field.radial_bounds()
     return integrate_interval(integrand, lo, hi, IntegrationSpec(1e-15, 1e-14)).value
+
+
+def test_radial_bounds_span_the_cutoff_on_both_sides():
+    # RADIAL_CUTOFF_SIGMAS = 10 widths, clipped at r = 0
+    assert GaussianAmplitude(20.0, 0.5).radial_bounds() == (15.0, 25.0)
+    assert GaussianAmplitude(2.0, 0.5).radial_bounds() == (0.0, 7.0)
 
 
 class TestAngularDensity:
@@ -292,7 +298,7 @@ class TestAngularDensity:
         for psi in (-math.pi, -2.0, 0.0, 0.4, 2.5):
             radial = integrate_interval(
                 lambda r: r * field.polar_density(r, psi),
-                *field.radial_bounds(10.0),
+                *field.radial_bounds(),
                 IntegrationSpec(1e-12, 1e-14),
             ).value
             assert field.angular_density(psi) == pytest.approx(radial, abs=1e-11)
@@ -304,7 +310,7 @@ class TestAngularDensity:
         for psi in (0.0, 1e-4, 1e-3, 2e-3):
             radial = integrate_interval(
                 lambda r: r * field.polar_density(r, psi),
-                *field.radial_bounds(10.0),
+                *field.radial_bounds(),
                 IntegrationSpec(1e-12, 1e-14),
             ).value
             assert radial == pytest.approx(field.angular_density(psi), rel=1e-10)
@@ -469,7 +475,7 @@ def _nested_quadrature(state, obs, spec):
     atom_row = model._atom_azimuthal(s, m_a)
 
     field = state.field
-    r_lo, r_hi = field.radial_bounds(spec.radial_cutoff_sigmas)
+    r_lo, r_hi = field.radial_bounds()
     n_phi = model._n_phi(4.0 * r_hi * field.r0 / (field.sigma * field.sigma))
     field_row = model._field_azimuthal_table(field, m_f, n_phi)
 
@@ -620,7 +626,7 @@ class TestSemiclassical:
             W = semiclassical_standard(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 2.0, mean_field)
             for theta, phi in ((0.2, 0.0), (1.4, 3.0)):
                 pt = BlochPoint(theta, phi)
-                assert W.evaluate(pt) == pytest.approx(wq.evaluate(pt), abs=1e-12)
+                assert W(pt) == pytest.approx(wq(pt), abs=1e-12)
 
     def test_sharp_field_variants_coincide(self):
         field = DeltaAmplitude(1.3)
@@ -628,7 +634,7 @@ class TestSemiclassical:
         b = semiclassical_standard(PHASE, field, 1.0, 0.9, mean_field=True)
         for theta, phi in ((0.5, 1.0), (2.0, 4.5)):
             pt = BlochPoint(theta, phi)
-            assert a.evaluate(pt) == pytest.approx(b.evaluate(pt), abs=1e-13)
+            assert a(pt) == pytest.approx(b(pt), abs=1e-13)
 
     def test_mean_field_rotation_uses_width_corrected_intensity(self):
         r0, sigma, chi, t = 2.0, 0.5, 1.0, 0.7
@@ -636,7 +642,7 @@ class TestSemiclassical:
         shift = 2.0 * chi * (r0 * r0 + 0.5 * sigma * sigma) * t
         for theta, phi in ((0.9, 0.3), (1.7, 5.1)):
             ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
-            assert W.evaluate(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-13)
+            assert W(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-13)
 
     def test_semiclassical_inversion_amplitude_correlation_vanishes(self):
         field = GaussianAmplitude(1.0, 1.0)

@@ -181,7 +181,7 @@ class TestMarginals:
         assert abs(total.value - 1.0) < 1e-9
 
     def test_pairs_without_closed_form_raise(self):
-        plain = PhaseSpaceFunction(fock_wigner(1).evaluate, "plain", 2.0)
+        plain = PhaseSpaceFunction(fock_wigner(1).evaluate, 2.0)
         for W_c, W_q in ((fock_wigner(1), fock_wigner(2)), (gaussian_wigner(0, 1.0), plain)):
             for closed in (alpha_marginal, beta_marginal):
                 with pytest.raises(TypeError, match="marginal_quadrature"):

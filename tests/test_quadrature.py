@@ -94,10 +94,8 @@ def test_spec_validation():
         IntegrationSpec(absolute_tolerance=-1.0)
     with pytest.raises(ValueError):
         IntegrationSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        IntegrationSpec(radial_cutoff_sigmas=5.0)
     # a NaN tolerance would stop integrate_interval after one panel, silently
-    for field in ("relative_tolerance", "absolute_tolerance", "radial_cutoff_sigmas"):
+    for field in ("relative_tolerance", "absolute_tolerance"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 IntegrationSpec(**{field: value})

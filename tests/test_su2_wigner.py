@@ -139,19 +139,19 @@ class TestSpinStates:
     def test_known_distributions(self):
         wg = spin_wigner(SpinHalfState.ground())
         p = BlochPoint(0.6, 1.0)
-        assert wg.evaluate(p) == pytest.approx(
+        assert wg(p) == pytest.approx(
             (1.0 - SQRT3 * math.cos(0.6)) / (4.0 * math.pi), abs=1e-15
         )
         wp = spin_wigner(SpinHalfState.phase_state())
-        assert wp.evaluate(p) == pytest.approx(
+        assert wp(p) == pytest.approx(
             (1.0 + SQRT3 * math.sin(0.6) * math.cos(1.0)) / (4.0 * math.pi), abs=1e-15
         )
         wm = spin_wigner(SpinHalfState((0.0, 0.0, 0.0)))
-        assert wm.evaluate(p) == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
+        assert wm(p) == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
 
     def test_ground_negative_near_north_pole(self):
         wg = spin_wigner(SpinHalfState.ground())
-        assert wg.evaluate(BlochPoint(0.0, 0.0)) < 0.0
+        assert wg(BlochPoint(0.0, 0.0)) < 0.0
 
 
 def _random_states(n, seed):
@@ -166,7 +166,7 @@ def _random_states(n, seed):
 
 def test_normalization_over_ball():
     for st in _random_states(8, seed=3):
-        res = integrate_sphere(spin_wigner(st).evaluate)
+        res = integrate_sphere(spin_wigner(st))
         assert abs(res.value - 1.0) < 1e-10
 
 
@@ -210,4 +210,4 @@ def test_spin_wigner_real_everywhere():
     w = spin_wigner(SpinHalfState((0.2, 0.3, -0.4)))
     for _ in range(50):
         p = BlochPoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert isinstance(w.evaluate(p), float)
+        assert isinstance(w(p), float)
