@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from typing import Callable, Sequence
 
 from . import __version__
@@ -109,6 +110,8 @@ class ResultTable:
     metadata: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # render_csv formats rows with %, which takes tuples; tuple() keeps a tuple row as is
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("row length does not match column count")
@@ -607,28 +610,29 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     if scenario.beta0:
         metadata.append(f"beta0 = {config.beta0!r}")
     table = ResultTable(scenario.columns, tuple(scenario.rows(config)), tuple(metadata))
-    for row in table.rows:
-        for item in row:
-            if isinstance(item, float) and not math.isfinite(item):
-                raise NumericError(f"scenario {config.scenario} produced {item}")
+    if not all(map(math.isfinite, chain.from_iterable(table.rows))):
+        bad = next(v for v in chain.from_iterable(table.rows) if not math.isfinite(v))
+        raise NumericError(f"scenario {config.scenario} produced {bad}")
     return table
 
 
 # -- CSV emission ------------------------------------------------------------
 
 
-def _format_cell(value: float) -> str:
-    if math.isnan(value):
-        raise NumericError("refusing to write NaN")
-    return f"{value:.17g}"
-
-
 def render_csv(table: ResultTable) -> str:
-    lines = [f"# {line}" for line in table.metadata]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table as CSV text; raises NumericError on a NaN or infinite cell.
+
+    Every row goes through one ``%.17g`` format, which renders a float with
+    the same bytes as ``format(v, ".17g")``.
+    """
+    head = "".join(f"# {line}\n" for line in table.metadata) + ",".join(table.columns) + "\n"
+    row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    body = "".join(map(row_format.__mod__, table.rows))
+    # a finite number renders from digits, ".", "e", "+" and "-" alone
+    for text, name in (("nan", "NaN"), ("inf", "infinity")):
+        if text in body:
+            raise NumericError(f"refusing to write {name}")
+    return head + body
 
 
 def emit_csv(table: ResultTable, path: str) -> None:

@@ -470,6 +470,9 @@ class ObservableSymbol(Enum):
     SIGMA_MINUS_ADAG = ("sm", "adag")
     SIGMA_Z_A = ("sz", "a")
 
+    # members are singletons, so identity hashing keys the moment tables in C
+    __hash__ = object.__hash__
+
     def __init__(self, atomic_kind: str, field_kind: str):
         self.atomic_kind = atomic_kind
         self.field_kind = field_kind
@@ -729,6 +732,9 @@ def expectation_quadrature(
     return integrate_interval(outer, -1.0, 1.0, spec).value
 
 
+_PRODUCTS = {obs.value: obs for obs in ObservableSymbol}
+
+
 def _product_symbol(A: ObservableSymbol, B: ObservableSymbol) -> ObservableSymbol:
     """The member whose sector kinds are A's atomic and B's field kind (no
     member is the identity, so a factor's other kind is never "one")."""
@@ -737,8 +743,8 @@ def _product_symbol(A: ObservableSymbol, B: ObservableSymbol) -> ObservableSymbo
     if B.atomic_kind != "one":
         raise ValueError("second factor must be a purely field observable")
     try:
-        return ObservableSymbol((A.atomic_kind, B.field_kind))
-    except ValueError:
+        return _PRODUCTS[A.atomic_kind, B.field_kind]
+    except KeyError:
         raise ValueError(f"no product symbol for ({A.name}, {B.name})") from None
 
 

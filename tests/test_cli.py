@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+import hybridwigner.cli as cli_module
 from hybridwigner.cli import (
     MAX_RANGE_STEPS,
     MAX_SUBDIVISIONS,
@@ -421,8 +423,6 @@ sigma = 1.0
     def test_compare_moment_calls(self, monkeypatch):
         from importlib import resources
 
-        import hybridwigner.cli as cli_module
-
         counts = {"quantum_moments": 0, "semiclassical_moments": 0}
 
         def counting(name):
@@ -465,6 +465,36 @@ r0 = 1.0
         other = run_scenario(parse_config(text.replace("beta0_re = 0.5", "beta0_re = 2"))).metadata
         assert metadata != other
 
+    def test_every_cell_is_a_float(self):
+        # the finiteness pass and the %.17g rows are written for floats alone
+        fields = {
+            "phase-dist": DELTA,
+            "quad-dist": UNIT_GAUSSIAN,
+            "moments": DELTA,
+            "correlations": DELTA,
+            "pfunction": DELTA,
+            "compare": UNIT_GAUSSIAN,
+            "oscillators": DELTA,
+        }
+        assert list(fields) == list(cli_module._SCENARIOS)
+        for name, field in fields.items():
+            table = run_scenario(parse_config(_scenario(name, 1.0, "0.5, 1.0", field)))
+            assert {type(v) for row in table.rows for v in row} == {float}, name
+
+    @pytest.mark.parametrize(
+        "value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]
+    )
+    def test_non_finite_last_cell_refused(self, monkeypatch, value, text):
+        record = cli_module._SCENARIOS["moments"]
+
+        def rows(config):
+            table = record.rows(config)
+            return table[:-1] + [table[-1][:-1] + (value,)]
+
+        monkeypatch.setitem(cli_module._SCENARIOS, "moments", replace(record, rows=rows))
+        with pytest.raises(NumericError, match=f"^scenario moments produced {text}$"):
+            run_scenario(parse_config(MINIMAL))
+
 
 class TestEmission:
     def test_byte_identical_reruns(self, tmp_path):
@@ -490,8 +520,23 @@ class TestEmission:
 
     def test_nan_rejected(self):
         table = ResultTable(("x",), ((float("nan"),),), ())
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="NaN"):
             render_csv(table)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_inf_rejected(self, value, tmp_path):
+        table = ResultTable(("x", "y"), ((1.0, 2.0), (3.0, value)), ())
+        with pytest.raises(NumericError, match="refusing to write infinity"):
+            render_csv(table)
+        path = tmp_path / "out.csv"
+        with pytest.raises(NumericError):
+            emit_csv(table, str(path))
+        assert not path.exists()
+
+    def test_list_rows_render_like_tuples(self):
+        rows = [[0.5, -0.0], [1e-310, 3.0]]
+        as_tuples = ResultTable(("x", "y"), tuple(map(tuple, rows)), ())
+        assert render_csv(ResultTable(("x", "y"), rows, ())) == render_csv(as_tuples)
 
     def test_seventeen_digit_floats(self):
         table = ResultTable(("x",), ((1.0 / 3.0,),), ())
@@ -766,8 +811,6 @@ sigma = 1.0
         assert "line 2: unknown scenario 'verify'" in capsys.readouterr().err
 
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
-        import hybridwigner.cli as cli_module
-
         def nan_moments(atom, field, chi, times):
             return [dict.fromkeys(ObservableSymbol, complex(float("nan"), 0.0)) for _ in times]
 

@@ -618,6 +618,27 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             moment_correlation(moments, ObservableSymbol.SIGMA_Z, ObservableSymbol.ADAG)
 
+    @pytest.mark.parametrize("first", list(ObservableSymbol))
+    @pytest.mark.parametrize("second", list(ObservableSymbol))
+    def test_product_table_matches_value_lookup(self, first, second):
+        # the table must give what the enum's own value lookup gives, and
+        # refuse each factor pair with the same message as before it existed
+        if first.field_kind != "one":
+            message = "first factor must be a purely atomic observable"
+        elif second.atomic_kind != "one":
+            message = "second factor must be a purely field observable"
+        else:
+            try:
+                expected = ObservableSymbol((first.atomic_kind, second.field_kind))
+            except ValueError:
+                message = f"no product symbol for ({first.name}, {second.name})"
+            else:
+                assert model._product_symbol(first, second) is expected
+                return
+        with pytest.raises(ValueError) as info:
+            model._product_symbol(first, second)
+        assert str(info.value) == message
+
 
 class TestSemiclassical:
     def test_ground_atom_invariant_under_both_variants(self):

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hybridwigner.cli import ConfigError, NumericError, parse_config, run_scenario
+from hybridwigner.cli import (
+    ConfigError,
+    NumericError,
+    ResultTable,
+    parse_config,
+    render_csv,
+    run_scenario,
+)
 from hybridwigner.hybrid_model import (
     DeltaAmplitude,
     GaussianAmplitude,
@@ -119,6 +126,45 @@ def test_closed_form_scenarios_are_finite(text):
         return
     for row in table.rows:
         assert all(math.isfinite(v) for v in row if isinstance(v, float))
+
+
+# signed zero, subnormals, the edges of the float range and Python ints
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308]),
+    st.integers(-(10**20), 10**20),
+)
+
+
+@st.composite
+def _tables(draw, min_rows=0):
+    # the cells cycle through a drawn pool, so a 91 x 40 table stays cheap to draw
+    width = draw(st.integers(1, 91))
+    height = draw(st.integers(min_rows, 40))
+    pool = draw(st.lists(_CELLS, min_size=1, max_size=60))
+    cells = [pool[k % len(pool)] for k in range(width * height)]
+    rows = tuple(tuple(cells[r * width : (r + 1) * width]) for r in range(height))
+    metadata = tuple(draw(st.lists(st.text(max_size=20), max_size=4)))
+    return ResultTable(tuple(f"c{k}" for k in range(width)), rows, metadata)
+
+
+@FEW
+@given(_tables())
+def test_render_csv_matches_per_cell_format(table):
+    lines = [f"# {line}" for line in table.metadata] + [",".join(table.columns)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in table.rows]
+    assert render_csv(table) == "\n".join(lines) + "\n"
+
+
+@FEW
+@given(_tables(min_rows=1), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_render_csv_refuses_non_finite_cells(table, value, data):
+    r = data.draw(st.integers(0, len(table.rows) - 1))
+    c = data.draw(st.integers(0, len(table.columns) - 1))
+    row = table.rows[r][:c] + (value,) + table.rows[r][c + 1 :]
+    rows = table.rows[:r] + (row,) + table.rows[r + 1 :]
+    with pytest.raises(NumericError):
+        render_csv(ResultTable(table.columns, rows, table.metadata))
 
 
 _ATOMS = st.tuples(st.floats(-0.57, 0.57), st.floats(-0.57, 0.57), st.floats(-0.57, 0.57)).map(

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -20,6 +21,52 @@ def test_embedded_gauss_nodes_match_legendre():
     ref = sorted(x for x in np.polynomial.legendre.leggauss(7)[0] if x > 0)
     mine = sorted([_XGK[5], _XGK[3], _XGK[1]])
     assert max(abs(a - b) for a, b in zip(ref, mine)) < 5e-16
+
+
+def _loop_panel(f, lo, hi):
+    """The GK15 panel as a loop over the node tables, which the written-out
+    panel of integrate_interval must equal bit for bit."""
+    from hybridwigner.quadrature import _WG, _WGK, _XGK
+
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(mid)
+    resk = _WGK[7] * fc
+    resg = _WG[3] * fc
+    for i in range(7):
+        dx = half * _XGK[i]
+        s = f(mid - dx) + f(mid + dx)
+        resk += _WGK[i] * s
+        if i % 2 == 1:
+            resg += _WG[(i - 1) // 2] * s
+    resk *= half
+    resg *= half
+    return resk, abs(resk - resg)
+
+
+@pytest.mark.parametrize("f", [lambda x: math.sqrt(abs(x)), lambda x: cmath.exp(40j * x)])
+def test_panel_matches_loop_reference(f):
+    from hybridwigner.quadrature import _sum_ordered
+
+    calls, reference_calls = [], []
+    lo, hi = -0.3, 0.9
+    # one split, then the budget runs out: three panels and the best estimate
+    spec = IntegrationSpec(1e-300, 1e-300, max_subdivisions=1)
+    with pytest.raises(ConvergenceError) as info:
+        integrate_interval(lambda x: calls.append(x) or f(x), lo, hi, spec)
+
+    def g(x):
+        reference_calls.append(x)
+        return f(x)
+
+    mid = 0.5 * (lo + hi)
+    _loop_panel(g, lo, hi)
+    (v1, e1), (v2, e2) = _loop_panel(g, lo, mid), _loop_panel(g, mid, hi)
+    best = info.value.best
+    assert calls == reference_calls
+    assert best.evaluations == 45
+    assert best.value == _sum_ordered([v1, v2])
+    assert best.error_estimate == math.fsum([e1, e2])
 
 
 @pytest.mark.parametrize("k", range(0, 23))
