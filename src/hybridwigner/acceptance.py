@@ -43,11 +43,7 @@ from .hybrid_model import (
     quadrature_distribution,
 )
 from .quantum_reference import quantum_moments
-from .oscillator_hybrid import (
-    CouplingParams,
-    nonclassical_transfer_check,
-    nonquantum_transfer_check,
-)
+from .oscillator_hybrid import nonclassical_transfer_check, nonquantum_transfer_check
 
 __all__ = ["CheckRow", "CriterionResult", "CRITERIA", "run_all"]
 
@@ -323,9 +319,8 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Oscillator swap: negativity and nonquantumness change sides."""
-    params = CouplingParams(1.0)
-    rep_c = nonclassical_transfer_check(params)
-    rep_q = nonquantum_transfer_check(0.5, params)
+    rep_c = nonclassical_transfer_check(1.0)
+    rep_q = nonquantum_transfer_check(0.5, 1.0)
     checks = [
         _row("alpha-marginal origin vs -2/pi", abs(rep_c.origin_value + 2.0 / math.pi), 1e-9),
         CheckRow("nonclassical witness fires", rep_c.report.value, "< 0", rep_c.nonclassical),

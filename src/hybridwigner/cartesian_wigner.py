@@ -106,8 +106,8 @@ def gaussian_wigner(alpha0: complex, sigma: float) -> GaussianWigner:
     sigma = 1 is the distribution of an ideal coherent state; narrower widths
     describe sub-quantum-limit amplitude knowledge.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0.0) or not math.isfinite(sigma):
+        raise ValueError("sigma must be positive and finite")
     alpha0 = complex(alpha0)
     norm = 2.0 / (math.pi * sigma * sigma)
     inv = 2.0 / (sigma * sigma)
@@ -156,14 +156,10 @@ def _joint_domain(
     return center, width
 
 
-def overlap_trace(
-    A: PhaseSpaceFunction,
-    B: PhaseSpaceFunction,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-) -> float:
+def overlap_trace(A: PhaseSpaceFunction, B: PhaseSpaceFunction) -> float:
     """tr(AB) = pi * Integral[W_A W_B d^2 beta]."""
     center, width = _joint_domain(A, B)
-    res = integrate_plane(lambda b: A.evaluate(b) * B.evaluate(b), center, width, spec)
+    res = integrate_plane(lambda b: A.evaluate(b) * B.evaluate(b), center, width)
     return math.pi * res.value
 
 
@@ -189,20 +185,15 @@ def quadrature_marginal(
     return MarginalDistribution(density, center=proj.real, scale=W.decay_scale)
 
 
-def fock_diag_element(
-    W: PhaseSpaceFunction,
-    n: int,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-) -> float:
+def fock_diag_element(W: PhaseSpaceFunction, n: int) -> float:
     """Diagonal matrix element <n|rho|n> of the operator behind W."""
-    return overlap_trace(W, fock_wigner(n), spec)
+    return overlap_trace(W, fock_wigner(n))
 
 
 def nonquantum_check(
     W: PhaseSpaceFunction,
     max_n: int = 4,
     axes: Sequence[float] = (0.0, math.pi / 2),
-    spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> NonquantumReport:
     """Search for a witness that the operator behind W is not positive.
 
@@ -212,10 +203,10 @@ def nonquantum_check(
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    diags = tuple((n, fock_diag_element(W, n, spec)) for n in range(max_n + 1))
+    diags = tuple((n, fock_diag_element(W, n)) for n in range(max_n + 1))
     minima = []
     for angle in axes:
-        marg = quadrature_marginal(W, angle, spec)
+        marg = quadrature_marginal(W, angle)
         half = 4.0 * marg.scale
         grid = np.linspace(marg.center - half, marg.center + half, 81)
         values = [marg.evaluate(float(s)) for s in grid]
@@ -230,15 +221,18 @@ def nonclassical_check(
     W: PhaseSpaceFunction, sample_grid: Iterable[complex]
 ) -> NonclassicalReport:
     """Pointwise negativity witness over the supplied grid of amplitudes."""
+    points = [complex(point) for point in sample_grid]
+    if not points:
+        raise ValueError("sample_grid must not be empty")
     best_point = 0j
     best_value = math.inf
-    for point in sample_grid:
-        v = W.evaluate(complex(point))
+    for point in points:
+        v = W.evaluate(point)
+        if not math.isfinite(v):
+            raise ValueError(f"density is {v!r} at {point!r}")
         if v < best_value:
             best_value = v
-            best_point = complex(point)
-    if best_value is math.inf:
-        raise ValueError("sample_grid must not be empty")
+            best_point = point
     return NonclassicalReport(
         best_value < -NEGATIVITY_THRESHOLD, best_point, best_value
     )

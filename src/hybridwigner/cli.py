@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from . import __version__
-from .quadrature import DEFAULT_SPEC, RADIAL_CUTOFF_SIGMAS, ConvergenceError, IntegrationSpec
+from .quadrature import RADIAL_CUTOFF_SIGMAS, ConvergenceError, IntegrationSpec
 from .su2_wigner import SQRT3, SpinHalfState
 from .hybrid_model import (
     MAX_PHASE_SPREAD,
@@ -44,7 +44,7 @@ from .hybrid_model import (
     semiclassical_moments,
 )
 from .quantum_reference import TruncationError, default_truncation, quantum_moments
-from .oscillator_hybrid import CouplingParams, OscillatorPair, pair_flow
+from .oscillator_hybrid import OscillatorPair, pair_flow
 
 __all__ = [
     "ConfigError",
@@ -60,9 +60,6 @@ __all__ = [
 
 # range(...) builds every time point in memory before any work starts.
 MAX_RANGE_STEPS = 100_000
-# A quad-dist integral keeps every panel it splits: at tolerances of 1e-300 a
-# budget of 10**12 grew past 200 MB in 20 s; this default gives up in 2 s.
-MAX_SUBDIVISIONS = DEFAULT_SPEC.max_subdivisions
 
 _MOMENT_COLUMNS = (
     ("a", ObservableSymbol.A),
@@ -295,28 +292,15 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("[field] missing required key 'kind'")
 
     quad_section = sections.get("quadrature", {})
-    quad_kwargs = {}
-    for key in ("relative_tolerance", "absolute_tolerance"):
-        if key in quad_section:
-            v = _take_float(quad_section, key, errors, "quadrature")
-            if v is not None:
-                quad_kwargs[key] = v
-    if "max_subdivisions" in quad_section:
-        value, lineno = quad_section.pop("max_subdivisions")
-        try:
-            quad_kwargs["max_subdivisions"] = int(value)
-        except ValueError:
-            errors.append(f"line {lineno}: max_subdivisions must be an integer")
     quadrature = IntegrationSpec()
-    for key, value in quad_kwargs.items():
-        line = key_lines[f"quadrature.{key}"]
-        try:
-            # one key at a time, so that a refusal names its own line
-            quadrature = replace(quadrature, **{key: value})
-        except ValueError as exc:
-            errors.append(f"line {line}: {exc}")
-        if key == "max_subdivisions" and value > MAX_SUBDIVISIONS:
-            errors.append(f"line {line}: max_subdivisions must be at most {MAX_SUBDIVISIONS}")
+    for key in ("relative_tolerance", "absolute_tolerance"):
+        value = _take_float(quad_section, key, errors, "quadrature")
+        if value is not None:
+            try:
+                # one key at a time, so that a refusal names its own line
+                quadrature = replace(quadrature, **{key: value})
+            except ValueError as exc:
+                errors.append(f"line {key_lines[f'quadrature.{key}']}: {exc}")
 
     output = None
     out_section = sections.get("output", {})
@@ -537,11 +521,10 @@ def _compare_rows(config: ScenarioConfig) -> list[tuple]:
 
 
 def _oscillator_rows(config: ScenarioConfig) -> list[tuple]:
-    params = CouplingParams(config.chi)
     gamma0 = OscillatorPair(config.field.mean_amplitude, config.beta0)
     rows = []
     for t in config.times:
-        g = pair_flow(gamma0, params, t)
+        g = pair_flow(gamma0, config.chi, t)
         energy = abs(g.alpha) ** 2 + abs(g.beta) ** 2
         rows.append((t, g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, energy))
     return rows

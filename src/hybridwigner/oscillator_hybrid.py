@@ -37,7 +37,6 @@ from .cartesian_wigner import (
 
 __all__ = [
     "OscillatorPair",
-    "CouplingParams",
     "pair_flow",
     "flow_matrix",
     "evolve_pair_wigner",
@@ -59,27 +58,16 @@ class OscillatorPair:
     beta: complex
 
 
-@dataclass(frozen=True)
-class CouplingParams:
-    """Coupling strength of the resonant pair (unit frequency ratio)."""
-
-    lam: float
-
-    @property
-    def swap_time(self) -> float:
-        """First time at which the two amplitudes exchange roles."""
-        return 0.5 * math.pi / self.lam
-
-
-def flow_matrix(params: CouplingParams, t: float) -> np.ndarray:
-    c = math.cos(params.lam * t)
-    s = math.sin(params.lam * t)
+def flow_matrix(lam: float, t: float) -> np.ndarray:
+    """U(t) of the pair at coupling strength lam (unit frequency ratio)."""
+    c = math.cos(lam * t)
+    s = math.sin(lam * t)
     return cmath.exp(-1j * t) * np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def pair_flow(gamma: OscillatorPair, params: CouplingParams, t: float) -> OscillatorPair:
+def pair_flow(gamma: OscillatorPair, lam: float, t: float) -> OscillatorPair:
     """Advance the amplitude pair by time t; |alpha|^2 + |beta|^2 is conserved."""
-    U = flow_matrix(params, t)
+    U = flow_matrix(lam, t)
     vec = U @ np.array([gamma.alpha, gamma.beta], dtype=complex)
     return OscillatorPair(complex(vec[0]), complex(vec[1]))
 
@@ -87,13 +75,13 @@ def pair_flow(gamma: OscillatorPair, params: CouplingParams, t: float) -> Oscill
 def evolve_pair_wigner(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
-    params: CouplingParams,
+    lam: float,
     t: float,
 ) -> Callable[[complex, complex], float]:
     """Joint density w(alpha, beta) at time t: the product initial density
     composed with the inverse flow."""
     # Python complex: a numpy scalar product costs about 2.5 times as much
-    u00, u01, u10, u11 = (complex(u) for u in flow_matrix(params, -t).ravel())
+    u00, u01, u10, u11 = (complex(u) for u in flow_matrix(lam, -t).ravel())
 
     def w(alpha: complex, beta: complex) -> float:
         a0 = u00 * alpha + u01 * beta
@@ -106,7 +94,7 @@ def evolve_pair_wigner(
 def _marginal(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
-    params: CouplingParams,
+    lam: float,
     t: float,
     keep_alpha: bool,
 ) -> PhaseSpaceFunction:
@@ -133,10 +121,10 @@ def _marginal(
             "other; integrate other pairs with marginal_quadrature"
         )
     # |U00| = |U11| = |cos lam t| and |U01| = |U10| = |sin lam t|
-    c, s = abs(math.cos(params.lam * t)), abs(math.sin(params.lam * t))
+    c, s = abs(math.cos(lam * t)), abs(math.sin(lam * t))
     if keep_alpha != (gauss is W_c):
         c, s = s, c
-    u_c, u_q = flow_matrix(params, t)[0 if keep_alpha else 1]
+    u_c, u_q = flow_matrix(lam, t)[0 if keep_alpha else 1]
     z0 = complex(u_c * W_c.decay_center + u_q * W_q.decay_center)
     n, sigma_o = (other.n, 1.0) if isinstance(other, FockWigner) else (0, other.decay_scale)
     c2 = (c * gauss.decay_scale) ** 2
@@ -165,31 +153,31 @@ def _marginal(
 def alpha_marginal(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
-    params: CouplingParams,
+    lam: float,
     t: float,
 ) -> PhaseSpaceFunction:
     """Distribution of the nominally classical amplitude at time t, in closed
     form for a Gaussian in one slot and a Gaussian or number state in the
     other.  Any other pair raises TypeError; ``marginal_quadrature`` takes it.
     """
-    return _marginal(W_c, W_q, params, t, True)
+    return _marginal(W_c, W_q, lam, t, True)
 
 
 def beta_marginal(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
-    params: CouplingParams,
+    lam: float,
     t: float,
 ) -> PhaseSpaceFunction:
     """Distribution of the nominally quantum amplitude at time t; covers the
     pairs ``alpha_marginal`` covers."""
-    return _marginal(W_c, W_q, params, t, False)
+    return _marginal(W_c, W_q, lam, t, False)
 
 
 def marginal_quadrature(
     W_c: PhaseSpaceFunction,
     W_q: PhaseSpaceFunction,
-    params: CouplingParams,
+    lam: float,
     t: float,
     keep_alpha: bool,
     spec: IntegrationSpec = DEFAULT_SPEC,
@@ -198,7 +186,7 @@ def marginal_quadrature(
     ``beta_marginal``, for any pair of plane states: each point integrates
     the joint density over the other plane.
     """
-    joint = evolve_pair_wigner(W_c, W_q, params, t)
+    joint = evolve_pair_wigner(W_c, W_q, lam, t)
     width = W_c.decay_scale + W_q.decay_scale + abs(W_c.decay_center) + abs(W_q.decay_center)
 
     def w(z: complex) -> float:
@@ -231,9 +219,7 @@ class NonquantumTransferReport:
         return self.report.nonquantum
 
 
-def nonclassical_transfer_check(
-    params: CouplingParams, spec: IntegrationSpec = DEFAULT_SPEC
-) -> NonclassicalTransferReport:
+def nonclassical_transfer_check(lam: float) -> NonclassicalTransferReport:
     """Start the classical slot in a unit Gaussian and the quantum slot in the
     first excited state; at the swap time the classical slot inherits its
     negativity.  The origin value of the alpha marginal is computed by honest
@@ -242,26 +228,22 @@ def nonclassical_transfer_check(
     """
     W_c = gaussian_wigner(0, 1.0)
     W_q = fock_wigner(1)
-    tau = params.swap_time
-    origin = marginal_quadrature(W_c, W_q, params, tau, True, spec).evaluate(0j)
-    marg = alpha_marginal(W_c, W_q, params, tau)
+    tau = 0.5 * math.pi / lam  # the swap time
+    origin = marginal_quadrature(W_c, W_q, lam, tau, True).evaluate(0j)
+    marg = alpha_marginal(W_c, W_q, lam, tau)
     grid = plane_grid(0j, 3.0, 21)
     report = nonclassical_check(marg, grid)
     return NonclassicalTransferReport(origin, report)
 
 
-def nonquantum_transfer_check(
-    sigma: float, params: CouplingParams, spec: IntegrationSpec = DEFAULT_SPEC
-) -> NonquantumTransferReport:
+def nonquantum_transfer_check(sigma: float, lam: float) -> NonquantumTransferReport:
     """Start the classical slot in a width-sigma Gaussian and the quantum slot
     in a unit one; at the swap time the quantum slot inherits the former, and
     for sigma < 1 its excited-state diagonal element goes negative.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     W_c = gaussian_wigner(0, sigma)
     W_q = gaussian_wigner(0, 1.0)
-    tau = params.swap_time
-    marg = beta_marginal(W_c, W_q, params, tau)
-    report = nonquantum_check(marg, max_n=1, axes=(0.0,), spec=spec)
+    tau = 0.5 * math.pi / lam  # the swap time
+    marg = beta_marginal(W_c, W_q, lam, tau)
+    report = nonquantum_check(marg, max_n=1, axes=(0.0,))
     return NonquantumTransferReport(dict(report.diag_elements)[1], report)

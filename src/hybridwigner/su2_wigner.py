@@ -21,12 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (
-    BlochPoint,
-    DEFAULT_SPEC,
-    IntegrationSpec,
-    integrate_sphere,
-)
+from .quadrature import BlochPoint, integrate_sphere
 
 __all__ = [
     "SQRT3",
@@ -237,13 +232,11 @@ def spin_wigner(state: SpinHalfState) -> Callable[[BlochPoint], float]:
     return w
 
 
-def wigner_to_spin(
-    W: Callable[[BlochPoint], float], spec: IntegrationSpec = DEFAULT_SPEC
-) -> SpinHalfState:
+def wigner_to_spin(W: Callable[[BlochPoint], float]) -> SpinHalfState:
     """Recover the Bloch vector: s_k = sqrt(3) * Integral[n_k W(Omega) dOmega]."""
     comps = []
     for axis in range(3):
-        res = integrate_sphere(lambda p, ax=axis: p.unit_vector[ax] * W(p), spec)
+        res = integrate_sphere(lambda p, ax=axis: p.unit_vector[ax] * W(p))
         comps.append(SQRT3 * res.value)
     return SpinHalfState(tuple(comps))
 
@@ -251,7 +244,6 @@ def wigner_to_spin(
 def su2_traciality(
     W_A: Callable[[BlochPoint], float],
     W_B: Callable[[BlochPoint], float],
-    spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> float:
     """tr(AB) of two spin-1/2 operators, computed as
     (4*pi / (2j+1)) * Integral[W_A W_B dOmega] = 2*pi * Integral[W_A W_B dOmega].
@@ -259,5 +251,5 @@ def su2_traciality(
     Products are evaluated as W_A * W_B, which is commutative in floating
     point, so swapping the arguments returns the identical value.
     """
-    res = integrate_sphere(lambda p: W_A(p) * W_B(p), spec)
+    res = integrate_sphere(lambda p: W_A(p) * W_B(p))
     return FOUR_PI / 2 * res.value

@@ -11,6 +11,7 @@ xfail(strict=True) so a change in behaviour is flagged either way.
 import pytest
 
 from hybridwigner.acceptance import CRITERIA
+from hybridwigner.hybrid_model import SIGMA_MINUS_SCALE
 
 _EXPECTED_FAILURES = {3}
 
@@ -39,3 +40,10 @@ def test_criterion_3_measured_values_are_stable():
     assert rows["r0=10: full negative-part integral"] == pytest.approx(-0.0758, abs=0.001)
     assert rows["r0=sqrt(10): window integral"] == pytest.approx(-0.0376, abs=0.001)
     assert abs(rows["r0=10: full-line normalization minus 1"]) < 1e-9
+
+
+def test_criterion_4_scale_is_sigma_minus_scale():
+    """The coherence scale criterion 4 reports is the constant the model names."""
+    result = [fn for n, _, fn in CRITERIA if n == 4][0]()
+    rows = {c.label: c.measured for c in result.checks}
+    assert abs(rows["coherence scale constant"] - SIGMA_MINUS_SCALE) < 1e-12

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 
 from hybridwigner.quadrature import IntegrationSpec, integrate_interval, integrate_plane
 from hybridwigner.cartesian_wigner import (
+    PhaseSpaceFunction,
     fock_diag_element,
     fock_wigner,
     gaussian_wigner,
@@ -152,8 +154,22 @@ class TestWitnesses:
         assert not nonclassical_check(fock_wigner(0), grid).nonclassical
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must not be empty"):
             nonclassical_check(fock_wigner(1), [])
+
+    def test_density_nan_everywhere_names_first_point(self):
+        grid = plane_grid(0j, 1.0, 3)
+        nowhere = PhaseSpaceFunction(lambda z: math.nan, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"density is nan at {grid[0]!r}")):
+            nonclassical_check(nowhere, grid)
+
+    def test_density_nan_at_one_point_is_not_skipped(self):
+        grid = plane_grid(0j, 1.0, 3)
+        bad = grid[5]
+        negative = fock_wigner(1)
+        W = PhaseSpaceFunction(lambda z: math.nan if z == bad else negative.evaluate(z), 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"density is nan at {bad!r}")):
+            nonclassical_check(W, grid)
 
 
 def test_plane_grid_shape_and_order():

@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 
 import hybridwigner.cli as cli_module
+import hybridwigner.hybrid_model as hybrid_model
 from hybridwigner.cli import (
     MAX_RANGE_STEPS,
-    MAX_SUBDIVISIONS,
     ConfigError,
     NumericError,
     ResultTable,
@@ -212,15 +212,18 @@ sigma = 1.0
         errors = exc_info.value.errors
         assert any(e.startswith(f"line {line}:") and "chi t != 0" in e for e in errors)
 
-    def test_radial_cutoff_key_rejected(self):
-        # no scenario reads it: quad-dist takes only the tolerances and max_subdivisions
-        text = MINIMAL + "\n[quadrature]\nradial_cutoff_sigmas = 12\n"
-        line = text.splitlines().index("radial_cutoff_sigmas = 12") + 1
+    @pytest.mark.parametrize(
+        "key, value",
+        [("radial_cutoff_sigmas", "12"), ("max_subdivisions", "8")],
+        ids=["radial_cutoff_sigmas", "max_subdivisions"],
+    )
+    def test_radial_cutoff_key_rejected(self, key, value):
+        # no scenario reads them: quad-dist takes only the two tolerances
+        text = MINIMAL + f"\n[quadrature]\n{key} = {value}\n"
+        line = text.splitlines().index(f"{key} = {value}") + 1
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
-        assert exc_info.value.errors == [
-            f"line {line}: unknown key 'radial_cutoff_sigmas' in [quadrature]"
-        ]
+        assert exc_info.value.errors == [f"line {line}: unknown key {key!r} in [quadrature]"]
 
     @pytest.mark.parametrize("key", ["beta0_re", "beta0_im"])
     @pytest.mark.parametrize(
@@ -244,26 +247,24 @@ sigma = 1.0
         assert error.startswith(f"line {line}: scenario {name} takes no {key}")
 
     def test_quadrature_overrides(self):
-        text = MINIMAL + "\n[quadrature]\nrelative_tolerance = 1e-8\nmax_subdivisions = 1024\n"
+        text = MINIMAL + "\n[quadrature]\nrelative_tolerance = 1e-8\n"
         config = parse_config(text)
         assert config.quadrature.relative_tolerance == 1e-8
-        assert config.quadrature.max_subdivisions == 1024
+        assert config.quadrature.absolute_tolerance == 1e-12
 
     @pytest.mark.parametrize(
         "keys, errors",
         [
             ("relative_tolerance = -1", ["relative_tolerance must be positive and finite"]),
-            ("max_subdivisions = 0", ["max_subdivisions must be at least 1"]),
             (
-                "relative_tolerance = 0\nabsolute_tolerance = -1e-12\nmax_subdivisions = 65537",
+                "relative_tolerance = 0\nabsolute_tolerance = -1e-12",
                 [
                     "relative_tolerance must be positive and finite",
                     "absolute_tolerance must be positive and finite",
-                    f"max_subdivisions must be at most {MAX_SUBDIVISIONS}",
                 ],
             ),
         ],
-        ids=["rel", "maxsub-zero", "each-on-its-line"],
+        ids=["rel", "each-on-its-line"],
     )
     def test_quadrature_errors_name_line(self, keys, errors):
         text = MINIMAL + f"\n[quadrature]\n{keys}\n"
@@ -272,16 +273,6 @@ sigma = 1.0
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
         assert exc_info.value.errors == [f"line {first + k}: {e}" for k, e in enumerate(errors)]
-
-    def test_max_subdivisions_capped(self):
-        def config(n):
-            return MINIMAL + f"\n[quadrature]\nmax_subdivisions = {n}\n"
-
-        line = len(config(0).splitlines())
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config(config(MAX_SUBDIVISIONS + 1))
-        assert exc_info.value.errors == [f"line {line}: max_subdivisions must be at most {MAX_SUBDIVISIONS}"]
-        assert parse_config(config(MAX_SUBDIVISIONS)).quadrature.max_subdivisions == MAX_SUBDIVISIONS
 
     @pytest.mark.parametrize(
         "text, errors",
@@ -640,12 +631,22 @@ sigma = 1.0
         assert "produced inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, abscissa", [("quad-dist", "y")])
-    def test_convergence_failure_names_time_and_abscissa(self, tmp_path, capsys, name, abscissa):
+    def test_convergence_failure_names_time_and_abscissa(
+        self, tmp_path, capsys, monkeypatch, name, abscissa
+    ):
+        # a real engine failure on a budget of one subdivision; at the default
+        # budget the same failure takes seconds
+        integrate = hybrid_model.integrate_interval
+        monkeypatch.setattr(
+            hybrid_model,
+            "integrate_interval",
+            lambda f, a, b, spec: integrate(f, a, b, replace(spec, max_subdivisions=1)),
+        )
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
             f"[scenario]\nname = {name}\nchi = 1.0\ntimes = 0.5\n\n[atom]\nkind = phase\n\n"
             "[field]\nkind = gaussian\nr0 = 1.0\nsigma = 1.0\n\n"
-            "[quadrature]\nmax_subdivisions = 1\nrelative_tolerance = 1e-14\n"
+            "[quadrature]\nrelative_tolerance = 1e-14\n"
         )
         out = tmp_path / "out.csv"
         assert main(["run", str(cfg), "--output", str(out)]) == 3

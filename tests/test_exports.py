@@ -22,3 +22,10 @@ def test_every_exported_name_resolves(name):
 def test_package_exports_the_marginal_cross_check():
     assert "marginal_quadrature" in hybridwigner.__all__
     assert "PairDistribution" not in hybridwigner.__all__
+
+
+def test_coupling_is_a_plain_float():
+    import hybridwigner.oscillator_hybrid as oscillator_hybrid
+
+    assert "CouplingParams" not in hybridwigner.__all__
+    assert not hasattr(oscillator_hybrid, "CouplingParams")

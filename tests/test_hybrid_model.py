@@ -85,6 +85,46 @@ class TestFieldStates:
         with pytest.raises(ValueError):
             HybridState(GROUND, DeltaAmplitude(1.0), 1.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("sigma", lambda: GaussianAmplitude(1.0, math.nan)),
+            ("sigma", lambda: GaussianAmplitude(1.0, math.inf)),
+            ("r0", lambda: GaussianAmplitude(math.inf, 1.0)),
+            ("r0", lambda: GaussianAmplitude(math.nan, 1.0)),
+            ("r0", lambda: DeltaAmplitude(math.nan)),
+            ("r0", lambda: DeltaAmplitude(math.inf)),
+            ("phi0", lambda: DeltaAmplitude(1.0, phi0=math.nan)),
+            ("phi0", lambda: DeltaAmplitude(1.0, phi0=-math.inf)),
+            ("t", lambda: HybridState(GROUND, DeltaAmplitude(1.0), 1.0, math.nan)),
+            ("t", lambda: HybridState(GROUND, DeltaAmplitude(1.0), 1.0, math.inf)),
+            ("chi", lambda: HybridState(GROUND, DeltaAmplitude(1.0), math.nan, 1.0)),
+            ("chi", lambda: HybridState(GROUND, DeltaAmplitude(1.0), -math.inf, 1.0)),
+            ("sigma", lambda: gaussian_wigner(0, math.nan)),
+            ("sigma", lambda: gaussian_wigner(0, math.inf)),
+        ],
+        ids=[
+            "gaussian-sigma-nan",
+            "gaussian-sigma-inf",
+            "gaussian-r0-inf",
+            "gaussian-r0-nan",
+            "delta-r0-nan",
+            "delta-r0-inf",
+            "delta-phi0-nan",
+            "delta-phi0-inf",
+            "state-t-nan",
+            "state-t-inf",
+            "state-chi-nan",
+            "state-chi-inf",
+            "wigner-sigma-nan",
+            "wigner-sigma-inf",
+        ],
+    )
+    def test_non_finite_values_refused(self, field, build):
+        # NaN passes every ordered comparison, so each bound also tests finiteness
+        with pytest.raises(ValueError, match=rf"^{field} must be .*finite$"):
+            build()
+
 
 class TestJointWigner:
     def test_t0_is_product(self):
