@@ -38,8 +38,8 @@ from .hybrid_model import (
     atomic_pfunction,
     closed_moments,
     moment_correlation,
+    phase_densities_gaussian,
     phase_distribution_delta,
-    phase_distribution_gaussian,
     quadrature_distribution,
     semiclassical_moments,
 )
@@ -437,22 +437,30 @@ def _triples(values) -> list[float]:
     return [x for z in values for x in (z.real, z.imag, abs(z))]
 
 
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` equispaced x from lo to hi."""
+    step = (hi - lo) / (points - 1)
+    # pin the last point so accumulated rounding cannot push it off-support
+    return [lo + k * step for k in range(points - 1)] + [hi]
+
+
 def _law_rows(config: ScenarioConfig, law: Callable[[float], PhaseDistribution], points: int) -> list[tuple]:
     """(t, x, density(x)) on ``points`` equispaced x across each law(chi t)'s support."""
     rows = []
     for t in config.times:
         dist = law(config.chi * t)
-        lo, hi = dist.support
-        step = (hi - lo) / (points - 1)
-        # pin the last point so accumulated rounding cannot push it off-support
-        rows += [(t, x, dist.evaluate(x)) for x in [lo + k * step for k in range(points - 1)] + [hi]]
+        rows += [(t, x, dist.evaluate(x)) for x in _grid(*dist.support, points)]
     return rows
 
 
 def _phase_dist_rows(config: ScenarioConfig) -> list[tuple]:
     if isinstance(config.field, DeltaAmplitude):
         return _law_rows(config, lambda chi_t: phase_distribution_delta(config.atom, chi_t), 101)
-    return _law_rows(config, lambda chi_t: phase_distribution_gaussian(config.atom, config.field, chi_t), 201)
+    # the Gaussian law is 2pi-periodic: every time shares one phi grid on [-pi, pi]
+    phis = _grid(-math.pi, math.pi, 201)
+    chi_ts = [config.chi * t for t in config.times]
+    densities = phase_densities_gaussian(config.atom, config.field, chi_ts, phis)
+    return [(t, phi, p) for t, row in zip(config.times, densities) for phi, p in zip(phis, row)]
 
 
 def _pfunction_rows(config: ScenarioConfig) -> list[tuple]:

@@ -56,6 +56,7 @@ __all__ = [
     "atom_marginal",
     "phase_distribution_delta",
     "phase_distribution_gaussian",
+    "phase_densities_gaussian",
     "phase_moments",
     "quadrature_distribution",
     "closed_moments",
@@ -82,6 +83,12 @@ SIGMA_MINUS_SCALE = 0.5
 # marginal and the quadrature route).  The number of points grows like
 # r0 / sigma; a narrower field is refused instead of aliased.
 MAX_FIELD_AZIMUTH_POINTS = 1 << 20
+
+# Harmonics of the Gaussian phase law's series held in one block of its time
+# grid: the times of a block share one _spherical_bessel call and one set of
+# cos and sin rows.  At fig3's 256 harmonics a block takes 64 times, and its
+# working set stays near a megabyte whatever the number of times.
+_BLOCK_HARMONICS = 2**14
 
 
 class AnalyticPathRequiredError(ValueError):
@@ -304,8 +311,9 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
 
     The atomic azimuth integrates away in closed form (only the
     cos(theta)-weighted part of the spin distribution survives), and the
-    polar angle through ``_ramp_series`` of the initial profile on the
-    point's circle, sampled on ``field.azimuth_points(r)`` points.
+    polar angle through the ramp series (``_sum_series``) of the initial
+    profile on the point's circle, sampled on ``field.azimuth_points(r)``
+    points.
     """
     field = state.field
     if isinstance(field, DeltaAmplitude):
@@ -322,9 +330,9 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
         r, phi_f = _polar_of(alpha)
         n = field.azimuth_points(r)
         if n not in grids:
-            grids[n] = (_field_profile(field, n), _ramp_weights(n, kappa, sz))
+            grids[n] = (_field_profile(field, n), _ramp_weights(n, (kappa,), sz))
         profile, weights = grids[n]
-        return _ramp_series(profile(r), *weights)(phi_f)
+        return _sum_series(_ramp_series(_cosine_modes(profile(r)), *weights), (phi_f,))[0][0]
 
     return PhaseSpaceFunction(w, decay_scale=field.r0 + field.sigma, decay_center=0j)
 
@@ -386,16 +394,48 @@ def phase_distribution_gaussian(
 
     The radial coordinate is integrated in closed form
     (``GaussianAmplitude.angular_density``) and the polar angle of the spin
-    by ``_ramp_series``, from the closed form sampled once on
-    ``field.phase_points`` points; the cost does not depend on chi t.
+    by the ramp series of that profile, sampled once on ``field.phase_points``
+    points; the cost does not depend on chi t.  Each ``evaluate`` is the
+    one-time, one-point case of ``phase_densities_gaussian``.
     chi t < 0 mirrors the density: p(phi; -chi t) = p(-phi; chi t).
     """
+    (series,) = next(_phase_law_blocks(atom, field, (chi_t,)))
+
+    def density(phi: float) -> float:
+        return _sum_series((series,), (phi,))[0][0]
+
+    return PhaseDistribution(density, (-math.pi, math.pi))
+
+
+def phase_densities_gaussian(
+    atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float], phis: Sequence[float]
+) -> list[list[float]]:
+    """``phase_distribution_gaussian(atom, field, chi_t).evaluate(phi)`` for
+    every chi t (one list each) and phi, bit for bit.
+
+    The profile's modes are taken once for all the times, the ramp weights
+    once per block of ``_BLOCK_HARMONICS`` harmonics, and the cos and sin
+    rows once per phi and block; each (time, phi) then costs two 1-D dot
+    products.
+    """
+    values = []
+    for block in _phase_law_blocks(atom, field, chi_ts):
+        values += _sum_series(block, phis)
+    return values
+
+
+def _phase_law_blocks(atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float]):
+    """Ramp series of the Gaussian phase law at each chi t, yielded in blocks
+    of at most ``_BLOCK_HARMONICS`` harmonics (one time at least)."""
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
     n = field.phase_points
     samples = [field.angular_density(psi) for psi in (np.arange(n) * (TWO_PI / n)).tolist()]
-    density = _ramp_series(np.array(samples), *_ramp_weights(n, SQRT3 * chi_t, atom.s[2]))
-    return PhaseDistribution(density, (-math.pi, math.pi))
+    g = _cosine_modes(np.array(samples))
+    kappas = [SQRT3 * chi_t for chi_t in chi_ts]
+    step = max(1, _BLOCK_HARMONICS // (n // 2))
+    for start in range(0, len(kappas), step):
+        yield _ramp_series(g, *_ramp_weights(n, kappas[start : start + step], atom.s[2]))
 
 
 def quadrature_distribution(
@@ -421,13 +461,15 @@ def quadrature_distribution(
     s2 = field.sigma * field.sigma
     pref = 1.0 / math.sqrt(2.0 * math.pi * s2)
     r0 = field.r0
+    # bound once: the integrand runs millions of times per table
+    c, sin, exp = SQRT3 * sz, math.sin, math.exp
 
     def density(y: float) -> float:
         y = mirror * y
 
         def integrand(u: float) -> float:
-            d = y + r0 * math.sin(kappa * u)
-            return (1.0 + SQRT3 * sz * u) * math.exp(-2.0 * d * d / s2)
+            d = y + r0 * sin(kappa * u)
+            return (1.0 + c * u) * exp(-2.0 * d * d / s2)
 
         centers: list[float] = []
         widths: list[float] = []
@@ -569,34 +611,49 @@ def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
     return bessel
 
 
-def _ramp_weights(n: int, kappa: float, sz: float) -> tuple[np.ndarray, np.ndarray]:
+def _ramp_weights(n: int, kappas: Sequence[float], sz: float) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of w_m = j0(m kappa) - i sqrt(3) s_z j1(m kappa),
-    m = 0 ... n/2: the average of exp(-i m kappa u) over the ramp weight
+    m = 0 ... n/2, one row per kappa, from one ``_spherical_bessel`` call:
+    the average of exp(-i m kappa u) over the ramp weight
     (1 + sqrt(3) s_z u) / 2 of u = cos(theta) in [-1, 1]."""
     # m kappa past the float range is inf, where j0 and j1 take the limit 0
     with np.errstate(over="ignore"):
-        phases = np.arange(n // 2 + 1) * kappa
-    j0, j1 = _spherical_bessel(2, phases)
+        phases = np.multiply.outer(kappas, np.arange(n // 2 + 1))
+    j0, j1 = _spherical_bessel(2, phases.ravel()).reshape(2, *phases.shape)
     return j0, -SQRT3 * sz * j1
 
 
-def _ramp_series(samples: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> Callable[[float], float]:
-    """phi -> Integral[du (1 + sqrt(3) s_z u) / 2 * g(phi - kappa u), u = -1..1]
-    for an even 2pi-periodic g sampled on n points 2 pi k / n, with
-    ``(w_re, w_im) = _ramp_weights(n, kappa, s_z)``.
+def _cosine_modes(samples: np.ndarray) -> np.ndarray:
+    """Modes g_m, m = 0 ... n/2, of an even 2pi-periodic g sampled on the n
+    points 2 pi k / n (real, since g is even)."""
+    return np.fft.rfft(samples).real / len(samples)
 
-    Its m-th Fourier mode is b_m = g_m w_m (g_m is real since g is even),
-    summed as two 1-D dot products in a fixed order.
+
+def _ramp_series(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> list[tuple]:
+    """Fourier series (b0, b_re, b_im) of
+    phi -> Integral[du (1 + sqrt(3) s_z u) / 2 * g(phi - kappa u), u = -1..1]
+    for each row of ``(w_re, w_im) = _ramp_weights(n, kappas, s_z)``, from the
+    modes ``g = _cosine_modes(...)``: its m-th mode is b_m = g_m w_m."""
+    b_re, b_im = g[1:] * w_re[:, 1:], g[1:] * w_im[:, 1:]
+    return [(float(g[0] * re0), re, im) for re0, re, im in zip(w_re[:, 0], b_re, b_im)]
+
+
+def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[float]]:
+    """b0 + 2 sum_m (b_re[m] cos(m phi) - b_im[m] sin(m phi)), m = 1 ... n/2,
+    for each series (b0, b_re, b_im) (one list each) at each phi.
+
+    The cos and sin rows of a phi are formed once and shared by every series;
+    each value is two 1-D dot products in a fixed order, never a 2-D BLAS
+    block, and the working memory is O(n) per phi.
     """
-    g = np.fft.rfft(samples).real / len(samples)
-    b0, b_re, b_im = float(g[0] * w_re[0]), g[1:] * w_re[1:], g[1:] * w_im[1:]
-    m = np.arange(1, len(g))
-
-    def value(phi: float) -> float:
+    m = np.arange(1, len(series[0][1]) + 1)
+    values: list[list[float]] = [[] for _ in series]
+    for phi in phis:
         mphi = m * phi
-        return b0 + 2.0 * float(np.dot(b_re, np.cos(mphi)) - np.dot(b_im, np.sin(mphi)))
-
-    return value
+        c, s = np.cos(mphi), np.sin(mphi)
+        for out, (b0, b_re, b_im) in zip(values, series):
+            out.append(b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s)))
+    return values
 
 
 def closed_moments(

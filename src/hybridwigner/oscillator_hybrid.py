@@ -219,6 +219,13 @@ class NonquantumTransferReport:
         return self.report.nonquantum
 
 
+def _swap_time(lam: float) -> float:
+    """pi / (2 lam), the time at which the two slots have traded states."""
+    if lam == 0.0 or not math.isfinite(lam):
+        raise ValueError("lam must be nonzero and finite")
+    return 0.5 * math.pi / lam
+
+
 def nonclassical_transfer_check(lam: float) -> NonclassicalTransferReport:
     """Start the classical slot in a unit Gaussian and the quantum slot in the
     first excited state; at the swap time the classical slot inherits its
@@ -226,9 +233,9 @@ def nonclassical_transfer_check(lam: float) -> NonclassicalTransferReport:
     plane quadrature (``marginal_quadrature``), the grid sweep uses the closed
     marginal.
     """
+    tau = _swap_time(lam)
     W_c = gaussian_wigner(0, 1.0)
     W_q = fock_wigner(1)
-    tau = 0.5 * math.pi / lam  # the swap time
     origin = marginal_quadrature(W_c, W_q, lam, tau, True).evaluate(0j)
     marg = alpha_marginal(W_c, W_q, lam, tau)
     grid = plane_grid(0j, 3.0, 21)
@@ -241,9 +248,9 @@ def nonquantum_transfer_check(sigma: float, lam: float) -> NonquantumTransferRep
     in a unit one; at the swap time the quantum slot inherits the former, and
     for sigma < 1 its excited-state diagonal element goes negative.
     """
+    tau = _swap_time(lam)
     W_c = gaussian_wigner(0, sigma)
     W_q = gaussian_wigner(0, 1.0)
-    tau = 0.5 * math.pi / lam  # the swap time
     marg = beta_marginal(W_c, W_q, lam, tau)
     report = nonquantum_check(marg, max_n=1, axes=(0.0,))
     return NonquantumTransferReport(dict(report.diag_elements)[1], report)

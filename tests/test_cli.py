@@ -392,7 +392,7 @@ sigma = 1.0
         assert any(c.startswith("sc_") for c in table.columns)
         assert any(c.startswith("mf_") for c in table.columns)
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4", "fig5"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_one_bessel_call_per_run(self, name, monkeypatch):
         from importlib import resources
 

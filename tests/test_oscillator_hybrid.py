@@ -228,3 +228,10 @@ class TestTransfers:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             nonquantum_transfer_check(0.0, LAM)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_lam_validation(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            nonclassical_transfer_check(lam)
+        with pytest.raises(ValueError, match="lam"):
+            nonquantum_transfer_check(0.5, lam)

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hybridwigner import hybrid_model
 from hybridwigner.cli import (
     ConfigError,
     NumericError,
     ResultTable,
+    _grid,
     parse_config,
     render_csv,
     run_scenario,
@@ -25,6 +27,7 @@ from hybridwigner.hybrid_model import (
     expectation_quadrature,
     field_marginal,
     moment_correlation,
+    phase_densities_gaussian,
     phase_distribution_gaussian,
 )
 from hybridwigner.su2_wigner import SQRT3, SpinHalfState
@@ -283,6 +286,29 @@ def test_phase_law_normalized(sz, field, chi_t):
     n = field.phase_points
     total = math.fsum(dist.evaluate(-math.pi + k * (2.0 * math.pi / n)) for k in range(n))
     assert abs(total * (2.0 * math.pi / n) - 1.0) <= 1e-12
+
+
+_CHI_TS = st.lists(
+    st.one_of(st.just(0.0), st.floats(-20.0, -1e-3), _CHI_T, st.floats(1e3, 1e300)),
+    min_size=1,
+    max_size=7,
+)
+
+
+@FEW
+@given(_SZ, st.floats(0.0, 50.0), st.floats(0.05, 2.0), _CHI_TS, st.integers(1, 3))
+def test_phase_densities_equal_pointwise_law(sz, ratio, sigma, chi_ts, per_block):
+    # blocks of per_block times, so that most draws span several blocks
+    atom, field = _z_atom(sz), GaussianAmplitude(ratio * sigma, sigma)
+    phis = _grid(-math.pi, math.pi, 201)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hybrid_model, "_BLOCK_HARMONICS", per_block * (field.phase_points // 2))
+        grid = phase_densities_gaussian(atom, field, chi_ts, phis)
+    pointwise = []
+    for chi_t in chi_ts:
+        dist = phase_distribution_gaussian(atom, field, chi_t)
+        pointwise.append([dist.evaluate(phi) for phi in phis])
+    assert grid == pointwise
 
 
 @pytest.mark.parametrize("r0, sigma", [(10.0, 1.0), (1.0, 1e-3), (10.0, 0.01)])
