@@ -10,12 +10,6 @@ __version__ = "0.1.0"
 
 from . import cartesian_wigner, hybrid_model, oscillator_hybrid
 from . import quadrature, quantum_reference, su2_wigner
-from .quadrature import *
-from .su2_wigner import *
-from .cartesian_wigner import *
-from .hybrid_model import *
-from .quantum_reference import *
-from .oscillator_hybrid import *
 
 # Each physics module's __all__ is the one list of its public names; the
 # package re-exports them all (cli and acceptance stay behind their modules).
@@ -23,3 +17,17 @@ _MODULES = (
     quadrature, su2_wigner, cartesian_wigner, hybrid_model, quantum_reference, oscillator_hybrid
 )
 __all__ = [name for module in _MODULES for name in module.__all__]
+# The Pauli matrices are numpy arrays that su2_wigner builds on first access,
+# so they are forwarded on access too: importing the package loads no numpy.
+globals().update(
+    (name, getattr(module, name))
+    for module in _MODULES
+    for name in module.__all__
+    if name not in su2_wigner._PAULI_NAMES
+)
+
+
+def __getattr__(name: str):
+    if name in su2_wigner._PAULI_NAMES:
+        return getattr(su2_wigner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

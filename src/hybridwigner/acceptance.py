@@ -16,8 +16,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .quadrature import BlochPoint, IntegrationSpec, integrate_interval
 from .su2_wigner import (
     SQRT3,
@@ -77,6 +75,8 @@ def _report(label: str, measured: float) -> CheckRow:
 
 def criterion_1() -> CriterionResult:
     """Sharp-field phase law: closed form, negativity range, support edges."""
+    import numpy as np
+
     checks = []
     ground = SpinHalfState.ground()
     for chi_t in (0.5, 1.0, 2.0):
@@ -145,6 +145,8 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Superposition-atom sharp-field moments against the closed displays."""
+    import numpy as np
+
     phase = SpinHalfState.phase_state()
     r0 = 1.0
     worst_adag = 0.0
@@ -214,6 +216,8 @@ def criterion_6() -> CriterionResult:
     (With a sharp field the superposition product term only decays as 1/t,
     so the t^2 envelope is taken on the Gaussian configuration.)
     """
+    import numpy as np
+
     ground = SpinHalfState.ground()
     phase = SpinHalfState.phase_state()
     ts = np.linspace(5.0, 50.0, 181).tolist()
@@ -244,6 +248,8 @@ def criterion_7() -> CriterionResult:
     period, so the periodicity check resolves the sign: each moment must
     return to +/- itself after pi/chi and exactly to itself after 2 pi/chi.
     """
+    import numpy as np
+
     alpha, chi = 1.0, 1.0
     c = 1.0 / math.sqrt(2.0)
     worst_closed = 0.0
@@ -290,6 +296,8 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Sphere representation: kernel closed form, round trip, trace rule."""
+    import numpy as np
+
     worst_kernel = 0.0
     for theta in np.linspace(0.005, math.pi - 0.005, 20):
         for phi in np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False):
@@ -333,6 +341,8 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Diagonal amplitude-expansion weight matches the phase law and rebuilds
     the field moments."""
+    import numpy as np
+
     checks = []
     for atom, label in (
         (SpinHalfState.ground(), "ground"),

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .quadrature import (
     DEFAULT_SPEC,
     RADIAL_CUTOFF_SIGMAS,
@@ -203,6 +201,8 @@ def nonquantum_check(
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
+    import numpy as np
+
     diags = tuple((n, fock_diag_element(W, n)) for n in range(max_n + 1))
     minima = []
     for angle in axes:
@@ -242,6 +242,8 @@ def plane_grid(center: complex, half_width: float, points_per_axis: int) -> list
     """Deterministic square grid of complex sample points, row-major order."""
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be at least 1")
+    import numpy as np
+
     axis = np.linspace(-half_width, half_width, points_per_axis)
     center = complex(center)
     return [center + complex(x, y) for y in axis for x in axis]

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .quadrature import (
     BlochPoint,
     DEFAULT_SPEC,
@@ -256,6 +254,10 @@ def flow_map(
     """
     if r < 0.0:
         raise ValueError("r must be non-negative")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     return (
         r,
         phi_field + SQRT3 * chi * t * math.cos(theta),
@@ -363,6 +365,8 @@ def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribu
     on the population imbalance s_z, and chi t < 0 mirrors it in phi.  For
     the ground state it dips negative on the outer part of the support.
     """
+    if not math.isfinite(chi_t):
+        raise ValueError(f"chi_t must be finite, got {chi_t!r}")
     if chi_t == 0.0:
         return PhaseDistribution(None, (0.0, 0.0))
     kappa = SQRT3 * abs(chi_t)
@@ -399,6 +403,8 @@ def phase_distribution_gaussian(
     one-time, one-point case of ``phase_densities_gaussian``.
     chi t < 0 mirrors the density: p(phi; -chi t) = p(-phi; chi t).
     """
+    if not math.isfinite(chi_t):
+        raise ValueError(f"chi_t must be finite, got {chi_t!r}")
     (series,) = next(_phase_law_blocks(atom, field, (chi_t,)))
 
     def density(phi: float) -> float:
@@ -418,6 +424,8 @@ def phase_densities_gaussian(
     rows once per phi and block; each (time, phi) then costs two 1-D dot
     products.
     """
+    if not all(map(math.isfinite, chi_ts)):
+        raise ValueError("chi_ts must be finite")
     values = []
     for block in _phase_law_blocks(atom, field, chi_ts):
         values += _sum_series(block, phis)
@@ -429,6 +437,8 @@ def _phase_law_blocks(atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Seq
     of at most ``_BLOCK_HARMONICS`` harmonics (one time at least)."""
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
+    import numpy as np
+
     n = field.phase_points
     samples = [field.angular_density(psi) for psi in (np.arange(n) * (TWO_PI / n)).tolist()]
     g = _cosine_modes(np.array(samples))
@@ -455,6 +465,8 @@ def quadrature_distribution(
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
+    if not math.isfinite(chi_t):
+        raise ValueError(f"chi_t must be finite, got {chi_t!r}")
     sz = atom.s[2]
     kappa = SQRT3 * abs(chi_t)
     mirror = -1.0 if chi_t < 0.0 else 1.0
@@ -570,6 +582,8 @@ def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
     2/7 in size, so 13 terms leave a tail below 1e-19 relative and the sum
     does not cancel.
     """
+    import numpy as np
+
     half_x2 = 0.5 * x * x
     total = np.ones_like(x)
     for k in range(13, 0, -1):
@@ -586,6 +600,8 @@ def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
     forms cancel, it is ``_bessel_series``.  Each branch sees only its own
     points, so neither divides by a tiny x.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     # below the normal range j0, j1, j2 round to 1, 0, 0
@@ -616,6 +632,8 @@ def _ramp_weights(n: int, kappas: Sequence[float], sz: float) -> tuple[np.ndarra
     m = 0 ... n/2, one row per kappa, from one ``_spherical_bessel`` call:
     the average of exp(-i m kappa u) over the ramp weight
     (1 + sqrt(3) s_z u) / 2 of u = cos(theta) in [-1, 1]."""
+    import numpy as np
+
     # m kappa past the float range is inf, where j0 and j1 take the limit 0
     with np.errstate(over="ignore"):
         phases = np.multiply.outer(kappas, np.arange(n // 2 + 1))
@@ -626,6 +644,8 @@ def _ramp_weights(n: int, kappas: Sequence[float], sz: float) -> tuple[np.ndarra
 def _cosine_modes(samples: np.ndarray) -> np.ndarray:
     """Modes g_m, m = 0 ... n/2, of an even 2pi-periodic g sampled on the n
     points 2 pi k / n (real, since g is even)."""
+    import numpy as np
+
     return np.fft.rfft(samples).real / len(samples)
 
 
@@ -646,6 +666,8 @@ def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[flo
     each value is two 1-D dot products in a fixed order, never a 2-D BLAS
     block, and the working memory is O(n) per phi.
     """
+    import numpy as np
+
     m = np.arange(1, len(series[0][1]) + 1)
     values: list[list[float]] = [[] for _ in series]
     for phi in phis:
@@ -666,8 +688,10 @@ def closed_moments(
     for the whole time grid in one call.  The field sector enters through
     ``_field_factors``.
     """
-    if any(t < 0.0 for t in times):
-        raise ValueError("t must be non-negative")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi!r}")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("times must be finite and non-negative")
     kappas = [SQRT3 * chi * t for t in times]
     bessel = _spherical_bessel(3, kappas)
     sx, sy, sz = atom.s
@@ -709,6 +733,8 @@ def _atom_azimuthal(s: tuple[float, float, float], m: int) -> Callable[[float], 
     W_atom is linear in (1, cos phi, sin phi), so the trapezoid is formed from
     the three grid sums of exp(-i m phi) against them, taken once.
     """
+    import numpy as np
+
     sx, sy, sz = s
     n = 32
     grid = np.arange(n) * (TWO_PI / n)
@@ -728,6 +754,8 @@ def _atom_azimuthal(s: tuple[float, float, float], m: int) -> Callable[[float], 
 
 def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.ndarray]:
     """r -> polar_density(r, psi_k) on the n points psi_k = 2 pi k / n."""
+    import numpy as np
+
     s2 = field.sigma * field.sigma
     half_sin2 = np.sin(0.5 * (np.arange(n) * (TWO_PI / n))) ** 2
 
@@ -741,6 +769,8 @@ def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.nda
 
 
 def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
+    import numpy as np
+
     profile = _field_profile(field, n)
     phase = np.exp(-1j * m * (np.arange(n) * (TWO_PI / n)))
 
@@ -850,6 +880,10 @@ def semiclassical_moments(
     their initial values; atomic coherences still dephase through the field's
     intensity spread (or rotate rigidly in the mean-field variant).
     """
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi!r}")
+    if not all(map(math.isfinite, times)):
+        raise ValueError("times must be finite")
     sx, sy, sz = atom.s
     coherence = 0.5 * complex(sx, -sy)
     mean_alpha = field.mean_amplitude

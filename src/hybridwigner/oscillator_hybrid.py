@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .quadrature import DEFAULT_SPEC, RADIAL_CUTOFF_SIGMAS, IntegrationSpec, integrate_plane
 from .cartesian_wigner import (
     FockWigner,
@@ -60,6 +58,12 @@ class OscillatorPair:
 
 def flow_matrix(lam: float, t: float) -> np.ndarray:
     """U(t) of the pair at coupling strength lam (unit frequency ratio)."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    import numpy as np
+
     c = math.cos(lam * t)
     s = math.sin(lam * t)
     return cmath.exp(-1j * t) * np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
@@ -67,6 +71,8 @@ def flow_matrix(lam: float, t: float) -> np.ndarray:
 
 def pair_flow(gamma: OscillatorPair, lam: float, t: float) -> OscillatorPair:
     """Advance the amplitude pair by time t; |alpha|^2 + |beta|^2 is conserved."""
+    import numpy as np
+
     U = flow_matrix(lam, t)
     vec = U @ np.array([gamma.alpha, gamma.beta], dtype=complex)
     return OscillatorPair(complex(vec[0]), complex(vec[1]))

@@ -155,6 +155,10 @@ def integrate_interval(
     Raises ConvergenceError when the subdivision budget runs out before the
     tolerance is met; the exception carries the best estimate.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"integration limit a must be finite, got {a!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"integration limit b must be finite, got {b!r}")
     if not a <= b:
         raise ValueError(f"integration limits must satisfy a <= b, got [{a}, {b}]")
     if a == b:
@@ -304,8 +308,8 @@ def integrate_plane(
     The integrand must decay at least Gaussian-fast with scale ``width`` away
     from ``center``.
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    if not (width > 0.0) or not math.isfinite(width):
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     center = complex(center)
 
     def ring(rho: float, azimuthal) -> Scalar:

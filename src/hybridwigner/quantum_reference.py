@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .hybrid_model import ObservableSymbol
 
 __all__ = [
@@ -61,6 +59,8 @@ def default_truncation(alpha: complex) -> int:
 def _checked_block(amps: np.ndarray) -> np.ndarray:
     """``amps`` after the shape check and, at every time, the tail and norm
     checks."""
+    import numpy as np
+
     if amps.ndim != 3 or amps.shape[1] != 2:
         raise ValueError("amplitudes must have shape (T, 2, N+1)")
     tail = np.sum(np.abs(amps[:, :, -1]) ** 2, axis=-1)
@@ -90,6 +90,8 @@ class AtomFieldVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         amps = _checked_block(np.array(self.amplitudes, dtype=complex))
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -100,10 +102,14 @@ class AtomFieldVector:
 
     def norm(self) -> np.ndarray:
         """Norm of the state at each time."""
+        import numpy as np
+
         return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2)))
 
 
 def _coherent_column(alpha: complex, N: int) -> np.ndarray:
+    import numpy as np
+
     ns = np.arange(N + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, N + 1)))))
     if alpha == 0:
@@ -128,6 +134,8 @@ def _evolve(
     c_e: complex, c_g: complex, coherent: np.ndarray, chi: float, times: Sequence[float]
 ) -> np.ndarray:
     """Unchecked T x 2 x (N+1) amplitudes at ``times``, formed in place."""
+    import numpy as np
+
     ns = np.arange(len(coherent))
     # each time's phase rate is the scalar product -1j chi t (or 1j chi t), as
     # in the expression for one state
@@ -168,6 +176,8 @@ def evolve_quantum(
 def _block_moments(amps: np.ndarray, root: np.ndarray) -> list[dict[ObservableSymbol, complex]]:
     """Every ObservableSymbol at each time of a T x 2 x (N+1) block; each
     moment is a sum along the last axis, one state at a time."""
+    import numpy as np
+
     up, low = amps[:, 0], amps[:, 1]
 
     def total(x: np.ndarray) -> np.ndarray:
@@ -214,6 +224,8 @@ def quantum_moments(
     the working set does not grow with the grid.
     """
     N = _checked_truncation(c_e, c_g, alpha, N)
+    import numpy as np
+
     coherent = _coherent_column(alpha, N)
     root = np.sqrt(np.arange(1, N + 1))
     step = max(1, _BLOCK_AMPLITUDES // (N + 1))

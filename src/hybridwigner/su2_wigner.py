@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from .quadrature import BlochPoint, integrate_sphere
 
 __all__ = [
@@ -41,9 +39,29 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 FOUR_PI = 4.0 * math.pi
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULI_NAMES = ("PAULI_X", "PAULI_Y", "PAULI_Z")
+
+
+@lru_cache(maxsize=None)
+def _pauli() -> tuple:
+    """(PAULI_X, PAULI_Y, PAULI_Z), built once on first use."""
+    import numpy as np
+
+    return (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+
+
+def __getattr__(name: str):
+    # PEP 562: the Pauli matrices are numpy arrays, so they are module
+    # attributes built on first access and importing the module loads no
+    # numpy.  The name is checked first: the import system probes names such
+    # as __path__ through this hook.
+    if name in _PAULI_NAMES:
+        return _pauli()[_PAULI_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _doubled(x: float, name: str) -> int:
@@ -155,6 +173,8 @@ def su2_kernel(j: float, point: BlochPoint) -> np.ndarray:
     dj = _doubled(j, "j")
     if dj <= 0 or dj > 4:
         raise ValueError(f"kernel implemented for j in {{1/2, 1, 3/2, 2}}, got {j}")
+    import numpy as np
+
     dim = dj + 1
     out = np.zeros((dim, dim), dtype=complex)
     jj = dj / 2.0
@@ -176,8 +196,11 @@ def su2_kernel(j: float, point: BlochPoint) -> np.ndarray:
 
 def spin_half_kernel(point: BlochPoint) -> np.ndarray:
     """Closed form of the j = 1/2 kernel: (1 + sqrt(3) n.sigma) / (4*pi)."""
+    import numpy as np
+
     nx, ny, nz = point.unit_vector
-    return (np.eye(2, dtype=complex) + SQRT3 * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)) / FOUR_PI
+    px, py, pz = _pauli()
+    return (np.eye(2, dtype=complex) + SQRT3 * (nx * px + ny * py + nz * pz)) / FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -217,8 +240,11 @@ class SpinHalfState:
         return cls((2.0 * cross.real, 2.0 * cross.imag, abs(c_e) ** 2 - abs(c_g) ** 2))
 
     def density_matrix(self) -> np.ndarray:
+        import numpy as np
+
         sx, sy, sz = self.s
-        return 0.5 * (np.eye(2, dtype=complex) + sx * PAULI_X + sy * PAULI_Y + sz * PAULI_Z)
+        px, py, pz = _pauli()
+        return 0.5 * (np.eye(2, dtype=complex) + sx * px + sy * py + sz * pz)
 
 
 def spin_wigner(state: SpinHalfState) -> Callable[[BlochPoint], float]:

@@ -1,14 +1,61 @@
-"""Every exported name resolves, in the package and in each of its modules."""
+"""Every exported name resolves, in the package and in each of its modules;
+importing and parsing load no numpy; the entry points refuse non-finite
+numbers by name."""
 
 import importlib
+import math
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import hybridwigner
+from hybridwigner import (
+    DeltaAmplitude,
+    GaussianAmplitude,
+    SpinHalfState,
+    closed_moments,
+    flow_map,
+    flow_matrix,
+    integrate_interval,
+    integrate_plane,
+    phase_densities_gaussian,
+    phase_distribution_delta,
+    phase_distribution_gaussian,
+    quadrature_distribution,
+    semiclassical_moments,
+)
 
 MODULES = ["hybridwigner"] + [
     f"hybridwigner.{info.name}" for info in pkgutil.iter_modules(hybridwigner.__path__)
+]
+
+# The package's exports, in order, as they stood before numpy was imported on
+# first use; the lazy Pauli matrices keep their places.
+EXPORTS = [
+    "IntegrationSpec", "IntegrationResult", "ConvergenceError", "BlochPoint", "DEFAULT_SPEC",
+    "RADIAL_CUTOFF_SIGMAS", "integrate_interval", "integrate_sphere", "integrate_plane",
+    "SQRT3", "PAULI_X", "PAULI_Y", "PAULI_Z", "SpinHalfState", "clebsch_gordan",
+    "spherical_harmonic", "su2_kernel", "spin_half_kernel", "spin_wigner", "wigner_to_spin",
+    "su2_traciality", "NEGATIVITY_THRESHOLD", "PhaseSpaceFunction", "GaussianWigner",
+    "FockWigner", "MarginalDistribution", "NonquantumReport", "NonclassicalReport",
+    "gaussian_wigner", "fock_wigner", "overlap_trace", "quadrature_marginal",
+    "fock_diag_element", "nonquantum_check", "nonclassical_check", "plane_grid",
+    "SIGMA_MINUS_SCALE", "AnalyticPathRequiredError", "DeltaAmplitude", "GaussianAmplitude",
+    "FieldState", "HybridState", "PhaseDistribution", "ObservableSymbol", "flow_map",
+    "joint_wigner", "field_marginal", "atom_marginal", "phase_distribution_delta",
+    "phase_distribution_gaussian", "phase_densities_gaussian", "phase_moments",
+    "quadrature_distribution", "closed_moments", "expectation_quadrature",
+    "moment_correlation", "semiclassical_standard", "semiclassical_moments",
+    "atomic_pfunction", "TruncationError", "AtomFieldVector", "default_truncation",
+    "evolve_quantum", "quantum_moments", "coherent_overlap", "OscillatorPair", "pair_flow",
+    "flow_matrix", "evolve_pair_wigner", "alpha_marginal", "beta_marginal",
+    "marginal_quadrature", "NonclassicalTransferReport", "NonquantumTransferReport",
+    "nonclassical_transfer_check", "nonquantum_transfer_check",
 ]
 
 
@@ -29,3 +76,92 @@ def test_coupling_is_a_plain_float():
 
     assert "CouplingParams" not in hybridwigner.__all__
     assert not hasattr(oscillator_hybrid, "CouplingParams")
+
+
+def test_exports_and_lazy_pauli_matrices():
+    import numpy as np
+
+    from hybridwigner import su2_wigner
+
+    assert hybridwigner.__all__ == EXPORTS
+    literals = {
+        "PAULI_X": [[0.0, 1.0], [1.0, 0.0]],
+        "PAULI_Y": [[0.0, -1.0j], [1.0j, 0.0]],
+        "PAULI_Z": [[1.0, 0.0], [0.0, -1.0]],
+    }
+    for name, literal in literals.items():
+        matrix = getattr(hybridwigner, name)
+        assert matrix is getattr(su2_wigner, name)
+        assert matrix.dtype == np.complex128
+        assert np.array_equal(matrix, np.array(literal, dtype=complex))
+    with pytest.raises(AttributeError, match="PAULI_W"):
+        su2_wigner.PAULI_W
+
+
+def test_import_and_parsing_load_no_numpy(tmp_path):
+    # The CLI validates and refuses configs before any numerical call.
+    text = (Path(hybridwigner.__file__).parent / "configs" / "fig1.cfg").read_text()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text + "bogus = 2\n", encoding="utf-8")
+    line = len(text.splitlines()) + 1
+    script = textwrap.dedent(
+        """
+        import sys
+        from importlib import resources
+
+        import hybridwigner.cli, hybridwigner.acceptance
+        from hybridwigner.cli import main, parse_config
+
+        for name in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+            parse_config((resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text())
+        assert "numpy" not in sys.modules, "numpy loaded by import or parse_config"
+        assert main(["run", sys.argv[1]]) == 1
+        assert "numpy" not in sys.modules, "numpy loaded by a refused run"
+        """
+    )
+    src = str(Path(hybridwigner.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(bad)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"config error: line {line}: unknown key 'bogus' in [field]\n"
+
+
+GROUND = SpinHalfState.ground()
+DELTA = DeltaAmplitude(1.0)
+GAUSS = GaussianAmplitude(1.0, 1.0)
+
+# (entry point, name of the float parameter, call with that parameter set to x)
+NONFINITE_ENTRIES = [
+    ("integrate_interval", "a", lambda x: integrate_interval(math.sin, x, 1.0)),
+    ("integrate_interval", "b", lambda x: integrate_interval(math.sin, 0.0, x)),
+    ("integrate_plane", "width", lambda x: integrate_plane(abs, 0j, x)),
+    ("closed_moments", "chi", lambda x: closed_moments(GROUND, DELTA, x, [1.0])),
+    ("closed_moments", "times", lambda x: closed_moments(GROUND, GAUSS, 1.0, [0.5, x])),
+    ("semiclassical_moments", "chi", lambda x: semiclassical_moments(GROUND, GAUSS, x, [1.0])),
+    ("semiclassical_moments", "times", lambda x: semiclassical_moments(GROUND, DELTA, 1.0, [x])),
+    ("phase_distribution_delta", "chi_t", lambda x: phase_distribution_delta(GROUND, x)),
+    ("phase_distribution_gaussian", "chi_t", lambda x: phase_distribution_gaussian(GROUND, GAUSS, x)),
+    (
+        "phase_densities_gaussian",
+        "chi_ts",
+        lambda x: phase_densities_gaussian(GROUND, GAUSS, [1.0, x], [0.0]),
+    ),
+    ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
+    ("flow_matrix", "lam", lambda x: flow_matrix(x, 1.0)),
+    ("flow_matrix", "t", lambda x: flow_matrix(1.0, x)),
+    ("flow_map", "chi", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, x, 1.0)),
+    ("flow_map", "t", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, 1.0, x)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "entry, param, call",
+    NONFINITE_ENTRIES,
+    ids=[f"{entry}-{param}" for entry, param, _ in NONFINITE_ENTRIES],
+)
+def test_entry_points_refuse_nonfinite_by_name(entry, param, call, value):
+    with pytest.raises(ValueError, match=rf"\b{param} must be .*finite"):
+        call(value)
