@@ -388,8 +388,8 @@ def _quad_dist_limits(field, chi, times, t, beta0):
         if spread > MAX_PHASE_SPREAD:
             limit = f"sqrt(3) |chi| t = {spread:.6g} exceeds {MAX_PHASE_SPREAD:.6g}"
             caps.append(("scenario.times", f": phase spread {limit}"))
-        if field.sigma * field.sigma == 0.0:
-            caps.append(("field.sigma", ": field too narrow: sigma^2 = 0"))
+        # the series of |y| <= r0 takes the phase law's field-azimuth grid
+        caps += _phase_dist_limits(field, chi, times, t, beta0)[0]
     return caps, {}
 
 

@@ -68,7 +68,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Largest phase spread sqrt(3) |chi t| of a Gaussian-field quadrature law: a
-# density point brackets one spike per 2 pi wrap, so its cost grows linearly.
+# tail point |y| > r0 integrates one bump per 2 pi wrap, so its cost grows linearly.
 MAX_PHASE_SPREAD = 200.0 * math.pi
 
 # Ratio between the phase-space average of the lowering-operator symbol and
@@ -78,8 +78,8 @@ MAX_PHASE_SPREAD = 200.0 * math.pi
 SIGMA_MINUS_SCALE = 0.5
 
 # Largest field-azimuth grid of a Gaussian field (the phase law, the field
-# marginal and the quadrature route).  The number of points grows like
-# r0 / sigma; a narrower field is refused instead of aliased.
+# marginal, the quadrature law and the quadrature route).  The number of
+# points grows like r0 / sigma; a narrower field is refused instead of aliased.
 MAX_FIELD_AZIMUTH_POINTS = 1 << 20
 
 # Harmonics of the Gaussian phase law's series held in one block of its time
@@ -295,19 +295,6 @@ def joint_wigner(state: HybridState) -> Callable[[BlochPoint, complex], float]:
     return w
 
 
-def _spike_segments(
-    lo: float, hi: float, centers: list[float], widths: list[float]
-) -> list[tuple[float, float]]:
-    """Split [lo, hi] so each narrow feature straddles panel boundaries."""
-    points = {lo, hi}
-    for c, w in zip(centers, widths):
-        for p in (c - 8.0 * w, c, c + 8.0 * w):
-            if lo < p < hi:
-                points.add(p)
-    ordered = sorted(points)
-    return list(zip(ordered[:-1], ordered[1:]))
-
-
 def field_marginal(state: HybridState) -> PhaseSpaceFunction:
     """Field distribution after tracing out the atom.
 
@@ -462,42 +449,45 @@ def quadrature_distribution(
     i.e. the x-integral of the evolved field distribution carried out in
     closed form (a rigid rotation keeps the Gaussian isotropic).  chi t < 0
     mirrors the density: p(y; -chi t) = p(-y; chi t).
+
+    For |y| <= r0 the u-integral is the ramp series at psi = pi / 2 (since
+    cos(kappa u - pi / 2) = sin(kappa u)) of h_y(psi) = exp(-2 (y + r0 cos psi)^2
+    / sigma^2) on ``field.phase_points`` points; for |y| > r0 it is one
+    adaptive integral over u in [-1, 1].
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
     if not math.isfinite(chi_t):
         raise ValueError(f"chi_t must be finite, got {chi_t!r}")
+    import numpy as np
+
     sz = atom.s[2]
     kappa = SQRT3 * abs(chi_t)
     mirror = -1.0 if chi_t < 0.0 else 1.0
     s2 = field.sigma * field.sigma
     pref = 1.0 / math.sqrt(2.0 * math.pi * s2)
     r0 = field.r0
-    # bound once: the integrand runs millions of times per table
+    n = field.phase_points
+    r0_cos = r0 * np.cos(np.arange(n) * (TWO_PI / n))
+    weights = _ramp_weights(n, (kappa,), sz)
+    m_half_pi = np.arange(1, n // 2 + 1) * (0.5 * math.pi)
+    rows = np.cos(m_half_pi), np.sin(m_half_pi)
+    # bound once: the integrand runs thousands of times per table
     c, sin, exp = SQRT3 * sz, math.sin, math.exp
 
     def density(y: float) -> float:
         y = mirror * y
+        if abs(y) <= r0:
+            d = y + r0_cos
+            (series,) = _ramp_series(_cosine_modes(np.exp(-2.0 * d * d / s2)), *weights)
+            return 2.0 * pref * _series_value(series, *rows)
 
         def integrand(u: float) -> float:
             d = y + r0 * sin(kappa * u)
             return (1.0 + c * u) * exp(-2.0 * d * d / s2)
 
-        centers: list[float] = []
-        widths: list[float] = []
-        if kappa != 0.0 and r0 != 0.0 and abs(y) <= r0:
-            base = math.asin(-y / r0)
-            for root in (base, math.pi - base):
-                n_lo = math.ceil((-kappa - root) / TWO_PI)
-                n_hi = math.floor((kappa - root) / TWO_PI)
-                for n in range(n_lo, n_hi + 1):
-                    u_star = (root + TWO_PI * n) / kappa
-                    if -1.0 <= u_star <= 1.0:
-                        slope = abs(r0 * kappa * math.cos(kappa * u_star))
-                        centers.append(u_star)
-                        widths.append(min(0.5, field.sigma / (2.0 * slope + 1e-12)))
-        segs = _spike_segments(-1.0, 1.0, centers, widths)
-        return pref * math.fsum(integrate_interval(integrand, a, b, spec).value for a, b in segs)
+        # fsum maps a -0.0 integral to 0.0, the bits the recorded tail references hold
+        return pref * math.fsum([integrate_interval(integrand, -1.0, 1.0, spec).value])
 
     return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
 
@@ -658,13 +648,21 @@ def _ramp_series(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> list[tupl
     return [(float(g[0] * re0), re, im) for re0, re, im in zip(w_re[:, 0], b_re, b_im)]
 
 
-def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[float]]:
-    """b0 + 2 sum_m (b_re[m] cos(m phi) - b_im[m] sin(m phi)), m = 1 ... n/2,
-    for each series (b0, b_re, b_im) (one list each) at each phi.
+def _series_value(series: tuple, c: np.ndarray, s: np.ndarray) -> float:
+    """b0 + 2 sum_m (b_re[m] c[m] - b_im[m] s[m]) of one series (b0, b_re, b_im),
+    with c and s the rows cos(m phi) and sin(m phi), m = 1 ... n/2: two 1-D
+    dot products in a fixed order, never a 2-D BLAS block."""
+    import numpy as np
 
-    The cos and sin rows of a phi are formed once and shared by every series;
-    each value is two 1-D dot products in a fixed order, never a 2-D BLAS
-    block, and the working memory is O(n) per phi.
+    b0, b_re, b_im = series
+    return b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s))
+
+
+def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[float]]:
+    """``_series_value`` of each series (one list each) at each phi.
+
+    The cos and sin rows of a phi are formed once and shared by every series,
+    so the working memory is O(n) per phi.
     """
     import numpy as np
 
@@ -673,8 +671,8 @@ def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[flo
     for phi in phis:
         mphi = m * phi
         c, s = np.cos(mphi), np.sin(mphi)
-        for out, (b0, b_re, b_im) in zip(values, series):
-            out.append(b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s)))
+        for out, terms in zip(values, series):
+            out.append(_series_value(terms, c, s))
     return values
 
 

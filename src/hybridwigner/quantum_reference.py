@@ -63,15 +63,16 @@ def _checked_block(amps: np.ndarray) -> np.ndarray:
 
     if amps.ndim != 3 or amps.shape[1] != 2:
         raise ValueError("amplitudes must have shape (T, 2, N+1)")
+    # NaN compares False, so each bound is written as not (x < bound)
     tail = np.sum(np.abs(amps[:, :, -1]) ** 2, axis=-1)
-    if np.any(tail >= _TAIL_BOUND):
+    if np.any(~(tail < _TAIL_BOUND)):
         raise TruncationError(
             f"truncation tail {np.max(tail):.3e} exceeds {_TAIL_BOUND:.0e}; increase N"
         )
     norm = np.abs(amps.reshape(len(amps), -1))
     norm **= 2
     norm = np.sum(norm, axis=-1)
-    off = np.abs(norm - 1.0) > 1e-12
+    off = ~(np.abs(norm - 1.0) <= 1e-12)
     if np.any(off):
         raise ValueError(f"state must be normalized, got norm^2 = {norm[off][0]}")
     return amps
@@ -124,7 +125,13 @@ def _coherent_column(alpha: complex, N: int) -> np.ndarray:
     return col / np.linalg.norm(col)
 
 
-def _checked_truncation(c_e: complex, c_g: complex, alpha: complex, N: int | None) -> int:
+def _checked_truncation(
+    c_e: complex, c_g: complex, alpha: complex, chi: float, times: Sequence[float], N: int | None
+) -> int:
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi!r}")
+    if not all(map(math.isfinite, times)):
+        raise ValueError("times must be finite")
     if abs(abs(c_e) ** 2 + abs(c_g) ** 2 - 1.0) > 1e-12:
         raise ValueError("atomic amplitudes must be normalized")
     return default_truncation(alpha) if N is None else N
@@ -169,7 +176,7 @@ def evolve_quantum(
     2 len(times) (N+1) amplitudes at once; ``quantum_moments`` evolves a
     long grid in bounded blocks instead.
     """
-    N = _checked_truncation(c_e, c_g, alpha, N)
+    N = _checked_truncation(c_e, c_g, alpha, chi, times, N)
     return AtomFieldVector(_evolve(c_e, c_g, _coherent_column(alpha, N), chi, times))
 
 
@@ -223,7 +230,7 @@ def quantum_moments(
     most ``_BLOCK_AMPLITUDES`` amplitudes per level (one time at least), so
     the working set does not grow with the grid.
     """
-    N = _checked_truncation(c_e, c_g, alpha, N)
+    N = _checked_truncation(c_e, c_g, alpha, chi, times, N)
     import numpy as np
 
     coherent = _coherent_column(alpha, N)

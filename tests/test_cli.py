@@ -153,11 +153,12 @@ bogus = 3
         assert any(e.startswith("line 5:") and "phase spread" in e for e in exc_info.value.errors)
         assert parse_config(config(limit * (1.0 - 1e-9))).chi == chi
 
-    def test_gaussian_phase_dist_width_capped(self):
+    @pytest.mark.parametrize("name", ["phase-dist", "quad-dist"])
+    def test_gaussian_width_capped(self, name):
         # r0 / sigma = 1e5 needs 2^21 field-azimuth points; 3e4 needs 2^20
         def config(sigma):
             return (
-                MINIMAL.replace("name = moments", "name = phase-dist")
+                MINIMAL.replace("name = moments", f"name = {name}")
                 .replace("kind = delta\nr0 = 1.0", f"kind = gaussian\nr0 = 1.0\nsigma = {sigma}")
             )
 
@@ -301,7 +302,8 @@ sigma = 1.0
                 [
                     "line 4: scenario quad-dist: phase spread sqrt(3) |chi| t = 1732.05"
                     " exceeds 628.319",
-                    "line 13: scenario quad-dist: field too narrow: sigma^2 = 0",
+                    "line 13: scenario quad-dist: field too narrow: sigma = 1e-200 at r0 = 1.0"
+                    " needs more than 1048576 azimuth points",
                     "line 5: scenario quad-dist takes no beta0_im (the second amplitude of oscillators)",
                 ],
             ),
@@ -686,6 +688,8 @@ sigma = 1.0
             # sigma^2 underflows to 0
             ("phase-dist", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "sigma"),
             ("quad-dist", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "sigma"),
+            # r0 / sigma = 1e5 needs more field-azimuth points than the cap
+            ("quad-dist", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-5", "", "sigma"),
             # the oscillator energy |alpha|^2 + |beta|^2 overflows
             ("oscillators", "1.0", "0.5", "kind = delta\nr0 = 1e200", "", "r0"),
             ("oscillators", "1.0", "0.5", "kind = delta\nr0 = 1.0", "beta0_re = 1e200\n", "beta0_re"),
@@ -708,6 +712,7 @@ sigma = 1.0
             "oscillators-flow",
             "phase-dist-sigma",
             "quad-dist-sigma",
+            "quad-dist-narrow",
             "oscillators-r0",
             "oscillators-beta0",
         ],

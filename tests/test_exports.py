@@ -19,6 +19,7 @@ from hybridwigner import (
     GaussianAmplitude,
     SpinHalfState,
     closed_moments,
+    evolve_quantum,
     flow_map,
     flow_matrix,
     integrate_interval,
@@ -27,6 +28,7 @@ from hybridwigner import (
     phase_distribution_delta,
     phase_distribution_gaussian,
     quadrature_distribution,
+    quantum_moments,
     semiclassical_moments,
 )
 
@@ -151,6 +153,10 @@ NONFINITE_ENTRIES = [
     ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
     ("flow_matrix", "lam", lambda x: flow_matrix(x, 1.0)),
     ("flow_matrix", "t", lambda x: flow_matrix(1.0, x)),
+    ("quantum_moments", "chi", lambda x: quantum_moments(0.6, 0.8, 1.0, x, [1.0])),
+    ("quantum_moments", "times", lambda x: quantum_moments(0.6, 0.8, 1.0, 1.0, [0.5, x])),
+    ("evolve_quantum", "chi", lambda x: evolve_quantum(0.6, 0.8, 1.0, x, [1.0])),
+    ("evolve_quantum", "times", lambda x: evolve_quantum(0.6, 0.8, 1.0, 1.0, [x])),
     ("flow_map", "chi", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, x, 1.0)),
     ("flow_map", "t", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, 1.0, x)),
 ]

@@ -439,6 +439,23 @@ class TestQuadratureDistribution:
             for y in np.linspace(-3.0, 3.0, 9):
                 assert neg.evaluate(float(y)) == pos.evaluate(float(-y))
 
+    @pytest.mark.parametrize("sz, chi_t", [(-1.0, 6.045997880780726), (0.4, -2.5), (0.9, 0.0)])
+    def test_tails_are_one_adaptive_integral(self, sz, chi_t):
+        # |y| > r0 keeps the single adaptive u-integral over [-1, 1], bit for bit
+        field = GaussianAmplitude(3.0, 0.5)
+        s2 = field.sigma**2
+        kappa, c = SQRT3 * abs(chi_t), SQRT3 * sz
+        dist = quadrature_distribution(SpinHalfState((0.0, 0.0, sz)), field, chi_t, LOOSE)
+        for y in (-5.5, -3.2, 3.0000001, 4.0, 5.5):
+            z = -y if chi_t < 0.0 else y
+
+            def integrand(u):
+                d = z + field.r0 * math.sin(kappa * u)
+                return (1.0 + c * u) * math.exp(-2.0 * d * d / s2)
+
+            value = integrate_interval(integrand, -1.0, 1.0, LOOSE).value
+            assert dist.evaluate(y) == 1.0 / math.sqrt(2.0 * math.pi * s2) * value
+
     def test_full_line_normalization(self):
         dist = quadrature_distribution(GROUND, GaussianAmplitude(1.0, 1.0), 0.7, LOOSE)
         total = integrate_interval(dist.evaluate, -8.0, 8.0, IntegrationSpec(1e-7, 1e-9))

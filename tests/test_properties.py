@@ -29,6 +29,7 @@ from hybridwigner.hybrid_model import (
     moment_correlation,
     phase_densities_gaussian,
     phase_distribution_gaussian,
+    quadrature_distribution,
 )
 from hybridwigner.su2_wigner import SQRT3, SpinHalfState
 
@@ -220,12 +221,14 @@ def test_closed_route_matches_quadrature_route(atom, field, chi, t):
         assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
-def _ramp_reference(f, kappa, sz, offset=0.0):
+def _ramp_reference(f, kappa, sz, offset=0.0, peaks=()):
     """Integral[du (1 + sqrt(3) s_z u) / 2 * f(kappa u), u = -1..1] by scipy quad,
     one panel per quarter period of offset - kappa u, so every multiple of
     pi / 2 of that phase (where the profiles peak) is a panel edge.  The zero
     of the weight, u = -1 / (sqrt(3) s_z), is an edge too: a sign change
-    inside a panel leaves quad's roundoff check short of the tolerance."""
+    inside a panel leaves quad's roundoff check short of the tolerance.  So is
+    every u whose kappa u is one of ``peaks`` modulo 2 pi, for profiles that
+    peak elsewhere."""
     cuts = {-1.0, 1.0}
     if abs(SQRT3 * sz) > 1.0:
         cuts.add(-1.0 / (SQRT3 * sz))
@@ -236,6 +239,12 @@ def _ramp_reference(f, kappa, sz, offset=0.0):
             u = (offset - k * quarter) / kappa
             if -1.0 < u < 1.0:
                 cuts.add(u)
+        for v in peaks:
+            lo, hi = sorted((-kappa - v, kappa - v))
+            for k in range(math.ceil(lo / (2.0 * math.pi)), math.floor(hi / (2.0 * math.pi)) + 1):
+                u = (v + 2.0 * math.pi * k) / kappa
+                if -1.0 < u < 1.0:
+                    cuts.add(u)
     cuts = sorted(cuts)
 
     def integrand(u):
@@ -324,6 +333,43 @@ def test_phase_law_resolved_at_azimuth_points(r0, sigma, monkeypatch):
             fine = phase_distribution_gaussian(atom, field, chi_t)
         for phi in phis:
             assert abs(coarse.evaluate(phi) - fine.evaluate(phi)) < 1e-10
+
+
+def _quad_profile(y, r0, sigma):
+    """v -> exp(-2 (y + r0 sin v)^2 / sigma^2), the u-integrand of p(y) without
+    its ramp weight, and the v where it peaks (sin v = -y / r0, for |y| <= r0)."""
+    s2 = sigma * sigma
+    root = math.asin(-y / r0) if 0.0 < r0 and abs(y) <= r0 else 0.5 * math.pi
+    return (lambda v: math.exp(-2.0 * (y + r0 * math.sin(v)) ** 2 / s2)), (root, math.pi - root)
+
+
+@FEW
+@given(_SZ, _WIDE_FIELDS, st.floats(0.0, 40.0), st.floats(-1.0, 1.0))
+def test_quad_dist_core_matches_ramp_reference(sz, field, kappa, fraction):
+    # |y| <= r0 comes from the ramp series of the quadrature profile
+    y = fraction * field.r0
+    dist = quadrature_distribution(_z_atom(sz), field, kappa / SQRT3)
+    peak = 2.0 / math.sqrt(2.0 * math.pi * field.sigma**2)
+    profile, peaks = _quad_profile(y, field.r0, field.sigma)
+    ref = peak * _ramp_reference(profile, kappa, sz, peaks=peaks)
+    assert abs(dist.evaluate(y) - ref) <= 1e-10 * max(1.0, peak)
+
+
+@pytest.mark.parametrize("r0, sigma", [(1.0, 1.0), (10.0, 1.0), (30.0, 0.1), (300.0, 1.0), (1.0, 1e-3)])
+def test_quad_dist_core_resolved_at_phase_points(r0, sigma, monkeypatch):
+    # the series on field.phase_points points against the one on twice as many
+    field = GaussianAmplitude(r0, sigma)
+    atom = _z_atom(-1.0)
+    peak = 2.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+    ys = [r0 * k / 20.0 for k in range(-20, 21)]
+    for chi_t in (0.0, 1.0 / SQRT3, 10.47 / SQRT3, -3.3):
+        coarse = quadrature_distribution(atom, field, chi_t)
+        with monkeypatch.context() as patch:
+            points = GaussianAmplitude.azimuth_points
+            patch.setattr(GaussianAmplitude, "azimuth_points", lambda f, r: 2 * points(f, r))
+            fine = quadrature_distribution(atom, field, chi_t)
+        for y in ys:
+            assert abs(coarse.evaluate(y) - fine.evaluate(y)) <= 1e-14 * peak
 
 
 QUAD_DIST_TAIL = """

@@ -200,6 +200,15 @@ class TestGridRoute:
         fat_tail[1, 0, -1] = 1e-6
         with pytest.raises(TruncationError):
             AtomFieldVector(fat_tail)
+        # NaN fails every comparison, so both checks must refuse it
+        nan_tail = block.copy()
+        nan_tail[1, 1, -1] = math.nan
+        with pytest.raises(TruncationError):
+            AtomFieldVector(nan_tail)
+        nan_inside = block.copy()
+        nan_inside[2, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="normalized"):
+            AtomFieldVector(nan_inside)
 
     def test_working_set_bounded(self):
         # unblocked, this grid allocates about 213 MB at once
