@@ -17,17 +17,4 @@ _MODULES = (
     quadrature, su2_wigner, cartesian_wigner, hybrid_model, quantum_reference, oscillator_hybrid
 )
 __all__ = [name for module in _MODULES for name in module.__all__]
-# The Pauli matrices are numpy arrays that su2_wigner builds on first access,
-# so they are forwarded on access too: importing the package loads no numpy.
-globals().update(
-    (name, getattr(module, name))
-    for module in _MODULES
-    for name in module.__all__
-    if name not in su2_wigner._PAULI_NAMES
-)
-
-
-def __getattr__(name: str):
-    if name in su2_wigner._PAULI_NAMES:
-        return getattr(su2_wigner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+globals().update((name, getattr(module, name)) for module in _MODULES for name in module.__all__)

@@ -252,12 +252,12 @@ def flow_map(
     r and theta are conserved; the field phase shifts by sqrt(3) chi t
     cos(theta) and the atomic azimuth by 2 chi r^2 t.
     """
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
-    if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi!r}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    if not (r >= 0.0) or not math.isfinite(r):
+        raise ValueError(f"r must be non-negative and finite, got {r!r}")
+    named = (("phi_field", phi_field), ("theta", theta), ("phi_atom", phi_atom), ("chi", chi), ("t", t))
+    for name, x in named:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
     return (
         r,
         phi_field + SQRT3 * chi * t * math.cos(theta),
@@ -326,22 +326,17 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
     return PhaseSpaceFunction(w, decay_scale=field.r0 + field.sigma, decay_center=0j)
 
 
-def _rotated_atom(atom: SpinHalfState, factor: complex) -> SpinHalfState:
-    """Transverse Bloch components multiplied by the (|factor| <= 1) dephasing."""
-    sx, sy, sz = atom.s
-    trans = complex(sx, sy) * factor.conjugate()
-    return SpinHalfState((trans.real, trans.imag, sz))
-
-
 def atom_marginal(state: HybridState) -> Callable[[BlochPoint], float]:
     """Atomic distribution after tracing out the field.
 
-    The field azimuth integrates away exactly, leaving the transverse Bloch
-    components multiplied by the intensity-averaged phase factor; for a delta
-    field this is a rigid rotation of the azimuth by 2 chi r0^2 t.
+    The flow conserves the field intensity r^2, so back-reaction moves only
+    the field phase and the correlations: the atom sees each intensity as a
+    frozen field would, and its marginal is exactly the frozen-field model
+    ``semiclassical_standard``.  The transverse Bloch components are
+    multiplied by the intensity-averaged phase factor; for a delta field this
+    is a rigid rotation of the azimuth by 2 chi r0^2 t.
     """
-    _, factor, _ = _field_factors(state.field, state.chi, state.t)
-    return spin_wigner(_rotated_atom(state.atom, factor))
+    return semiclassical_standard(state.atom, state.field, state.chi, state.t)
 
 
 def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribution:
@@ -725,29 +720,19 @@ def _n_phi(x_max: float) -> int:
 
 
 def _atom_azimuthal(s: tuple[float, float, float], m: int) -> Callable[[float], complex]:
-    """32-point trapezoid of W_atom(theta(u), phi) exp(-i m phi) over one
-    period, as a function of u = cos(theta).
+    """Integral of W_atom(theta(u), phi) exp(-i m phi) over one period of phi,
+    as a function of u = cos(theta), for the atomic orders m = 0 and 1 of the
+    sector table.
 
-    W_atom is linear in (1, cos phi, sin phi), so the trapezoid is formed from
-    the three grid sums of exp(-i m phi) against them, taken once.
+    W_atom is linear in (1, cos phi, sin phi), so the integral is
+    (1 + sqrt(3) s_z u) / 2 at m = 0 and (sqrt(3) / 4) (s_x - i s_y) sqrt(1 - u^2)
+    at m = 1.
     """
-    import numpy as np
-
     sx, sy, sz = s
-    n = 32
-    grid = np.arange(n) * (TWO_PI / n)
-    phase = np.exp(-1j * m * grid)
-    weight = (TWO_PI / n) / (4.0 * math.pi)
-    s0 = complex(phase.sum()) * weight
-    s_cos = complex((np.cos(grid) * phase).sum())
-    s_sin = complex((np.sin(grid) * phase).sum())
-    sxy = SQRT3 * (sx * s_cos + sy * s_sin) * weight
-
-    def row(u: float) -> complex:
-        st = math.sqrt(max(0.0, 1.0 - u * u))
-        return (1.0 + SQRT3 * sz * u) * s0 + st * sxy
-
-    return row
+    if m == 0:
+        return lambda u: 0.5 * (1.0 + SQRT3 * sz * u)
+    coherence = 0.25 * SQRT3 * complex(sx, -sy)
+    return lambda u: coherence * math.sqrt(max(0.0, 1.0 - u * u))
 
 
 def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.ndarray]:
@@ -766,29 +751,22 @@ def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.nda
     return row
 
 
-def _field_azimuthal_table(field: GaussianAmplitude, m: int, n: int):
-    import numpy as np
-
-    profile = _field_profile(field, n)
-    phase = np.exp(-1j * m * (np.arange(n) * (TWO_PI / n)))
-
-    def row(r: float) -> complex:
-        return complex((profile(r) * phase).sum() * (TWO_PI / n))
-
-    return row
-
-
 def expectation_quadrature(
     state: HybridState, obs: ObservableSymbol, spec: IntegrationSpec = DEFAULT_SPEC
 ) -> complex:
     """Direct quadrature of the symbol against the transported joint density:
     the independent cross-check of ``closed_moments`` at the state's time.
 
-    Azimuthal integrals are fixed-order periodic trapezoids (spectrally exact
-    for these profiles); the remaining coordinates use adaptive panels.  The
-    radial integral of a Gaussian field does not depend on the polar angle,
-    so it is done once and multiplies the polar integrand.
+    The atomic azimuth is integrated in closed form (``_atom_azimuthal``).  A
+    Gaussian profile is even in the field azimuth psi, so its azimuthal
+    integral against exp(-i m_field psi) is the periodic trapezoid against
+    cos(m_field psi): one dot product with a real weight row on
+    ``field.azimuth_points`` points per radial node.  The remaining
+    coordinates use adaptive panels; the radial integral does not depend on
+    the polar angle, so it is done once and multiplies the polar integrand.
     """
+    import numpy as np
+
     s = state.atom.s
     chi, t, kappa = state.chi, state.t, state.kappa
     m_a, m_f, g_theta = obs.m_atom, obs.m_field, obs.polar
@@ -807,11 +785,14 @@ def expectation_quadrature(
         return const * integrate_interval(f, -1.0, 1.0, spec).value
 
     r_lo, r_hi = field.radial_bounds()
-    field_row = _field_azimuthal_table(field, m_f, field.azimuth_points(r_hi))
+    n = field.azimuth_points(r_hi)
+    profile = _field_profile(field, n)
+    weights = np.cos(m_f * (np.arange(n) * (TWO_PI / n))) * (TWO_PI / n)
 
     def radial(r: float) -> complex:
         h = r if m_f != 0 else 1.0
-        return r * h * field_row(r) * cmath.exp(-2j * m_a * chi * r * r * t)
+        azimuthal = float(np.dot(profile(r), weights))
+        return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
     inner = integrate_interval(radial, r_lo, r_hi, spec).value
 
@@ -861,8 +842,14 @@ def semiclassical_standard(
     intensity distribution; mean_field=True replaces it by a rigid rotation
     at the mean intensity.
     """
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     factor, _ = _frozen_field_factors(field, chi, t, mean_field)
-    return spin_wigner(_rotated_atom(atom, factor))
+    sx, sy, sz = atom.s
+    transverse = complex(sx, sy) * factor.conjugate()
+    return spin_wigner(SpinHalfState((transverse.real, transverse.imag, sz)))
 
 
 def semiclassical_moments(

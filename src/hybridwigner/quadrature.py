@@ -124,9 +124,14 @@ class BlochPoint:
         elif math.pi < theta <= math.pi + 1e-12:
             theta = math.pi
         if not 0.0 <= theta <= math.pi:
+            if not math.isfinite(theta):
+                raise ValueError(f"theta must be finite, got {self.theta!r}")
             raise ValueError(f"theta out of range [0, pi]: {self.theta}")
+        phi = float(self.phi) % TWO_PI
+        if phi != phi:  # inf and nan both reduce to nan
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def unit_vector(self) -> tuple[float, float, float]:

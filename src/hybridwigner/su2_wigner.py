@@ -23,9 +23,6 @@ from .quadrature import BlochPoint, integrate_sphere
 
 __all__ = [
     "SQRT3",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "SpinHalfState",
     "clebsch_gordan",
     "spherical_harmonic",
@@ -39,12 +36,10 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 FOUR_PI = 4.0 * math.pi
 
-_PAULI_NAMES = ("PAULI_X", "PAULI_Y", "PAULI_Z")
-
 
 @lru_cache(maxsize=None)
 def _pauli() -> tuple:
-    """(PAULI_X, PAULI_Y, PAULI_Z), built once on first use."""
+    """The Pauli matrices (sigma_x, sigma_y, sigma_z), built once on first use."""
     import numpy as np
 
     return (
@@ -52,16 +47,6 @@ def _pauli() -> tuple:
         np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     )
-
-
-def __getattr__(name: str):
-    # PEP 562: the Pauli matrices are numpy arrays, so they are module
-    # attributes built on first access and importing the module loads no
-    # numpy.  The name is checked first: the import system probes names such
-    # as __path__ through this hook.
-    if name in _PAULI_NAMES:
-        return _pauli()[_PAULI_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _doubled(x: float, name: str) -> int:

@@ -1,6 +1,6 @@
 """Every exported name resolves, in the package and in each of its modules;
-importing and parsing load no numpy; the entry points refuse non-finite
-numbers by name."""
+importing (a star import too) and parsing load no numpy; the entry points
+refuse non-finite numbers by name."""
 
 import importlib
 import math
@@ -15,6 +15,7 @@ import pytest
 
 import hybridwigner
 from hybridwigner import (
+    BlochPoint,
     DeltaAmplitude,
     GaussianAmplitude,
     SpinHalfState,
@@ -30,18 +31,18 @@ from hybridwigner import (
     quadrature_distribution,
     quantum_moments,
     semiclassical_moments,
+    semiclassical_standard,
 )
 
 MODULES = ["hybridwigner"] + [
     f"hybridwigner.{info.name}" for info in pkgutil.iter_modules(hybridwigner.__path__)
 ]
 
-# The package's exports, in order, as they stood before numpy was imported on
-# first use; the lazy Pauli matrices keep their places.
+# The package's exports, in order; the Pauli matrices are private to su2_wigner.
 EXPORTS = [
     "IntegrationSpec", "IntegrationResult", "ConvergenceError", "BlochPoint", "DEFAULT_SPEC",
     "RADIAL_CUTOFF_SIGMAS", "integrate_interval", "integrate_sphere", "integrate_plane",
-    "SQRT3", "PAULI_X", "PAULI_Y", "PAULI_Z", "SpinHalfState", "clebsch_gordan",
+    "SQRT3", "SpinHalfState", "clebsch_gordan",
     "spherical_harmonic", "su2_kernel", "spin_half_kernel", "spin_wigner", "wigner_to_spin",
     "su2_traciality", "NEGATIVITY_THRESHOLD", "PhaseSpaceFunction", "GaussianWigner",
     "FockWigner", "MarginalDistribution", "NonquantumReport", "NonclassicalReport",
@@ -86,18 +87,17 @@ def test_exports_and_lazy_pauli_matrices():
     from hybridwigner import su2_wigner
 
     assert hybridwigner.__all__ == EXPORTS
-    literals = {
-        "PAULI_X": [[0.0, 1.0], [1.0, 0.0]],
-        "PAULI_Y": [[0.0, -1.0j], [1.0j, 0.0]],
-        "PAULI_Z": [[1.0, 0.0], [0.0, -1.0]],
-    }
-    for name, literal in literals.items():
-        matrix = getattr(hybridwigner, name)
-        assert matrix is getattr(su2_wigner, name)
+    literals = (
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    )
+    assert su2_wigner._pauli() is su2_wigner._pauli()
+    for matrix, literal in zip(su2_wigner._pauli(), literals):
         assert matrix.dtype == np.complex128
         assert np.array_equal(matrix, np.array(literal, dtype=complex))
-    with pytest.raises(AttributeError, match="PAULI_W"):
-        su2_wigner.PAULI_W
+    with pytest.raises(AttributeError, match="PAULI_X"):
+        su2_wigner.PAULI_X
 
 
 def test_import_and_parsing_load_no_numpy(tmp_path):
@@ -111,6 +111,8 @@ def test_import_and_parsing_load_no_numpy(tmp_path):
         import sys
         from importlib import resources
 
+        from hybridwigner import *
+        assert "numpy" not in sys.modules, "numpy loaded by the star import"
         import hybridwigner.cli, hybridwigner.acceptance
         from hybridwigner.cli import main, parse_config
 
@@ -157,8 +159,16 @@ NONFINITE_ENTRIES = [
     ("quantum_moments", "times", lambda x: quantum_moments(0.6, 0.8, 1.0, 1.0, [0.5, x])),
     ("evolve_quantum", "chi", lambda x: evolve_quantum(0.6, 0.8, 1.0, x, [1.0])),
     ("evolve_quantum", "times", lambda x: evolve_quantum(0.6, 0.8, 1.0, 1.0, [x])),
+    ("flow_map", "r", lambda x: flow_map(x, 0.0, 1.0, 0.0, 1.0, 1.0)),
+    ("flow_map", "phi_field", lambda x: flow_map(1.0, x, 1.0, 0.0, 1.0, 1.0)),
+    ("flow_map", "theta", lambda x: flow_map(1.0, 0.0, x, 0.0, 1.0, 1.0)),
+    ("flow_map", "phi_atom", lambda x: flow_map(1.0, 0.0, 1.0, x, 1.0, 1.0)),
     ("flow_map", "chi", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, x, 1.0)),
     ("flow_map", "t", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, 1.0, x)),
+    ("semiclassical_standard", "chi", lambda x: semiclassical_standard(GROUND, GAUSS, x, 1.0)),
+    ("semiclassical_standard", "t", lambda x: semiclassical_standard(GROUND, DELTA, 1.0, x)),
+    ("BlochPoint", "theta", lambda x: BlochPoint(x, 0.0)),
+    ("BlochPoint", "phi", lambda x: BlochPoint(1.0, x)),
 ]
 
 

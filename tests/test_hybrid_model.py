@@ -235,6 +235,17 @@ class TestAtomMarginal:
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 2.0)
         assert abs(integrate_sphere(atom_marginal(state)).value - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("field", [DeltaAmplitude(1.5, 0.4), GaussianAmplitude(1.5, 0.8)])
+    def test_equals_frozen_field_model(self, field):
+        # r^2 is conserved, so back-reaction never reaches the atom's own marginal
+        atom = SpinHalfState((0.6, -0.3, 0.5))
+        am = atom_marginal(HybridState(atom, field, 0.7, 1.3))
+        frozen = semiclassical_standard(atom, field, 0.7, 1.3)
+        for theta in (0.0, 0.4, 1.5, 2.8, math.pi):
+            for phi in (0.0, 2.0, 5.0):
+                pt = BlochPoint(theta, phi)
+                assert am(pt) == frozen(pt)
+
 
 class TestDeltaPhaseLaw:
     def test_ground_closed_form(self):
@@ -534,12 +545,14 @@ def _nested_quadrature(state, obs, spec):
     field = state.field
     r_lo, r_hi = field.radial_bounds()
     n_phi = model._n_phi(4.0 * r_hi * field.r0 / (field.sigma * field.sigma))
-    field_row = model._field_azimuthal_table(field, m_f, n_phi)
+    profile = model._field_profile(field, n_phi)
+    weights = np.cos(m_f * (np.arange(n_phi) * (2.0 * math.pi / n_phi))) * (2.0 * math.pi / n_phi)
 
     def outer(u):
         def radial(r):
             h = r if m_f != 0 else 1.0
-            return r * h * field_row(r) * cmath.exp(-2j * m_a * chi * r * r * t)
+            azimuthal = float(np.dot(profile(r), weights))
+            return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
         inner = integrate_interval(radial, r_lo, r_hi, spec).value
         return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u) * inner
