@@ -1,9 +1,11 @@
-"""Exact two-level-atom + quantized-mode evolution in a truncated number basis.
+"""Fully quantum comparison point for the hybrid model.
 
-Serves as the fully quantum comparison point for the hybrid model: the
-dispersive coupling only attaches opposite number-dependent phases to the two
-atomic levels, so the evolved state is available in closed form and every
-moment is a finite sum.
+The dispersive coupling rotates a coherent mode state to |alpha e^{-i chi t}>
+on the upper atomic level and |alpha e^{i chi t}> on the lower one, so
+``quantum_moments`` gives every moment in closed form, linear in the atom's
+Bloch vector (mixed atoms included).  ``basis_moments`` evolves a pure atom
+and the coherent state in a truncated number basis: the one independent
+cross-check of the closed forms.
 
 Phase conventions for the atomic coherences follow the closed-form moment
 displays this module is checked against: SIGMA_MINUS here denotes the
@@ -17,16 +19,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .hybrid_model import ObservableSymbol
+from .su2_wigner import SpinHalfState
 
 __all__ = [
     "TruncationError",
-    "AtomFieldVector",
     "default_truncation",
-    "evolve_quantum",
+    "basis_moments",
     "quantum_moments",
     "coherent_overlap",
 ]
@@ -36,7 +37,7 @@ _TAIL_BOUND = 1e-14
 # Largest default cutoff: keeps |alpha| = 100 (11,020 states) valid and
 # refuses the ~1e8-state bases of |alpha| ~ 1e4, which exhaust memory.
 MAX_TRUNCATION = 100_000
-# Amplitudes per atomic level in one block of quantum_moments' time grid.  An
+# Amplitudes per atomic level in one block of basis_moments' time grid.  An
 # unblocked 301-time grid at |alpha| = 100 (11,021 states) allocates about
 # 213 MB; blocks of this size keep the working set near a megabyte.
 _BLOCK_AMPLITUDES = 2**14
@@ -78,36 +79,6 @@ def _checked_block(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True)
-class AtomFieldVector:
-    """Pure states of atom x mode at a block of times, as a T x 2 x (N+1)
-    amplitude array.
-
-    amplitudes[k, 0] holds the upper-level amplitudes at the k-th time,
-    amplitudes[k, 1] the lower-level ones.  Every state must be normalized
-    and leave less than the tail bound at the cutoff.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        amps = _checked_block(np.array(self.amplitudes, dtype=complex))
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def truncation(self) -> int:
-        return self.amplitudes.shape[-1] - 1
-
-    def norm(self) -> np.ndarray:
-        """Norm of the state at each time."""
-        import numpy as np
-
-        return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2)))
-
-
 def _coherent_column(alpha: complex, N: int) -> np.ndarray:
     import numpy as np
 
@@ -125,16 +96,13 @@ def _coherent_column(alpha: complex, N: int) -> np.ndarray:
     return col / np.linalg.norm(col)
 
 
-def _checked_truncation(
-    c_e: complex, c_g: complex, alpha: complex, chi: float, times: Sequence[float], N: int | None
-) -> int:
+def _checked_inputs(alpha: complex, chi: float, times: Sequence[float]) -> None:
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if not math.isfinite(chi):
         raise ValueError(f"chi must be finite, got {chi!r}")
     if not all(map(math.isfinite, times)):
         raise ValueError("times must be finite")
-    if abs(abs(c_e) ** 2 + abs(c_g) ** 2 - 1.0) > 1e-12:
-        raise ValueError("atomic amplitudes must be normalized")
-    return default_truncation(alpha) if N is None else N
 
 
 def _evolve(
@@ -158,26 +126,6 @@ def _evolve(
         np.multiply(c, level, out=level)
         level *= coherent
     return amps
-
-
-def evolve_quantum(
-    c_e: complex,
-    c_g: complex,
-    alpha: complex,
-    chi: float,
-    times: Sequence[float],
-    N: int | None = None,
-) -> AtomFieldVector:
-    """Evolved states at each of ``times`` for the product of (c_e, c_g) with
-    a coherent mode, as one block.
-
-    The upper level picks up exp(-i chi t n) per photon, the lower level the
-    opposite phase; the norm is conserved exactly.  The block holds all
-    2 len(times) (N+1) amplitudes at once; ``quantum_moments`` evolves a
-    long grid in bounded blocks instead.
-    """
-    N = _checked_truncation(c_e, c_g, alpha, chi, times, N)
-    return AtomFieldVector(_evolve(c_e, c_g, _coherent_column(alpha, N), chi, times))
 
 
 def _block_moments(amps: np.ndarray, root: np.ndarray) -> list[dict[ObservableSymbol, complex]]:
@@ -215,22 +163,23 @@ def _block_moments(amps: np.ndarray, root: np.ndarray) -> list[dict[ObservableSy
     ]
 
 
-def quantum_moments(
-    c_e: complex,
-    c_g: complex,
-    alpha: complex,
-    chi: float,
-    times: Sequence[float],
-    N: int | None = None,
+def basis_moments(
+    c_e: complex, c_g: complex, alpha: complex, chi: float, times: Sequence[float], N: int | None = None
 ) -> list[dict[ObservableSymbol, complex]]:
-    """Exact matrix element of every ObservableSymbol in the truncated basis,
-    at each of ``times``.
+    """Every ObservableSymbol at each of ``times`` for (c_e, c_g) times |alpha>,
+    evolved in the truncated number basis: the upper level picks up
+    exp(-i chi t n) per photon, the lower level the opposite phase.
 
-    The coherent column is formed once.  The grid is evolved in blocks of at
-    most ``_BLOCK_AMPLITUDES`` amplitudes per level (one time at least), so
-    the working set does not grow with the grid.
+    The coherent column is formed once, and every state is held to the tail
+    and norm checks.  The grid is evolved in blocks of at most
+    ``_BLOCK_AMPLITUDES`` amplitudes per level (one time at least), so the
+    working set does not grow with the grid.
     """
-    N = _checked_truncation(c_e, c_g, alpha, chi, times, N)
+    _checked_inputs(alpha, chi, times)
+    # NaN compares False, so the bound is written as not (x <= bound)
+    if not (abs(abs(c_e) ** 2 + abs(c_g) ** 2 - 1.0) <= 1e-12):
+        raise ValueError("atomic amplitudes must be normalized")
+    N = default_truncation(alpha) if N is None else N
     import numpy as np
 
     coherent = _coherent_column(alpha, N)
@@ -243,11 +192,40 @@ def quantum_moments(
     return moments
 
 
+def quantum_moments(
+    atom: SpinHalfState, alpha: complex, chi: float, times: Sequence[float]
+) -> list[dict[ObservableSymbol, complex]]:
+    """Every ObservableSymbol at each of ``times`` for the atom times |alpha>,
+    in closed form: with p_e,g = (1 +- s_z)/2, c = (s_x + i s_y)/2 and
+    alpha_e,g = alpha e^{-+i chi t}, <a> = p_e alpha_e + p_g alpha_g, the
+    coherence is c <alpha_e|alpha_g>, its product with a^dagger carries
+    conj(alpha_e), and <sigma_z a> = p_e alpha_e - p_g alpha_g."""
+    _checked_inputs(alpha, chi, times)
+    alpha = complex(alpha)
+    sx, sy, sz = atom.s
+    p_e, p_g = 0.5 * (1.0 + sz), 0.5 * (1.0 - sz)
+    c = 0.5 * complex(sx, sy)
+    moments = []
+    for t in times:
+        rotation = cmath.exp(-1j * chi * t)
+        alpha_e, alpha_g = alpha * rotation, alpha * rotation.conjugate()
+        a = p_e * alpha_e + p_g * alpha_g
+        coherence = c * coherent_overlap(alpha_e, alpha_g)
+        moments.append(
+            {
+                ObservableSymbol.A: a,
+                ObservableSymbol.ADAG: a.conjugate(),
+                ObservableSymbol.SIGMA_Z: complex(sz),
+                ObservableSymbol.SIGMA_MINUS: coherence,
+                ObservableSymbol.SIGMA_MINUS_ADAG: alpha_e.conjugate() * coherence,
+                ObservableSymbol.SIGMA_Z_A: p_e * alpha_e - p_g * alpha_g,
+            }
+        )
+    return moments
+
+
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """<alpha|beta> = exp(-(|alpha|^2 + |beta|^2)/2 + conj(alpha) beta)."""
-    alpha = complex(alpha)
-    beta = complex(beta)
-    return cmath.exp(
-        -0.5 * (abs(alpha) ** 2 + abs(beta) ** 2) + alpha.conjugate() * beta
-    )
+    alpha, beta = complex(alpha), complex(beta)
+    return cmath.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2) + alpha.conjugate() * beta)
 

@@ -136,6 +136,18 @@ bogus = 3
         assert any(e.startswith("line 5:") and "range steps" in e for e in exc_info.value.errors)
         assert len(parse_config(times(MAX_RANGE_STEPS)).times) == MAX_RANGE_STEPS
 
+    def test_times_list_capped(self):
+        def times(count):
+            listed = ", ".join(str(k) for k in range(count))
+            return MINIMAL.replace("times = 0.5, 1.0, 2.0", f"times = {listed}")
+
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(times(MAX_RANGE_STEPS + 1))
+        assert exc_info.value.errors == [
+            f"line 5: times list has {MAX_RANGE_STEPS + 1} points, more than {MAX_RANGE_STEPS}"
+        ]
+        assert len(parse_config(times(MAX_RANGE_STEPS)).times) == MAX_RANGE_STEPS
+
     @pytest.mark.parametrize("name", ["quad-dist"])
     @pytest.mark.parametrize("chi", [1.0, -1.0])
     def test_gaussian_phase_spread_capped(self, name, chi):
@@ -170,28 +182,14 @@ bogus = 3
         )
         assert parse_config(config(1.0 / 3e4)).field.r0 == 1.0
 
-    def test_compare_truncation_capped(self):
-        # default_truncation(312) = 100,484 basis states; 311 needs 99,851
-        def config(r0):
-            return f"""
-[scenario]
-name = compare
-chi = 1.0
-times = 0.0, 0.5
-
-[atom]
-kind = phase
-
-[field]
-kind = gaussian
-r0 = {r0}
-sigma = 1.0
-"""
-
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config(config(312.0))
-        assert any(e.startswith("line 12:") and "basis states" in e for e in exc_info.value.errors)
-        assert parse_config(config(311.0)).field.r0 == 311.0
+    def test_compare_beyond_the_basis_cap_runs(self):
+        # a truncated number basis for r0 = 312 would need 100,484 states; the
+        # closed-form quantum reference needs none
+        text = _scenario("compare", "1.0", "0.0, 0.5", "kind = gaussian\nr0 = 312.0\nsigma = 1.0")
+        table = run_scenario(parse_config(text))
+        first = dict(zip(table.columns, table.rows[0]))
+        assert first["q_a_abs"] == 312.0
+        assert all(math.isfinite(v) for row in table.rows for v in row)
 
     @pytest.mark.parametrize(
         "name, chi, times, line",
@@ -284,13 +282,12 @@ sigma = 1.0
                 ),
                 [
                     "line 12: scenario compare requires a gaussian field with sigma = 1",
-                    "line 8: scenario compare requires a pure ground or phase atom",
                     "line 5: scenario compare takes no beta0_re (the second amplitude of oscillators)",
                     "line 4: scenario compare: phase 2 |chi| r0^2 t is not finite"
                     " at chi = 1e+300, t = 1000000000.0",
-                    "line 4: scenario compare: phase |chi| t n_max is not finite"
-                    " at chi = 1e+300, t = 1000000000.0",
                     "line 4: scenario compare: phase 2 |chi| <|alpha|^2> t is not finite"
+                    " at chi = 1e+300, t = 1000000000.0",
+                    "line 4: scenario compare: phase |chi| t is not finite"
                     " at chi = 1e+300, t = 1000000000.0",
                 ],
             ),
@@ -326,7 +323,7 @@ sigma = 1.0
         ids=["compare", "quad-dist", "oscillators", "pfunction"],
     )
     def test_combination_errors_in_order(self, text, errors):
-        # field, atom, work caps, beta0, then the phases in the order the run forms them
+        # field, work caps, beta0, then the phases in the order the run forms them
         with pytest.raises(ConfigError) as exc_info:
             parse_config(text)
         assert exc_info.value.errors == errors
@@ -593,8 +590,6 @@ class TestMain:
         assert main(["run", str(cfg), "--output", str(tmp_path / "out.csv")]) == 0
 
     def test_compare_at_large_amplitude(self, tmp_path):
-        # r0 = 30 needs 1221 basis states; the coherent column must stay
-        # normalised to the state check's 1e-12 at this size
         cfg = tmp_path / "compare.cfg"
         cfg.write_text(
             """
@@ -677,9 +672,8 @@ sigma = 1.0
             # a Gaussian's sigma^2 t underflows to 0 and its 2 |chi| r0^2 t overflows
             ("moments", "1e9", "1e300", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "times"),
             ("correlations", "1e9", "1e300", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200", "", "times"),
-            # compare: 2 |chi| <|alpha|^2> t of the mean-field model, |chi| t n_max of the quantum one
+            # compare: 2 |chi| <|alpha|^2> t of the mean-field model
             ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 10.0\nsigma = 1.0", "", "times"),
-            ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 0.0\nsigma = 1.0", "", "times"),
             # the width 2 sqrt(3) |chi| t of a sharp law's row grid overflows
             ("pfunction", "1e154", "1e154", UNIT_GAUSSIAN, "", "times"),
             ("phase-dist", "1e154", "1e154", "kind = delta\nr0 = 1.0", "", "times"),
@@ -706,7 +700,6 @@ sigma = 1.0
             "moments-gaussian-underflow",
             "correlations-gaussian-underflow",
             "compare-mean-field",
-            "compare-quantum",
             "pfunction-width",
             "phase-dist-delta-width",
             "oscillators-flow",
@@ -736,8 +729,10 @@ sigma = 1.0
             ("moments", "1.0", "0.5", "kind = gaussian\nr0 = 1.0\nsigma = 1e-200"),
             # m kappa overflows past the first modes, where j0 and j1 vanish
             ("phase-dist", "1e154", "1e154", UNIT_GAUSSIAN),
+            # the quantum reference's phase is |chi| t = 1e307, with no number-basis cutoff in it
+            ("compare", "1e300", "1e7", "kind = gaussian\nr0 = 0.0\nsigma = 1.0"),
         ],
-        ids=["moments-gaussian-intensity", "moments-sigma", "phase-dist-modes"],
+        ids=["moments-gaussian-intensity", "moments-sigma", "phase-dist-modes", "compare-quantum"],
     )
     def test_large_finite_phases_run(self, tmp_path, name, chi, times, field):
         cfg = tmp_path / "scenario.cfg"
@@ -764,13 +759,6 @@ sigma = 1.0
                 "sigma = 2.0",
                 "sigma = 1",
             ),
-            (
-                _scenario("compare", "1.0", "0.5", UNIT_GAUSSIAN).replace(
-                    "kind = ground", "kind = bloch\ns = 0.3, 0.0, -0.4"
-                ),
-                "kind = bloch",
-                "pure ground or phase atom",
-            ),
             (_scenario("oscillators", "1.0", "0.5", UNIT_GAUSSIAN), "kind = gaussian", "delta field"),
             # no [field] section: the default Gaussian comes with the scenario name
             ("[scenario]\nname = oscillators\ntimes = 0.5\n", "name = oscillators", "delta field"),
@@ -779,7 +767,6 @@ sigma = 1.0
             "quad-dist-delta",
             "compare-delta",
             "compare-sigma",
-            "compare-bloch",
             "oscillators-gaussian",
             "oscillators-default-field",
         ],
@@ -793,6 +780,21 @@ sigma = 1.0
         assert err.startswith(f"config error: line {line}: scenario ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    def test_compare_takes_a_bloch_atom(self, tmp_path):
+        # the closed quantum moments are linear in the Bloch vector, so a mixed atom runs
+        text = _scenario("compare", "1.0", "0.0, 0.5", UNIT_GAUSSIAN).replace(
+            "kind = ground", "kind = bloch\ns = 0.3, -0.2, 0.5"
+        )
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        first = dict(zip(lines[0].split(","), (float(v) for v in lines[1].split(","))))
+        assert first["q_sigma_z_re"] == 0.5
+        assert first["q_sigma_minus_re"] == pytest.approx(0.15, abs=1e-15)
+        assert first["q_sigma_minus_im"] == pytest.approx(-0.1, abs=1e-15)
 
     def test_verify_filter_passes(self, capsys):
         assert main(["verify", "--filter", "sphere"]) == 0

@@ -19,8 +19,8 @@ from hybridwigner import (
     DeltaAmplitude,
     GaussianAmplitude,
     SpinHalfState,
+    basis_moments,
     closed_moments,
-    evolve_quantum,
     flow_map,
     flow_matrix,
     integrate_interval,
@@ -54,8 +54,8 @@ EXPORTS = [
     "phase_distribution_gaussian", "phase_densities_gaussian", "phase_moments",
     "quadrature_distribution", "closed_moments", "expectation_quadrature",
     "moment_correlation", "semiclassical_standard", "semiclassical_moments",
-    "atomic_pfunction", "TruncationError", "AtomFieldVector", "default_truncation",
-    "evolve_quantum", "quantum_moments", "coherent_overlap", "OscillatorPair", "pair_flow",
+    "atomic_pfunction", "TruncationError", "default_truncation", "basis_moments",
+    "quantum_moments", "coherent_overlap", "OscillatorPair", "pair_flow",
     "flow_matrix", "evolve_pair_wigner", "alpha_marginal", "beta_marginal",
     "marginal_quadrature", "NonclassicalTransferReport", "NonquantumTransferReport",
     "nonclassical_transfer_check", "nonquantum_transfer_check",
@@ -155,10 +155,12 @@ NONFINITE_ENTRIES = [
     ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
     ("flow_matrix", "lam", lambda x: flow_matrix(x, 1.0)),
     ("flow_matrix", "t", lambda x: flow_matrix(1.0, x)),
-    ("quantum_moments", "chi", lambda x: quantum_moments(0.6, 0.8, 1.0, x, [1.0])),
-    ("quantum_moments", "times", lambda x: quantum_moments(0.6, 0.8, 1.0, 1.0, [0.5, x])),
-    ("evolve_quantum", "chi", lambda x: evolve_quantum(0.6, 0.8, 1.0, x, [1.0])),
-    ("evolve_quantum", "times", lambda x: evolve_quantum(0.6, 0.8, 1.0, 1.0, [x])),
+    ("quantum_moments", "alpha", lambda x: quantum_moments(GROUND, x, 1.0, [1.0])),
+    ("quantum_moments", "chi", lambda x: quantum_moments(GROUND, 1.0, x, [1.0])),
+    ("quantum_moments", "times", lambda x: quantum_moments(GROUND, 1.0, 1.0, [0.5, x])),
+    ("basis_moments", "alpha", lambda x: basis_moments(0.6, 0.8, x, 1.0, [1.0])),
+    ("basis_moments", "chi", lambda x: basis_moments(0.6, 0.8, 1.0, x, [1.0])),
+    ("basis_moments", "times", lambda x: basis_moments(0.6, 0.8, 1.0, 1.0, [x])),
     ("flow_map", "r", lambda x: flow_map(x, 0.0, 1.0, 0.0, 1.0, 1.0)),
     ("flow_map", "phi_field", lambda x: flow_map(1.0, x, 1.0, 0.0, 1.0, 1.0)),
     ("flow_map", "theta", lambda x: flow_map(1.0, 0.0, x, 0.0, 1.0, 1.0)),
