@@ -61,6 +61,10 @@ class PhaseSpaceFunction:
     decay_scale: float
     decay_center: complex = 0j
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.decay_scale):
+            raise ValueError(f"decay_scale must be finite, got {self.decay_scale!r}")
+
 
 @dataclass(frozen=True)
 class GaussianWigner(PhaseSpaceFunction):
@@ -82,6 +86,11 @@ class MarginalDistribution:
     evaluate: Callable[[float], float]
     center: float
     scale: float
+
+    def __post_init__(self) -> None:
+        for name in ("center", "scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,8 @@ def quadrature_marginal(
     The returned density gives the exact statistics of the corresponding
     quadrature operator; axis_angle = pi/2 is the imaginary-part quadrature.
     """
+    if not math.isfinite(axis_angle):
+        raise ValueError(f"axis_angle must be finite, got {axis_angle!r}")
     rot = complex(math.cos(axis_angle), math.sin(axis_angle))
     proj = W.decay_center * rot.conjugate()
     half = RADIAL_CUTOFF_SIGMAS * W.decay_scale
@@ -201,6 +212,8 @@ def nonquantum_check(
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
+    if not all(map(math.isfinite, axes)):
+        raise ValueError("axes must be finite")
     import numpy as np
 
     diags = tuple((n, fock_diag_element(W, n)) for n in range(max_n + 1))
@@ -242,6 +255,8 @@ def plane_grid(center: complex, half_width: float, points_per_axis: int) -> list
     """Deterministic square grid of complex sample points, row-major order."""
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be at least 1")
+    if not math.isfinite(half_width):
+        raise ValueError(f"half_width must be finite, got {half_width!r}")
     import numpy as np
 
     axis = np.linspace(-half_width, half_width, points_per_axis)

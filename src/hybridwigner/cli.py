@@ -170,12 +170,12 @@ def _parse_times(section, errors) -> tuple[float, ...]:
         return ()
     value, lineno = section.pop("times")
     times = _times_from_text(value, lineno, errors)
-    if not all(math.isfinite(t) for t in times):
-        errors.append(f"line {lineno}: times must be finite, got {value!r}")
-        return ()
-    if any(t < 0.0 for t in times):
-        errors.append(f"line {lineno}: times must be non-negative, got {value!r}")
-        return ()
+    # a refusal names the first bad entry, never the whole (up to 100,000-entry) value
+    for need, bad in (("finite", lambda t: not math.isfinite(t)), ("non-negative", lambda t: t < 0.0)):
+        k = next((k for k, t in enumerate(times) if bad(t)), None)
+        if k is not None:
+            errors.append(f"line {lineno}: times entry {k + 1} of {len(times)} must be {need}, got {times[k]!r}")
+            return ()
     return times
 
 
@@ -202,11 +202,15 @@ def _times_from_text(value: str, lineno: int, errors) -> tuple[float, ...]:
             return ()
         step = (stop - start) / (steps - 1)
         return tuple(start + k * step for k in range(steps))
-    try:
-        times = tuple(float(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError:
-        errors.append(f"line {lineno}: times must be numbers, got {value!r}")
-        return ()
+    entries = [p.strip() for p in text.split(",") if p.strip()]
+    parsed = []
+    for k, entry in enumerate(entries):
+        try:
+            parsed.append(float(entry))
+        except ValueError:
+            errors.append(f"line {lineno}: times entry {k + 1} of {len(entries)} must be a number, got {entry!r}")
+            return ()
+    times = tuple(parsed)
     if not times:
         errors.append(f"line {lineno}: times list is empty")
         return ()
@@ -457,7 +461,7 @@ def _phase_dist_rows(config: ScenarioConfig) -> list[tuple]:
     # the Gaussian law is 2pi-periodic: every time shares one phi grid on [-pi, pi]
     phis = _grid(-math.pi, math.pi, 201)
     chi_ts = [config.chi * t for t in config.times]
-    densities = phase_densities_gaussian(config.atom, config.field, chi_ts, phis)
+    densities = phase_densities_gaussian(config.atom, config.field, chi_ts, len(phis))
     return [(t, phi, p) for t, row in zip(config.times, densities) for phi, p in zip(phis, row)]
 
 

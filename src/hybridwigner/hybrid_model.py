@@ -18,6 +18,13 @@ Expectation values use the phase-space symbols of the supported operators
 moments of the equal superposition come out at exactly half the scale of the
 conventional spin coherences (the symbol average of the lowering operator is
 (s_x - i s_y)/2 at t = 0); SIGMA_MINUS_SCALE records this constant.
+
+The Gaussian-field phase and quadrature laws are ramp Fourier series of the
+initial profile on the field-azimuth grid of n = ``field.phase_points``
+points, and cost O(n) per time: the phase law on its periodic grid folds its
+harmonics into one inverse FFT per time (``phase_densities_gaussian``), and a
+quadrature row is one dot product with a kernel taken once per time
+(``quadrature_distribution``).
 """
 
 from __future__ import annotations
@@ -83,9 +90,9 @@ SIGMA_MINUS_SCALE = 0.5
 MAX_FIELD_AZIMUTH_POINTS = 1 << 20
 
 # Harmonics of the Gaussian phase law's series held in one block of its time
-# grid: the times of a block share one _spherical_bessel call and one set of
-# cos and sin rows.  At fig3's 256 harmonics a block takes 64 times, and its
-# working set stays near a megabyte whatever the number of times.
+# grid: the times of a block share one _spherical_bessel call, and the block
+# bounds the (times x n/2) weight table.  At fig3's 256 harmonics a block takes
+# 64 times, and its working set stays near a megabyte whatever the number of times.
 _BLOCK_HARMONICS = 2**14
 
 
@@ -381,13 +388,13 @@ def phase_distribution_gaussian(
     The radial coordinate is integrated in closed form
     (``GaussianAmplitude.angular_density``) and the polar angle of the spin
     by the ramp series of that profile, sampled once on ``field.phase_points``
-    points; the cost does not depend on chi t.  Each ``evaluate`` is the
-    one-time, one-point case of ``phase_densities_gaussian``.
+    points; the cost does not depend on chi t.  Each ``evaluate`` sums the
+    series at its phi: the pointwise cross-check of ``phase_densities_gaussian``.
     chi t < 0 mirrors the density: p(phi; -chi t) = p(-phi; chi t).
     """
     if not math.isfinite(chi_t):
         raise ValueError(f"chi_t must be finite, got {chi_t!r}")
-    (series,) = next(_phase_law_blocks(atom, field, (chi_t,)))
+    (series,) = _ramp_series(*next(_phase_law_blocks(atom, field, (chi_t,))))
 
     def density(phi: float) -> float:
         return _sum_series((series,), (phi,))[0][0]
@@ -396,27 +403,36 @@ def phase_distribution_gaussian(
 
 
 def phase_densities_gaussian(
-    atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float], phis: Sequence[float]
+    atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float], points: int
 ) -> list[list[float]]:
-    """``phase_distribution_gaussian(atom, field, chi_t).evaluate(phi)`` for
-    every chi t (one list each) and phi, bit for bit.
+    """``phase_distribution_gaussian(atom, field, chi_t).evaluate`` for every
+    chi t (one list each) on the ``points`` equispaced phi_k = -pi + 2 pi k /
+    (points - 1), k = 0 ... points - 1; the value at phi = pi is a copy of the
+    one at -pi.
 
-    The profile's modes are taken once for all the times, the ramp weights
-    once per block of ``_BLOCK_HARMONICS`` harmonics, and the cos and sin
-    rows once per phi and block; each (time, phi) then costs two 1-D dot
-    products.
+    The profile's modes are taken once for all the times and the ramp
+    weights once per block of ``_BLOCK_HARMONICS`` harmonics.  On this grid
+    exp(i m phi_k) = (-1)^m exp(2 pi i m k / (points - 1)) depends on m only
+    modulo points - 1, so each time folds its n/2 harmonics into points - 1
+    bins and sums them by one inverse FFT (``_folded_values``): O(n) per
+    time, and the phases are exact where the pointwise route rounds m phi.
     """
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise ValueError(f"points must be an int, got {type(points).__name__}")
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
     if not all(map(math.isfinite, chi_ts)):
         raise ValueError("chi_ts must be finite")
     values = []
     for block in _phase_law_blocks(atom, field, chi_ts):
-        values += _sum_series(block, phis)
+        values += [row + row[:1] for row in _folded_values(*block, points - 1).tolist()]
     return values
 
 
 def _phase_law_blocks(atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float]):
-    """Ramp series of the Gaussian phase law at each chi t, yielded in blocks
-    of at most ``_BLOCK_HARMONICS`` harmonics (one time at least)."""
+    """Modes g of the Gaussian phase law's profile and its ramp weights
+    (w_re, w_im) at each chi t, yielded as (g, w_re, w_im) in blocks of at
+    most ``_BLOCK_HARMONICS`` harmonics (one time at least)."""
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
     import numpy as np
@@ -427,7 +443,27 @@ def _phase_law_blocks(atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Seq
     kappas = [SQRT3 * chi_t for chi_t in chi_ts]
     step = max(1, _BLOCK_HARMONICS // (n // 2))
     for start in range(0, len(kappas), step):
-        yield _ramp_series(g, *_ramp_weights(n, kappas[start : start + step], atom.s[2]))
+        yield (g, *_ramp_weights(n, kappas[start : start + step], atom.s[2]))
+
+
+def _folded_values(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray, period: int) -> np.ndarray:
+    """b0 + 2 Re sum_m b_m exp(i m phi_k), b_m = g_m w_m, m = 1 ... n/2, for each
+    row of the weights at the ``period`` points phi_k = -pi + 2 pi k / period.
+
+    exp(i m phi_k) = (-1)^m exp(2 pi i m k / period), so the signed b_m fold
+    into ``period`` bins by m mod period, and one unscaled inverse FFT of
+    length ``period`` per row sums the bins at every phi_k.
+    """
+    import numpy as np
+
+    rows, half = w_re.shape[0], len(g) - 1
+    signed = g.copy()
+    signed[1::2] *= -1.0
+    folded = np.zeros((rows, -(-(half + 1) // period) * period), dtype=complex)
+    folded.real[:, 1 : half + 1] = signed[1:] * w_re[:, 1:]
+    folded.imag[:, 1 : half + 1] = signed[1:] * w_im[:, 1:]
+    sums = np.fft.ifft(folded.reshape(rows, -1, period).sum(axis=1), axis=1, norm="forward")
+    return g[0] * w_re[:, :1] + 2.0 * sums.real
 
 
 def quadrature_distribution(
@@ -448,7 +484,10 @@ def quadrature_distribution(
     For |y| <= r0 the u-integral is the ramp series at psi = pi / 2 (since
     cos(kappa u - pi / 2) = sin(kappa u)) of h_y(psi) = exp(-2 (y + r0 cos psi)^2
     / sigma^2) on ``field.phase_points`` points; for |y| > r0 it is one
-    adaptive integral over u in [-1, 1].
+    adaptive integral over u in [-1, 1].  The series sum_m g_m c_m, with g_m
+    the cosine modes of h_y and c_m = (2 - [m = 0]) Re(w_m i^m), is
+    sum_k h_y(psi_k) K_k: the kernel K is one inverse real FFT of c per call,
+    and each row is n exponentials and one dot product.
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
@@ -464,9 +503,8 @@ def quadrature_distribution(
     r0 = field.r0
     n = field.phase_points
     r0_cos = r0 * np.cos(np.arange(n) * (TWO_PI / n))
-    weights = _ramp_weights(n, (kappa,), sz)
-    m_half_pi = np.arange(1, n // 2 + 1) * (0.5 * math.pi)
-    rows = np.cos(m_half_pi), np.sin(m_half_pi)
+    w_re, w_im = _ramp_weights(n, (kappa,), sz)
+    kernel = _quadrature_kernel(w_re[0], w_im[0])
     # bound once: the integrand runs thousands of times per table
     c, sin, exp = SQRT3 * sz, math.sin, math.exp
 
@@ -474,8 +512,7 @@ def quadrature_distribution(
         y = mirror * y
         if abs(y) <= r0:
             d = y + r0_cos
-            (series,) = _ramp_series(_cosine_modes(np.exp(-2.0 * d * d / s2)), *weights)
-            return 2.0 * pref * _series_value(series, *rows)
+            return 2.0 * pref * float(np.dot(np.exp(-2.0 * d * d / s2), kernel))
 
         def integrand(u: float) -> float:
             d = y + r0 * sin(kappa * u)
@@ -485,6 +522,25 @@ def quadrature_distribution(
         return pref * math.fsum([integrate_interval(integrand, -1.0, 1.0, spec).value])
 
     return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
+
+
+def _quadrature_kernel(w_re: np.ndarray, w_im: np.ndarray) -> np.ndarray:
+    """K_k = (1/n) sum_m c_m cos(2 pi m k / n), k = 0 ... n - 1, for the ramp
+    weights w_m = w_re[m] + i w_im[m], m = 0 ... n/2, of one time.
+
+    c_0 = w_re[0] and c_m = 2 Re(w_m i^m), the series coefficients at
+    psi = pi / 2, with i^m taken exactly.  A cosine mode g_m of samples h_k is
+    (1/n) sum_k h_k cos(2 pi m k / n), so sum_m g_m c_m = sum_k h_k K_k.
+    irfft doubles every bin but 0 and n/2, so those two take c_m and the
+    rest c_m / 2.
+    """
+    import numpy as np
+
+    half = np.empty_like(w_re)
+    half[0::4], half[1::4] = w_re[0::4], -w_im[1::4]
+    half[2::4], half[3::4] = -w_re[2::4], w_im[3::4]
+    half[-1] *= 2.0
+    return np.fft.irfft(half, 2 * (len(w_re) - 1))
 
 
 # Sector data of the symbols.  An atomic kind gives (m_atom, polar): its symbol
@@ -643,18 +699,10 @@ def _ramp_series(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> list[tupl
     return [(float(g[0] * re0), re, im) for re0, re, im in zip(w_re[:, 0], b_re, b_im)]
 
 
-def _series_value(series: tuple, c: np.ndarray, s: np.ndarray) -> float:
-    """b0 + 2 sum_m (b_re[m] c[m] - b_im[m] s[m]) of one series (b0, b_re, b_im),
-    with c and s the rows cos(m phi) and sin(m phi), m = 1 ... n/2: two 1-D
-    dot products in a fixed order, never a 2-D BLAS block."""
-    import numpy as np
-
-    b0, b_re, b_im = series
-    return b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s))
-
-
 def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[float]]:
-    """``_series_value`` of each series (one list each) at each phi.
+    """b0 + 2 sum_m (b_re[m] cos(m phi) - b_im[m] sin(m phi)), m = 1 ... n/2, of
+    each series (b0, b_re, b_im) (one list each) at each phi: two 1-D dot
+    products in a fixed order, never a 2-D BLAS block.
 
     The cos and sin rows of a phi are formed once and shared by every series,
     so the working memory is O(n) per phi.
@@ -666,8 +714,8 @@ def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[flo
     for phi in phis:
         mphi = m * phi
         c, s = np.cos(mphi), np.sin(mphi)
-        for out, terms in zip(values, series):
-            out.append(_series_value(terms, c, s))
+        for out, (b0, b_re, b_im) in zip(values, series):
+            out.append(b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s)))
     return values
 
 

@@ -126,11 +126,12 @@ def _marginal(
             "it needs a Gaussian in one slot and a Gaussian or number state in the "
             "other; integrate other pairs with marginal_quadrature"
         )
+    # flow_matrix first: it refuses a non-finite lam or t by name
+    u_c, u_q = flow_matrix(lam, t)[0 if keep_alpha else 1]
     # |U00| = |U11| = |cos lam t| and |U01| = |U10| = |sin lam t|
     c, s = abs(math.cos(lam * t)), abs(math.sin(lam * t))
     if keep_alpha != (gauss is W_c):
         c, s = s, c
-    u_c, u_q = flow_matrix(lam, t)[0 if keep_alpha else 1]
     z0 = complex(u_c * W_c.decay_center + u_q * W_q.decay_center)
     n, sigma_o = (other.n, 1.0) if isinstance(other, FockWigner) else (0, other.decay_scale)
     c2 = (c * gauss.decay_scale) ** 2

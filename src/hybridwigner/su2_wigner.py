@@ -51,6 +51,8 @@ def _pauli() -> tuple:
 
 def _doubled(x: float, name: str) -> int:
     """Twice the quantum number, validated to be (half-)integer."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
     d = round(2.0 * x)
     if abs(2.0 * x - d) > 1e-9:
         raise ValueError(f"{name} must be integer or half-integer, got {x}")

@@ -127,6 +127,25 @@ bogus = 3
             parse_config(text)
         assert any(e.startswith("line 5:") and "non-negative" in e for e in exc_info.value.errors)
 
+    @pytest.mark.parametrize(
+        "bad, first, error",
+        [
+            ("nan", False, "must be finite, got nan"),
+            ("-inf", True, "must be finite, got -inf"),
+            ("-1e-9", True, "must be non-negative, got -1e-09"),
+            ("2.5x", False, "must be a number, got '2.5x'"),
+        ],
+    )
+    def test_times_refusal_names_the_entry(self, bad, first, error):
+        # a full-size increasing list with one bad entry: the message names it, not the list
+        n = MAX_RANGE_STEPS
+        entries = [str(k) for k in range(n - 1)]
+        entries.insert(0 if first else n - 1, bad)
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(MINIMAL.replace("times = 0.5, 1.0, 2.0", f"times = {', '.join(entries)}"))
+        assert exc_info.value.errors == [f"line 5: times entry {1 if first else n} of {n} {error}"]
+        assert len(exc_info.value.errors[0]) < 200
+
     def test_range_steps_capped(self):
         def times(steps):
             return MINIMAL.replace("times = 0.5, 1.0, 2.0", f"times = range(0, 4, {steps})")

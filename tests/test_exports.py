@@ -3,6 +3,7 @@ importing (a star import too) and parsing load no numpy; the entry points
 refuse non-finite numbers by name."""
 
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -18,11 +19,13 @@ from hybridwigner import (
     BlochPoint,
     DeltaAmplitude,
     GaussianAmplitude,
+    OscillatorPair,
     SpinHalfState,
     basis_moments,
     closed_moments,
     flow_map,
     flow_matrix,
+    gaussian_wigner,
     integrate_interval,
     integrate_plane,
     phase_densities_gaussian,
@@ -150,7 +153,7 @@ NONFINITE_ENTRIES = [
     (
         "phase_densities_gaussian",
         "chi_ts",
-        lambda x: phase_densities_gaussian(GROUND, GAUSS, [1.0, x], [0.0]),
+        lambda x: phase_densities_gaussian(GROUND, GAUSS, [1.0, x], 201),
     ),
     ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
     ("flow_matrix", "lam", lambda x: flow_matrix(x, 1.0)),
@@ -183,3 +186,96 @@ NONFINITE_ENTRIES = [
 def test_entry_points_refuse_nonfinite_by_name(entry, param, call, value):
     with pytest.raises(ValueError, match=rf"\b{param} must be .*finite"):
         call(value)
+
+
+# The walk over the package's exports: every parameter annotated float or
+# Sequence[float] refuses NaN and +-inf with a ValueError that names it.
+FLOAT_ANNOTATIONS = ("float", "Sequence[float]")
+
+# Records of a computed result: they hold what was measured, and a NaN there
+# reports a non-finite integrand or witness instead of refusing it.
+FLOAT_EXEMPT = {
+    "IntegrationResult": "the engine's record of a finished integral; a NaN integrand reports a NaN error",
+    "NonclassicalReport": "the record of a measured witness value",
+    "NonclassicalTransferReport": "the record of a measured origin value",
+    "NonquantumTransferReport": "the record of a measured diagonal element",
+}
+
+_POINT = BlochPoint(1.0, 0.0)
+_WIGNER = gaussian_wigner(0j, 1.0)
+
+# Valid keyword arguments of every other export with a float parameter; the walk
+# sets one float parameter at a time to a non-finite value.
+FLOAT_CALLS = {
+    "IntegrationSpec": dict(relative_tolerance=1e-8, absolute_tolerance=1e-10),
+    "BlochPoint": dict(theta=1.0, phi=0.0),
+    "integrate_interval": dict(f=math.sin, a=0.0, b=1.0),
+    "integrate_plane": dict(f=abs, center=0j, width=1.0),
+    "clebsch_gordan": dict(j1=0.5, m1=0.5, j2=0.5, m2=-0.5, j=1.0, m=0.0),
+    "su2_kernel": dict(j=0.5, point=_POINT),
+    "PhaseSpaceFunction": dict(evaluate=abs, decay_scale=1.0),
+    "GaussianWigner": dict(evaluate=abs, decay_scale=1.0),
+    "FockWigner": dict(evaluate=abs, decay_scale=1.0, n=1),
+    "MarginalDistribution": dict(evaluate=abs, center=0.0, scale=1.0),
+    "gaussian_wigner": dict(alpha0=0j, sigma=1.0),
+    "quadrature_marginal": dict(W=_WIGNER, axis_angle=0.0),
+    "nonquantum_check": dict(W=_WIGNER, max_n=1, axes=[0.0]),
+    "plane_grid": dict(center=0j, half_width=1.0, points_per_axis=3),
+    "DeltaAmplitude": dict(r0=1.0, phi0=0.0),
+    "GaussianAmplitude": dict(r0=1.0, sigma=1.0),
+    "HybridState": dict(atom=GROUND, field=GAUSS, chi=1.0, t=1.0),
+    "flow_map": dict(r=1.0, phi_field=0.0, theta=1.0, phi_atom=0.0, chi=1.0, t=1.0),
+    "phase_distribution_delta": dict(atom=GROUND, chi_t=1.0),
+    "phase_distribution_gaussian": dict(atom=GROUND, field=GAUSS, chi_t=1.0),
+    "phase_densities_gaussian": dict(atom=GROUND, field=GAUSS, chi_ts=[1.0], points=201),
+    "quadrature_distribution": dict(atom=GROUND, field=GAUSS, chi_t=1.0),
+    "closed_moments": dict(atom=GROUND, field=GAUSS, chi=1.0, times=[1.0]),
+    "semiclassical_standard": dict(atom=GROUND, field=GAUSS, chi=1.0, t=1.0),
+    "semiclassical_moments": dict(atom=GROUND, field=GAUSS, chi=1.0, times=[1.0]),
+    "atomic_pfunction": dict(atom=GROUND, chi_t=1.0),
+    "basis_moments": dict(c_e=0.6, c_g=0.8, alpha=1.0, chi=1.0, times=[1.0]),
+    "quantum_moments": dict(atom=GROUND, alpha=1.0, chi=1.0, times=[1.0]),
+    "pair_flow": dict(gamma=OscillatorPair(1.0, 1.0), lam=1.0, t=1.0),
+    "flow_matrix": dict(lam=1.0, t=1.0),
+    "evolve_pair_wigner": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
+    "alpha_marginal": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
+    "beta_marginal": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
+    "marginal_quadrature": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0, keep_alpha=True),
+    "nonclassical_transfer_check": dict(lam=1.0),
+    "nonquantum_transfer_check": dict(sigma=1.0, lam=1.0),
+}
+
+
+def _float_parameters() -> list[tuple[str, str, str]]:
+    """(export, parameter, annotation) of every float parameter of an export."""
+    found = []
+    for name in hybridwigner.__all__:
+        obj = getattr(hybridwigner, name)
+        try:
+            parameters = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):  # constants, and exception classes without a signature
+            continue
+        found += [(name, p.name, p.annotation) for p in parameters if p.annotation in FLOAT_ANNOTATIONS]
+    return found
+
+
+FLOAT_PARAMETERS = [entry for entry in _float_parameters() if entry[0] not in FLOAT_EXEMPT]
+
+
+def test_float_walk_tables_match_the_exports():
+    # every export with a float parameter is walked or exempt, and no table entry is stale
+    names = {name for name, _, _ in _float_parameters()}
+    assert names == set(FLOAT_CALLS) | set(FLOAT_EXEMPT)
+    assert not set(FLOAT_CALLS) & set(FLOAT_EXEMPT)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, param, annotation", FLOAT_PARAMETERS, ids=[f"{n}-{p}" for n, p, _ in FLOAT_PARAMETERS]
+)
+def test_every_float_parameter_refuses_nonfinite_by_name(name, param, annotation, value):
+    assert name in FLOAT_CALLS, f"{name}: list its valid arguments in FLOAT_CALLS, or exempt it"
+    kwargs = dict(FLOAT_CALLS[name])
+    kwargs[param] = [0.5, value] if annotation == "Sequence[float]" else value
+    with pytest.raises(ValueError, match=rf"\b{param} must be .*finite"):
+        getattr(hybridwigner, name)(**kwargs)

