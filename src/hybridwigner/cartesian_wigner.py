@@ -13,6 +13,7 @@ a negative answer proves nothing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -64,6 +65,8 @@ class PhaseSpaceFunction:
     def __post_init__(self) -> None:
         if not math.isfinite(self.decay_scale):
             raise ValueError(f"decay_scale must be finite, got {self.decay_scale!r}")
+        if not cmath.isfinite(self.decay_center):
+            raise ValueError(f"decay_center must be finite, got {self.decay_center!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,8 @@ def gaussian_wigner(alpha0: complex, sigma: float) -> GaussianWigner:
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError("sigma must be positive and finite")
     alpha0 = complex(alpha0)
+    if not cmath.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
     norm = 2.0 / (math.pi * sigma * sigma)
     inv = 2.0 / (sigma * sigma)
 
@@ -257,8 +262,10 @@ def plane_grid(center: complex, half_width: float, points_per_axis: int) -> list
         raise ValueError("points_per_axis must be at least 1")
     if not math.isfinite(half_width):
         raise ValueError(f"half_width must be finite, got {half_width!r}")
+    center = complex(center)
+    if not cmath.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     import numpy as np
 
     axis = np.linspace(-half_width, half_width, points_per_axis)
-    center = complex(center)
     return [center + complex(x, y) for y in axis for x in axis]

@@ -116,6 +116,17 @@ class ResultTable:
 
 # -- config parsing ----------------------------------------------------------
 
+# A refusal quotes at most this many characters of the config text it names.
+_SHOWN_CHARS = 80
+
+
+def _shown(text: str) -> str:
+    """repr of config text for a refusal: the whole text up to _SHOWN_CHARS
+    characters, else its first _SHOWN_CHARS and its length."""
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARS]!r}... ({len(text):,} characters)"
+
 
 def _parse_sections(text: str, errors: list[str]):
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -127,7 +138,7 @@ def _parse_sections(text: str, errors: list[str]):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             if current not in ("scenario", "atom", "field", "quadrature", "output"):
-                errors.append(f"line {lineno}: unknown section [{current}]")
+                errors.append(f"line {lineno}: unknown section {_shown(current)}")
                 current = None
             elif current in sections:
                 errors.append(f"line {lineno}: duplicate section [{current}]")
@@ -135,14 +146,14 @@ def _parse_sections(text: str, errors: list[str]):
                 sections[current] = {}
             continue
         if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
+            errors.append(f"line {lineno}: expected 'key = value', got {_shown(line)}")
             continue
         if current is None:
             errors.append(f"line {lineno}: key outside of any section")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         if key.lower() in sections[current]:
-            errors.append(f"line {lineno}: duplicate key {key!r} in [{current}]")
+            errors.append(f"line {lineno}: duplicate key {_shown(key)} in [{current}]")
         sections[current][key.lower()] = (value, lineno)
     return sections
 
@@ -156,10 +167,10 @@ def _take_float(section, key, errors, section_name, default=None, required=False
     try:
         number = float(value)
     except ValueError:
-        errors.append(f"line {lineno}: {key} must be a number, got {value!r}")
+        errors.append(f"line {lineno}: {key} must be a number, got {_shown(value)}")
         return default
     if not math.isfinite(number):
-        errors.append(f"line {lineno}: {key} must be finite, got {value!r}")
+        errors.append(f"line {lineno}: {key} must be finite, got {_shown(value)}")
         return default
     return number
 
@@ -190,7 +201,7 @@ def _times_from_text(value: str, lineno: int, errors) -> tuple[float, ...]:
             start, stop = float(parts[0]), float(parts[1])
             steps = int(parts[2])
         except ValueError:
-            errors.append(f"line {lineno}: malformed range {text!r}")
+            errors.append(f"line {lineno}: malformed range {_shown(text)}")
             return ()
         if not 1 <= steps <= MAX_RANGE_STEPS:
             errors.append(f"line {lineno}: range steps must be in [1, {MAX_RANGE_STEPS}]")
@@ -208,7 +219,9 @@ def _times_from_text(value: str, lineno: int, errors) -> tuple[float, ...]:
         try:
             parsed.append(float(entry))
         except ValueError:
-            errors.append(f"line {lineno}: times entry {k + 1} of {len(entries)} must be a number, got {entry!r}")
+            errors.append(
+                f"line {lineno}: times entry {k + 1} of {len(entries)} must be a number, got {_shown(entry)}"
+            )
             return ()
     times = tuple(parsed)
     if not times:
@@ -237,7 +250,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if "name" in scn:
         value, lineno = scn.pop("name")
         if value not in _SCENARIOS:
-            errors.append(f"line {lineno}: unknown scenario {value!r}")
+            errors.append(f"line {lineno}: unknown scenario {_shown(value)}")
         else:
             name = value
     elif "scenario" in sections:
@@ -265,9 +278,14 @@ def parse_config(text: str) -> ScenarioConfig:
             else:
                 sval, slineno = atom_section.pop("s")
                 try:
-                    atom = SpinHalfState(tuple(float(p) for p in sval.split(",")))
-                except ValueError as exc:
-                    errors.append(f"line {slineno}: invalid bloch vector: {exc}")
+                    s = tuple(float(p) for p in sval.split(","))
+                except ValueError:
+                    errors.append(f"line {slineno}: invalid bloch vector: expected numbers, got {_shown(sval)}")
+                else:
+                    try:
+                        atom = SpinHalfState(s)
+                    except ValueError as exc:
+                        errors.append(f"line {slineno}: invalid bloch vector: {exc}")
         else:
             errors.append(f"line {lineno}: atom kind must be ground, phase or bloch")
     elif "atom" in sections:
@@ -316,7 +334,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     for section_name, section in sections.items():
         for key, (_, lineno) in section.items():
-            errors.append(f"line {lineno}: unknown key {key!r} in [{section_name}]")
+            errors.append(f"line {lineno}: unknown key {_shown(key)} in [{section_name}]")
 
     if name is not None:
         _validate_combination(name, field_state, chi, times, beta0, key_lines, errors)

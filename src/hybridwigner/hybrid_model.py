@@ -37,13 +37,12 @@ from enum import Enum
 from typing import Callable, Sequence, Union
 
 from .quadrature import (
-    BlochPoint,
     DEFAULT_SPEC,
     RADIAL_CUTOFF_SIGMAS,
     IntegrationSpec,
     integrate_interval,
 )
-from .su2_wigner import SQRT3, SpinHalfState, spin_wigner
+from .su2_wigner import SQRT3, SphereDensity, SpinHalfState, spin_wigner
 from .cartesian_wigner import MarginalDistribution, PhaseSpaceFunction
 
 __all__ = [
@@ -279,8 +278,9 @@ def _polar_of(alpha: complex) -> tuple[float, float]:
     return abs(alpha), -cmath.phase(alpha) if alpha != 0 else 0.0
 
 
-def joint_wigner(state: HybridState) -> Callable[[BlochPoint, complex], float]:
-    """Joint density W_t(Omega, alpha), both arguments pulled back by the flow.
+def joint_wigner(state: HybridState) -> Callable[[float, float, float, complex], float]:
+    """Joint density W_t(Omega, alpha) as a function of (cos theta, sin theta,
+    phi, alpha), both points pulled back by the flow.
 
     Only Gaussian fields have a pointwise joint density; delta fields must go
     through the dedicated closed-form operations.
@@ -294,10 +294,10 @@ def joint_wigner(state: HybridState) -> Callable[[BlochPoint, complex], float]:
     atom_w = spin_wigner(state.atom)
     chi, t, kappa = state.chi, state.t, state.kappa
 
-    def w(point: BlochPoint, alpha: complex) -> float:
+    def w(ct: float, st: float, phi: float, alpha: complex) -> float:
         r, phi_f = _polar_of(alpha)
-        shifted = BlochPoint(point.theta, point.phi - 2.0 * chi * r * r * t)
-        return atom_w(shifted) * field.polar_density(r, phi_f - kappa * math.cos(point.theta))
+        shifted = (phi - 2.0 * chi * r * r * t) % TWO_PI
+        return atom_w(ct, st, shifted) * field.polar_density(r, phi_f - kappa * ct)
 
     return w
 
@@ -333,7 +333,7 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
     return PhaseSpaceFunction(w, decay_scale=field.r0 + field.sigma, decay_center=0j)
 
 
-def atom_marginal(state: HybridState) -> Callable[[BlochPoint], float]:
+def atom_marginal(state: HybridState) -> SphereDensity:
     """Atomic distribution after tracing out the field.
 
     The flow conserves the field intensity r^2, so back-reaction moves only
@@ -578,15 +578,15 @@ class ObservableSymbol(Enum):
         self.m_atom, self.polar = _ATOMIC_SECTORS[atomic_kind]
         self.m_field = _FIELD_ORDERS[field_kind]
 
-    def atomic_symbol(self, point: BlochPoint) -> complex:
-        return self.polar(math.cos(point.theta)) * cmath.exp(-1j * self.m_atom * point.phi)
+    def atomic_symbol(self, ct: float, st: float, phi: float) -> complex:
+        return self.polar(ct) * cmath.exp(-1j * self.m_atom * phi)
 
     def field_symbol(self, alpha: complex) -> complex:
         r, phi = _polar_of(alpha)
         return r ** abs(self.m_field) * cmath.exp(-1j * self.m_field * phi)
 
-    def symbol(self, point: BlochPoint, alpha: complex) -> complex:
-        return self.atomic_symbol(point) * self.field_symbol(alpha)
+    def symbol(self, ct: float, st: float, phi: float, alpha: complex) -> complex:
+        return self.atomic_symbol(ct, st, phi) * self.field_symbol(alpha)
 
 
 def _field_factors(
@@ -883,7 +883,7 @@ def semiclassical_standard(
     chi: float,
     t: float,
     mean_field: bool = False,
-) -> Callable[[BlochPoint], float]:
+) -> SphereDensity:
     """Atomic distribution when the field is frozen (no back-reaction).
 
     mean_field=False averages the atomic azimuth shift over the full field

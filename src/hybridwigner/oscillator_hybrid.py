@@ -55,6 +55,11 @@ class OscillatorPair:
     alpha: complex
     beta: complex
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 def flow_matrix(lam: float, t: float) -> np.ndarray:
     """U(t) of the pair at coupling strength lam (unit frequency ratio)."""

@@ -12,6 +12,7 @@ azimuth inside) with a correspondingly tightened inner tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
@@ -134,9 +135,15 @@ class BlochPoint:
         object.__setattr__(self, "phi", phi)
 
     @property
+    def coords(self) -> tuple[float, float, float]:
+        """(cos theta, sin theta, phi): the arguments of a sphere integrand,
+        so a density w is evaluated at the point as ``w(*point.coords)``."""
+        return (math.cos(self.theta), math.sin(self.theta), self.phi)
+
+    @property
     def unit_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta))
+        ct, st, phi = self.coords
+        return (st * math.cos(phi), st * math.sin(phi), ct)
 
 
 def _sum_ordered(values) -> Scalar:
@@ -285,18 +292,22 @@ def _iterated(
 
 
 def integrate_sphere(
-    f: Callable[[BlochPoint], Scalar],
+    f: Callable[[float, float, float], Scalar],
     spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> IntegrationResult:
-    """Integrate f(Omega) sin(theta) dtheta dphi over the whole sphere.
+    """Integrate f(cos theta, sin theta, phi) sin(theta) dtheta dphi over the
+    whole sphere, with phi in [0, 2 pi).
 
     Internally substitutes u = cos(theta), which absorbs the sin(theta)
-    Jacobian and tames integrands oscillating in cos(theta).
+    Jacobian and tames integrands oscillating in cos(theta).  Each ring takes
+    its cosine and sine once, from theta = acos(u), so the integrand sees the
+    same floats as at ``BlochPoint(theta, phi).coords``.
     """
 
     def ring(u: float, azimuthal) -> Scalar:
         theta = math.acos(min(1.0, max(-1.0, u)))
-        return azimuthal(lambda phi: f(BlochPoint(theta, phi)))
+        ct, st = math.cos(theta), math.sin(theta)
+        return azimuthal(lambda phi: f(ct, st, phi % TWO_PI))
 
     return _iterated(ring, -1.0, 1.0, spec)
 
@@ -316,6 +327,8 @@ def integrate_plane(
     if not (width > 0.0) or not math.isfinite(width):
         raise ValueError(f"width must be positive and finite, got {width!r}")
     center = complex(center)
+    if not cmath.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
 
     def ring(rho: float, azimuthal) -> Scalar:
         return rho * azimuthal(lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))))

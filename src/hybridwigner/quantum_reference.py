@@ -50,6 +50,8 @@ class TruncationError(ValueError):
 def default_truncation(alpha: complex) -> int:
     """Cutoff keeping the Poisson tail of |alpha> below the tail bound, at most
     MAX_TRUNCATION (TruncationError beyond)."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = abs(alpha)
     n = a * a + 10.0 * a + 20.0
     if n > MAX_TRUNCATION:
@@ -176,6 +178,9 @@ def basis_moments(
     working set does not grow with the grid.
     """
     _checked_inputs(alpha, chi, times)
+    for name, c in (("c_e", c_e), ("c_g", c_g)):
+        if not cmath.isfinite(c):
+            raise ValueError(f"{name} must be finite, got {c!r}")
     # NaN compares False, so the bound is written as not (x <= bound)
     if not (abs(abs(c_e) ** 2 + abs(c_g) ** 2 - 1.0) <= 1e-12):
         raise ValueError("atomic amplitudes must be normalized")
@@ -227,5 +232,9 @@ def quantum_moments(
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """<alpha|beta> = exp(-(|alpha|^2 + |beta|^2)/2 + conj(alpha) beta)."""
     alpha, beta = complex(alpha), complex(beta)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    if not cmath.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     return cmath.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2) + alpha.conjugate() * beta)
 

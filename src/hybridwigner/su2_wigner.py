@@ -162,23 +162,36 @@ def su2_kernel(j: float, point: BlochPoint) -> np.ndarray:
         raise ValueError(f"kernel implemented for j in {{1/2, 1, 3/2, 2}}, got {j}")
     import numpy as np
 
-    dim = dj + 1
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dj + 1, dj + 1), dtype=complex)
+    for ell, m, terms in _coupling_table(dj):
+        y = spherical_harmonic(ell, m, point)
+        if y == 0:
+            continue
+        for ik, iq, weight in terms:
+            out[ik, iq] += weight * y
+    out /= math.sqrt(FOUR_PI)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _coupling_table(dj: int) -> tuple:
+    """The kernel's coupling terms for j = dj/2, built on first use:
+    (ell, m, ((ik, iq, sqrt(2 ell + 1) <j k; ell m | j q>), ...)) with the
+    nonzero coefficients only, in the kernel's summation order."""
     jj = dj / 2.0
-    mvals = [(dj - 2 * i) / 2.0 for i in range(dim)]
+    mvals = [(dj - 2 * i) / 2.0 for i in range(dj + 1)]
+    table = []
     for ell in range(dj + 1):
         pref = math.sqrt(2 * ell + 1)
         for m in range(-ell, ell + 1):
-            y = spherical_harmonic(ell, m, point)
-            if y == 0:
-                continue
+            terms = []
             for ik, k in enumerate(mvals):
                 for iq, q in enumerate(mvals):
                     c = clebsch_gordan(jj, k, ell, m, jj, q)
                     if c != 0.0:
-                        out[ik, iq] += pref * c * y
-    out /= math.sqrt(FOUR_PI)
-    return out
+                        terms.append((ik, iq, pref * c))
+            table.append((ell, m, tuple(terms)))
+    return tuple(table)
 
 
 def spin_half_kernel(point: BlochPoint) -> np.ndarray:
@@ -234,35 +247,37 @@ class SpinHalfState:
         return 0.5 * (np.eye(2, dtype=complex) + sx * px + sy * py + sz * pz)
 
 
-def spin_wigner(state: SpinHalfState) -> Callable[[BlochPoint], float]:
+# A sphere density: a function of (cos theta, sin theta, phi), as
+# ``integrate_sphere`` calls it; ``w(*point.coords)`` evaluates it at a BlochPoint.
+SphereDensity = Callable[[float, float, float], float]
+
+
+def spin_wigner(state: SpinHalfState) -> SphereDensity:
     """Sphere distribution of a spin-1/2 state: (1 + sqrt(3) n.s) / (4*pi)."""
     sx, sy, sz = state.s
 
-    def w(point: BlochPoint) -> float:
-        nx, ny, nz = point.unit_vector
-        return (1.0 + SQRT3 * (nx * sx + ny * sy + nz * sz)) / FOUR_PI
+    def w(ct: float, st: float, phi: float) -> float:
+        return (1.0 + SQRT3 * (st * math.cos(phi) * sx + st * math.sin(phi) * sy + ct * sz)) / FOUR_PI
 
     return w
 
 
-def wigner_to_spin(W: Callable[[BlochPoint], float]) -> SpinHalfState:
+def wigner_to_spin(W: SphereDensity) -> SpinHalfState:
     """Recover the Bloch vector: s_k = sqrt(3) * Integral[n_k W(Omega) dOmega]."""
-    comps = []
-    for axis in range(3):
-        res = integrate_sphere(lambda p, ax=axis: p.unit_vector[ax] * W(p))
-        comps.append(SQRT3 * res.value)
-    return SpinHalfState(tuple(comps))
+    moments = (  # n_k W for k = x, y, z
+        lambda ct, st, phi: st * math.cos(phi) * W(ct, st, phi),
+        lambda ct, st, phi: st * math.sin(phi) * W(ct, st, phi),
+        lambda ct, st, phi: ct * W(ct, st, phi),
+    )
+    return SpinHalfState(tuple(SQRT3 * integrate_sphere(f).value for f in moments))
 
 
-def su2_traciality(
-    W_A: Callable[[BlochPoint], float],
-    W_B: Callable[[BlochPoint], float],
-) -> float:
+def su2_traciality(W_A: SphereDensity, W_B: SphereDensity) -> float:
     """tr(AB) of two spin-1/2 operators, computed as
     (4*pi / (2j+1)) * Integral[W_A W_B dOmega] = 2*pi * Integral[W_A W_B dOmega].
 
     Products are evaluated as W_A * W_B, which is commutative in floating
     point, so swapping the arguments returns the identical value.
     """
-    res = integrate_sphere(lambda p: W_A(p) * W_B(p))
+    res = integrate_sphere(lambda ct, st, phi: W_A(ct, st, phi) * W_B(ct, st, phi))
     return FOUR_PI / 2 * res.value

@@ -837,6 +837,34 @@ sigma = 1.0
         assert main(["run", str(cfg)]) == 1
         assert "line 2: unknown scenario 'verify'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("chi = 1.0", "chi = " + "x" * 100_000, 4),
+            ("chi = 1.0", "chi = " + "1" * 100_000, 4),
+            ("chi = 1.0", "chi = 1.0\n" + "x" * 100_000, 5),
+            ("r0 = 1.0", "r0 = 1.0\n[" + "s" * 100_000 + "]", 13),
+            ("name = moments", "name = " + "m" * 100_000, 3),
+            ("times = 0.5, 1.0, 2.0", "times = 0.5, " + "t" * 100_000, 5),
+            ("times = 0.5, 1.0, 2.0", "times = range(0, " + "9" * 100_000 + "z, 3)", 5),
+            ("kind = phase", "kind = phase\n" + "k" * 100_000 + " = 1", 9),
+            ("kind = phase", "kind = bloch\ns = " + "0.1x," * 20_000, 9),
+        ],
+        ids=[
+            "chi-not-a-number", "chi-overflow", "stray-line", "section", "scenario",
+            "times-entry", "malformed-range", "unknown-key", "bloch",
+        ],
+    )
+    def test_long_config_text_is_clipped(self, tmp_path, capsys, old, new, line):
+        # a refusal quotes the start of a 100,000-character value and its length
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(MINIMAL.replace(old, new))
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "characters)" in err
+
     def test_nan_aborts_with_exit_code_3(self, tmp_path, monkeypatch, capsys):
         def nan_moments(atom, field, chi, times):
             return [dict.fromkeys(ObservableSymbol, complex(float("nan"), 0.0)) for _ in times]

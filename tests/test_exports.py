@@ -23,6 +23,8 @@ from hybridwigner import (
     SpinHalfState,
     basis_moments,
     closed_moments,
+    coherent_overlap,
+    default_truncation,
     flow_map,
     flow_matrix,
     gaussian_wigner,
@@ -162,6 +164,10 @@ NONFINITE_ENTRIES = [
     ("quantum_moments", "chi", lambda x: quantum_moments(GROUND, 1.0, x, [1.0])),
     ("quantum_moments", "times", lambda x: quantum_moments(GROUND, 1.0, 1.0, [0.5, x])),
     ("basis_moments", "alpha", lambda x: basis_moments(0.6, 0.8, x, 1.0, [1.0])),
+    ("basis_moments", "c_e", lambda x: basis_moments(x, 0.8, 1.0, 1.0, [1.0])),
+    ("basis_moments", "c_g", lambda x: basis_moments(0.6, x, 1.0, 1.0, [1.0])),
+    ("default_truncation", "alpha", lambda x: default_truncation(x)),
+    ("coherent_overlap", "beta", lambda x: coherent_overlap(0.5, x)),
     ("basis_moments", "chi", lambda x: basis_moments(0.6, 0.8, 1.0, x, [1.0])),
     ("basis_moments", "times", lambda x: basis_moments(0.6, 0.8, 1.0, 1.0, [x])),
     ("flow_map", "r", lambda x: flow_map(x, 0.0, 1.0, 0.0, 1.0, 1.0)),
@@ -188,9 +194,11 @@ def test_entry_points_refuse_nonfinite_by_name(entry, param, call, value):
         call(value)
 
 
-# The walk over the package's exports: every parameter annotated float or
-# Sequence[float] refuses NaN and +-inf with a ValueError that names it.
-FLOAT_ANNOTATIONS = ("float", "Sequence[float]")
+# The walk over the package's exports: every parameter annotated float,
+# Sequence[float] or complex refuses NaN and +-inf with a ValueError that
+# names it.  A complex parameter gets the value as its imaginary part, which
+# math.isfinite on the real part alone would miss.
+FLOAT_ANNOTATIONS = ("float", "Sequence[float]", "complex")
 
 # Records of a computed result: they hold what was measured, and a NaN there
 # reports a non-finite integrand or witness instead of refusing it.
@@ -233,8 +241,11 @@ FLOAT_CALLS = {
     "semiclassical_standard": dict(atom=GROUND, field=GAUSS, chi=1.0, t=1.0),
     "semiclassical_moments": dict(atom=GROUND, field=GAUSS, chi=1.0, times=[1.0]),
     "atomic_pfunction": dict(atom=GROUND, chi_t=1.0),
+    "default_truncation": dict(alpha=1.0),
     "basis_moments": dict(c_e=0.6, c_g=0.8, alpha=1.0, chi=1.0, times=[1.0]),
     "quantum_moments": dict(atom=GROUND, alpha=1.0, chi=1.0, times=[1.0]),
+    "coherent_overlap": dict(alpha=1.0, beta=0.5j),
+    "OscillatorPair": dict(alpha=1.0, beta=0.5j),
     "pair_flow": dict(gamma=OscillatorPair(1.0, 1.0), lam=1.0, t=1.0),
     "flow_matrix": dict(lam=1.0, t=1.0),
     "evolve_pair_wigner": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
@@ -247,7 +258,7 @@ FLOAT_CALLS = {
 
 
 def _float_parameters() -> list[tuple[str, str, str]]:
-    """(export, parameter, annotation) of every float parameter of an export."""
+    """(export, parameter, annotation) of every float or complex parameter of an export."""
     found = []
     for name in hybridwigner.__all__:
         obj = getattr(hybridwigner, name)
@@ -276,6 +287,10 @@ def test_float_walk_tables_match_the_exports():
 def test_every_float_parameter_refuses_nonfinite_by_name(name, param, annotation, value):
     assert name in FLOAT_CALLS, f"{name}: list its valid arguments in FLOAT_CALLS, or exempt it"
     kwargs = dict(FLOAT_CALLS[name])
-    kwargs[param] = [0.5, value] if annotation == "Sequence[float]" else value
+    if annotation == "Sequence[float]":
+        value = [0.5, value]
+    elif annotation == "complex":
+        value = complex(0.5, value)
+    kwargs[param] = value
     with pytest.raises(ValueError, match=rf"\b{param} must be .*finite"):
         getattr(hybridwigner, name)(**kwargs)

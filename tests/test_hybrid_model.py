@@ -135,8 +135,8 @@ class TestJointWigner:
         g = gaussian_wigner(1.0, 1.0)
         for theta, phi, alpha in ((0.3, 1.0, 0.7 + 0.1j), (2.0, 4.0, -0.4j)):
             pt = BlochPoint(theta, phi)
-            assert jd(pt, alpha) == pytest.approx(
-                wq(pt) * g.evaluate(alpha), rel=1e-12
+            assert jd(*pt.coords, alpha) == pytest.approx(
+                wq(*pt.coords) * g.evaluate(alpha), rel=1e-12
             )
 
     def test_delta_requires_analytic_path(self):
@@ -147,7 +147,7 @@ class TestJointWigner:
     def test_ground_joint_negative_at_north_pole(self):
         state = HybridState(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 0.8)
         jd = joint_wigner(state)
-        assert jd(BlochPoint(0.0, 0.0), 1.0 + 0j) < 0.0
+        assert jd(*BlochPoint(0.0, 0.0).coords, 1.0 + 0j) < 0.0
 
     def test_normalization_after_evolution(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.7)
@@ -155,7 +155,9 @@ class TestJointWigner:
         spec = IntegrationSpec(1e-6, 1e-8)
 
         def sphere_slice(alpha):
-            return integrate_sphere(lambda pt: jd(pt, alpha), IntegrationSpec(1e-7, 1e-9)).value
+            return integrate_sphere(
+                lambda ct, st, phi: jd(ct, st, phi, alpha), IntegrationSpec(1e-7, 1e-9)
+            ).value
 
         total = integrate_plane(sphere_slice, 0j, 2.0, spec)
         assert abs(total.value - 1.0) < 1e-6
@@ -204,14 +206,14 @@ class TestAtomMarginal:
             for theta in np.linspace(0.01, math.pi - 0.01, 7):
                 for phi in np.linspace(0.0, 6.0, 5):
                     pt = BlochPoint(float(theta), float(phi))
-                    assert am(pt) == pytest.approx(wq(pt), abs=1e-10)
+                    assert am(*pt.coords) == pytest.approx(wq(*pt.coords), abs=1e-10)
 
     def test_t0_is_initial_distribution(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.0)
         am = atom_marginal(state)
         wq = spin_wigner(PHASE)
         pt = BlochPoint(1.0, 2.0)
-        assert am(pt) == pytest.approx(wq(pt), abs=1e-12)
+        assert am(*pt.coords) == pytest.approx(wq(*pt.coords), abs=1e-12)
 
     def test_phase_atom_delta_field_is_rotated(self):
         r0, chi, t = 2.0, 1.0, 1.3
@@ -221,7 +223,7 @@ class TestAtomMarginal:
         for theta in (0.4, 1.5, 2.8):
             for phi in (0.0, 2.0, 5.0):
                 ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
-                assert am(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-12)
+                assert am(*BlochPoint(theta, phi).coords) == pytest.approx(ref, abs=1e-12)
 
     def test_gaussian_matches_direct_marginalization(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.7)
@@ -229,8 +231,8 @@ class TestAtomMarginal:
         jd = joint_wigner(state)
         for theta, phi in ((0.4, 0.3), (2.3, 5.0)):
             pt = BlochPoint(theta, phi)
-            direct = integrate_plane(lambda a: jd(pt, a), 0j, 2.0, LOOSE).value
-            assert am(pt) == pytest.approx(direct, abs=1e-9)
+            direct = integrate_plane(lambda a: jd(*pt.coords, a), 0j, 2.0, LOOSE).value
+            assert am(*pt.coords) == pytest.approx(direct, abs=1e-9)
 
     def test_normalized(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 2.0)
@@ -245,7 +247,7 @@ class TestAtomMarginal:
         for theta in (0.0, 0.4, 1.5, 2.8, math.pi):
             for phi in (0.0, 2.0, 5.0):
                 pt = BlochPoint(theta, phi)
-                assert am(pt) == frozen(pt)
+                assert am(*pt.coords) == frozen(*pt.coords)
 
 
 class TestDeltaPhaseLaw:
@@ -774,7 +776,7 @@ class TestSemiclassical:
             W = semiclassical_standard(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 2.0, mean_field)
             for theta, phi in ((0.2, 0.0), (1.4, 3.0)):
                 pt = BlochPoint(theta, phi)
-                assert W(pt) == pytest.approx(wq(pt), abs=1e-12)
+                assert W(*pt.coords) == pytest.approx(wq(*pt.coords), abs=1e-12)
 
     def test_sharp_field_variants_coincide(self):
         field = DeltaAmplitude(1.3)
@@ -782,7 +784,7 @@ class TestSemiclassical:
         b = semiclassical_standard(PHASE, field, 1.0, 0.9, mean_field=True)
         for theta, phi in ((0.5, 1.0), (2.0, 4.5)):
             pt = BlochPoint(theta, phi)
-            assert a(pt) == pytest.approx(b(pt), abs=1e-13)
+            assert a(*pt.coords) == pytest.approx(b(*pt.coords), abs=1e-13)
 
     def test_mean_field_rotation_uses_width_corrected_intensity(self):
         r0, sigma, chi, t = 2.0, 0.5, 1.0, 0.7
@@ -790,7 +792,7 @@ class TestSemiclassical:
         shift = 2.0 * chi * (r0 * r0 + 0.5 * sigma * sigma) * t
         for theta, phi in ((0.9, 0.3), (1.7, 5.1)):
             ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
-            assert W(BlochPoint(theta, phi)) == pytest.approx(ref, abs=1e-13)
+            assert W(*BlochPoint(theta, phi).coords) == pytest.approx(ref, abs=1e-13)
 
     def test_semiclassical_inversion_amplitude_correlation_vanishes(self):
         field = GaussianAmplitude(1.0, 1.0)
@@ -873,17 +875,17 @@ class TestPFunction:
 
 
 def test_symbol_factorization():
-    pt = BlochPoint(0.8, 1.9)
+    coords = BlochPoint(0.8, 1.9).coords
     alpha = 0.7 - 0.2j
     sm = ObservableSymbol.SIGMA_MINUS
     adag = ObservableSymbol.ADAG
     sma = ObservableSymbol.SIGMA_MINUS_ADAG
-    assert sma.symbol(pt, alpha) == sm.symbol(pt, alpha) * adag.symbol(pt, alpha)
+    assert sma.symbol(*coords, alpha) == sm.symbol(*coords, alpha) * adag.symbol(*coords, alpha)
     sz = ObservableSymbol.SIGMA_Z
     a = ObservableSymbol.A
     sza = ObservableSymbol.SIGMA_Z_A
-    assert sza.symbol(pt, alpha) == sz.symbol(pt, alpha) * a.symbol(pt, alpha)
-    assert sz.symbol(pt, alpha) == pytest.approx(SQRT3 * math.cos(0.8))
-    assert sm.symbol(pt, alpha) == pytest.approx(
+    assert sza.symbol(*coords, alpha) == sz.symbol(*coords, alpha) * a.symbol(*coords, alpha)
+    assert sz.symbol(*coords, alpha) == pytest.approx(SQRT3 * math.cos(0.8))
+    assert sm.symbol(*coords, alpha) == pytest.approx(
         0.5 * SQRT3 * math.sin(0.8) * cmath.exp(-1.9j)
     )

@@ -152,18 +152,19 @@ def test_bloch_point_normalization():
     p = BlochPoint(0.5, 7.0)
     assert 0.0 <= p.phi < 2.0 * math.pi
     assert abs(sum(c * c for c in p.unit_vector) - 1.0) < 1e-15
+    assert p.coords == (math.cos(0.5), math.sin(0.5), 7.0 - 2.0 * math.pi)
     with pytest.raises(ValueError):
         BlochPoint(3.5, 0.0)
 
 
 def test_sphere_constant_and_odd():
-    assert abs(integrate_sphere(lambda p: 1.0 / (4.0 * math.pi)).value - 1.0) < 1e-12
-    assert abs(integrate_sphere(lambda p: math.cos(p.theta) / (4.0 * math.pi)).value) < 1e-12
+    assert abs(integrate_sphere(lambda ct, st, phi: 1.0 / (4.0 * math.pi)).value - 1.0) < 1e-12
+    assert abs(integrate_sphere(lambda ct, st, phi: ct / (4.0 * math.pi)).value) < 1e-12
 
 
 def test_sphere_ground_state_normalization():
     # analytic polar integral of (1 - sqrt(3) cos(theta)) / (4 pi) is 1
-    f = lambda p: (1.0 - math.sqrt(3.0) * math.cos(p.theta)) / (4.0 * math.pi)
+    f = lambda ct, st, phi: (1.0 - math.sqrt(3.0) * ct) / (4.0 * math.pi)
     assert abs(integrate_sphere(f).value - 1.0) < 1e-12
 
 

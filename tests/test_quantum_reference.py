@@ -73,9 +73,9 @@ class TestEvolution:
             assert _norms(_states(0.6, 0.8, alpha, 1.0, (0.3,)))[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_unnormalized_amplitudes_rejected(self):
-        # NaN compares False, so the normalisation bound must refuse it too
-        for c_e in (1.0, math.nan):
-            with pytest.raises(ValueError, match="atomic amplitudes"):
+        # a NaN amplitude is refused by name before the normalisation bound
+        for c_e, message in ((1.0, "atomic amplitudes"), (math.nan, "c_e must be finite")):
+            with pytest.raises(ValueError, match=message):
                 basis_moments(c_e, 1.0, 1.0, 1.0, (0.0,))
         with pytest.raises(ValueError, match="normalized"):
             _states(1.0, 1.0, 1.0, 1.0, (0.0,))
