@@ -278,9 +278,11 @@ def _polar_of(alpha: complex) -> tuple[float, float]:
     return abs(alpha), -cmath.phase(alpha) if alpha != 0 else 0.0
 
 
-def joint_wigner(state: HybridState) -> Callable[[float, float, float, complex], float]:
-    """Joint density W_t(Omega, alpha) as a function of (cos theta, sin theta,
-    phi, alpha), both points pulled back by the flow.
+def joint_wigner(state: HybridState) -> Callable[[complex], SphereDensity]:
+    """Joint density W_t(Omega, alpha), both points pulled back by the flow,
+    taken slice first: ``joint_wigner(state)(alpha)`` is the sphere density
+    of (cos theta, sin theta, phi) at field point alpha, which takes alpha's
+    polar form and the azimuth shift 2 chi r^2 t once per slice.
 
     Only Gaussian fields have a pointwise joint density; delta fields must go
     through the dedicated closed-form operations.
@@ -294,12 +296,16 @@ def joint_wigner(state: HybridState) -> Callable[[float, float, float, complex],
     atom_w = spin_wigner(state.atom)
     chi, t, kappa = state.chi, state.t, state.kappa
 
-    def w(ct: float, st: float, phi: float, alpha: complex) -> float:
+    def at(alpha: complex) -> SphereDensity:
         r, phi_f = _polar_of(alpha)
-        shifted = (phi - 2.0 * chi * r * r * t) % TWO_PI
-        return atom_w(ct, st, shifted) * field.polar_density(r, phi_f - kappa * ct)
+        shift = 2.0 * chi * r * r * t
 
-    return w
+        def w(ct: float, st: float, phi: float) -> float:
+            return atom_w(ct, st, (phi - shift) % TWO_PI) * field.polar_density(r, phi_f - kappa * ct)
+
+        return w
+
+    return at
 
 
 def field_marginal(state: HybridState) -> PhaseSpaceFunction:

@@ -6,8 +6,13 @@ with the largest error estimate is bisected until the accumulated error meets
 pure function of its inputs and the panel bookkeeping is fully ordered, so
 identical calls return bit-identical results.
 
-Sphere and plane integrals are iterated 1D integrals (polar angle outside,
-azimuth inside) with a correspondingly tightened inner tolerance.
+Sphere and plane integrals are iterated 1D integrals (the polar or radial
+coordinate outside, the azimuth inside) with a correspondingly tightened
+inner tolerance.  A sphere ring takes the periodic trapezoid rule, doubled
+until two levels agree: the spin-1/2 densities and symbols are trigonometric
+polynomials of low degree in the azimuth, which that rule integrates exactly.
+A plane ring keeps adaptive Gauss-Kronrod, since an off-centre Gaussian is
+no such polynomial.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ TWO_PI = 2.0 * math.pi
 # Where plane integrals and radial windows truncate the radial coordinate, in
 # units of the integrand's decay scale.
 RADIAL_CUTOFF_SIGMAS = 10.0
+
+# Points of a sphere ring's first trapezoid level, and the most points a ring
+# may take before it is refused.  Level 8 against 16 is blind only to
+# harmonics at multiples of 16; 4 against 8 would miss multiples of 8.
+_FIRST_RING_POINTS = 8
+_MAX_RING_POINTS = 1 << 16
 
 # 15-point Kronrod abscissae on (0, 1]; the embedded 7-point Gauss rule sits
 # at the odd indices.  Constants are the classic QUADPACK dqk15 values.
@@ -215,7 +226,16 @@ def integrate_interval(
         resg *= half
         return resk, abs(resk - resg)
 
+    rel, abs_tol = spec.relative_tolerance, spec.absolute_tolerance
     value, err = panel(a, b)
+    # "not >" rather than "<=", so a NaN estimate stops here as in the loop;
+    # the one-panel sums are finish()'s, which map -0.0 to 0.0
+    if not err > max(rel * abs(value), abs_tol):
+        if isinstance(value, complex):
+            value = complex(math.fsum((value.real,)), math.fsum((value.imag,)))
+        else:
+            value = math.fsum((value,))
+        return IntegrationResult(value, math.fsum((err,)), evaluations)
     heap = [(-err, 0, a, b, value, err)]
     seq = 1
     total = value
@@ -230,7 +250,7 @@ def integrate_interval(
             evaluations,
         )
 
-    while total_err > max(spec.relative_tolerance * abs(total), spec.absolute_tolerance):
+    while total_err > max(rel * abs(total), abs_tol):
         if splits >= spec.max_subdivisions:
             raise ConvergenceError(
                 f"no convergence after {splits} subdivisions on [{a}, {b}]", finish()
@@ -266,31 +286,6 @@ def _inner_spec(spec: IntegrationSpec) -> IntegrationSpec:
     )
 
 
-def _iterated(
-    ring: Callable[[float, Callable[[Callable[[float], Scalar]], Scalar]], Scalar],
-    lo: float,
-    hi: float,
-    spec: IntegrationSpec,
-) -> IntegrationResult:
-    """Integral over x in [lo, hi] of ring(x, azimuthal), where azimuthal(g)
-    integrates g over one period at ``_inner_spec(spec)``.  The error adds
-    (hi - lo) times the worst inner error, and the count is that of the inner
-    evaluations."""
-    inner = _inner_spec(spec)
-    inner_evals = 0
-    inner_err = 0.0
-
-    def azimuthal(g: Callable[[float], Scalar]) -> Scalar:
-        nonlocal inner_evals, inner_err
-        res = integrate_interval(g, 0.0, TWO_PI, inner)
-        inner_evals += res.evaluations
-        inner_err = max(inner_err, res.error_estimate)
-        return res.value
-
-    outer = integrate_interval(lambda x: ring(x, azimuthal), lo, hi, spec)
-    return IntegrationResult(outer.value, outer.error_estimate + (hi - lo) * inner_err, inner_evals)
-
-
 def integrate_sphere(
     f: Callable[[float, float, float], Scalar],
     spec: IntegrationSpec = DEFAULT_SPEC,
@@ -299,17 +294,56 @@ def integrate_sphere(
     whole sphere, with phi in [0, 2 pi).
 
     Internally substitutes u = cos(theta), which absorbs the sin(theta)
-    Jacobian and tames integrands oscillating in cos(theta).  Each ring takes
-    its cosine and sine once, from theta = acos(u), so the integrand sees the
-    same floats as at ``BlochPoint(theta, phi).coords``.
-    """
+    Jacobian and tames integrands oscillating in cos(theta); u takes adaptive
+    panels.  Each ring takes its cosine and sine once, from theta = acos(u),
+    so the integrand sees the same floats as at ``BlochPoint(theta, phi).coords``.
 
-    def ring(u: float, azimuthal) -> Scalar:
+    Each ring is the periodic trapezoid rule at phi_k = 2 pi k / N, from
+    N = 8 and doubled by adding the odd nodes, until two levels agree within
+    ``_inner_spec(spec)``.  So the azimuthal integrand must be smooth and
+    2 pi-periodic.  The rule is exact for harmonics of degree below 8, so a
+    spin-1/2 density, symbol or product (degree <= 2) stops at the first
+    comparison, after 16 points.  Its one blind spot is an integrand whose
+    only harmonics are multiples of 16: levels 8 and 16 then agree on a
+    wrong value.  A ring that has not converged at ``_MAX_RING_POINTS``
+    raises ConvergenceError, with that ring's best estimate, naming u.
+
+    ``evaluations`` counts the ring evaluations of f; the error estimate is
+    the outer one plus 2 times the worst ring error.
+    """
+    inner = _inner_spec(spec)
+    rel, abs_tol = inner.relative_tolerance, inner.absolute_tolerance
+    ring_evals = 0
+    ring_err = 0.0
+
+    def ring(u: float) -> Scalar:
+        nonlocal ring_evals, ring_err
         theta = math.acos(min(1.0, max(-1.0, u)))
         ct, st = math.cos(theta), math.sin(theta)
-        return azimuthal(lambda phi: f(ct, st, phi % TWO_PI))
+        n = _FIRST_RING_POINTS
+        values = [f(ct, st, k * (TWO_PI / n)) for k in range(n)]
+        coarse = (TWO_PI / n) * _sum_ordered(values)
+        while True:
+            n *= 2
+            step = TWO_PI / n
+            # the doubled grid's new nodes are its odd ones
+            values += [f(ct, st, k * step) for k in range(1, n, 2)]
+            fine = step * _sum_ordered(values)
+            err = abs(fine - coarse)
+            if err <= max(rel * abs(fine), abs_tol):
+                break
+            if n >= _MAX_RING_POINTS:
+                raise ConvergenceError(
+                    f"azimuthal ring at u = {u!r} did not converge with {n} points",
+                    IntegrationResult(fine, err, n),
+                )
+            coarse = fine
+        ring_evals += n
+        ring_err = max(ring_err, err)
+        return fine
 
-    return _iterated(ring, -1.0, 1.0, spec)
+    outer = integrate_interval(ring, -1.0, 1.0, spec)
+    return IntegrationResult(outer.value, outer.error_estimate + 2.0 * ring_err, ring_evals)
 
 
 def integrate_plane(
@@ -322,15 +356,28 @@ def integrate_plane(
     |alpha - center| <= RADIAL_CUTOFF_SIGMAS * width.
 
     The integrand must decay at least Gaussian-fast with scale ``width`` away
-    from ``center``.
+    from ``center``.  Radius outside, azimuth inside, both adaptive; the error
+    adds the disk's radius times the worst azimuthal error, and the count is
+    that of the azimuthal evaluations.
     """
     if not (width > 0.0) or not math.isfinite(width):
         raise ValueError(f"width must be positive and finite, got {width!r}")
     center = complex(center)
     if not cmath.isfinite(center):
         raise ValueError(f"center must be finite, got {center!r}")
+    inner = _inner_spec(spec)
+    inner_evals = 0
+    inner_err = 0.0
 
-    def ring(rho: float, azimuthal) -> Scalar:
-        return rho * azimuthal(lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))))
+    def ring(rho: float) -> Scalar:
+        nonlocal inner_evals, inner_err
+        res = integrate_interval(
+            lambda phi: f(center + rho * complex(math.cos(phi), math.sin(phi))), 0.0, TWO_PI, inner
+        )
+        inner_evals += res.evaluations
+        inner_err = max(inner_err, res.error_estimate)
+        return rho * res.value
 
-    return _iterated(ring, 0.0, RADIAL_CUTOFF_SIGMAS * width, spec)
+    hi = RADIAL_CUTOFF_SIGMAS * width
+    outer = integrate_interval(ring, 0.0, hi, spec)
+    return IntegrationResult(outer.value, outer.error_estimate + hi * inner_err, inner_evals)

@@ -887,6 +887,37 @@ def test_bundled_figure_configs_parse():
         assert config.times
 
 
+# sha256 of each bundled figure's CSV, keyed by numpy major.minor: the CSV
+# text goes through numpy's floating-point routines, whose last bits may
+# differ between releases.  A change that moves a figure updates its entry
+# and says why.
+FIGURE_SHA256 = {
+    "2.4": {
+        "fig1": "b8d5e443d22973c429048e04c41170e164bfb02dceb1698783a0085d53c2d05c",
+        "fig2": "f9abd7afda6696fc7a72f8e92d91173c7f3d57704d84a29c0fe0095bda03e461",
+        "fig3": "f49e5c902bad1b780c01d138399958316c3d75b22b090d0ba9ad6abab8e6957e",
+        "fig4": "f53d368645a147e400f47941b72fc75faaf38843dd2bf6d838faa200392001ec",
+        "fig5": "868c488c418c92dd238b29aaf7f9215a89a07d9f6c47066a5988dbf84b1e53e7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+def test_figure_csv_matches_recorded_hash(name, tmp_path):
+    import hashlib
+    from importlib import resources
+
+    import numpy as np
+
+    version = ".".join(np.__version__.split(".")[:2])
+    if version not in FIGURE_SHA256:
+        pytest.skip(f"no figure hashes recorded for numpy {version}")
+    text = (resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text()
+    out = tmp_path / f"{name}.csv"
+    emit_csv(run_scenario(parse_config(text)), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[version][name]
+
+
 def test_readme_names_the_scenarios():
     import re
     from pathlib import Path

@@ -135,7 +135,7 @@ class TestJointWigner:
         g = gaussian_wigner(1.0, 1.0)
         for theta, phi, alpha in ((0.3, 1.0, 0.7 + 0.1j), (2.0, 4.0, -0.4j)):
             pt = BlochPoint(theta, phi)
-            assert jd(*pt.coords, alpha) == pytest.approx(
+            assert jd(alpha)(*pt.coords) == pytest.approx(
                 wq(*pt.coords) * g.evaluate(alpha), rel=1e-12
             )
 
@@ -147,7 +147,7 @@ class TestJointWigner:
     def test_ground_joint_negative_at_north_pole(self):
         state = HybridState(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 0.8)
         jd = joint_wigner(state)
-        assert jd(*BlochPoint(0.0, 0.0).coords, 1.0 + 0j) < 0.0
+        assert jd(1.0 + 0j)(*BlochPoint(0.0, 0.0).coords) < 0.0
 
     def test_normalization_after_evolution(self):
         state = HybridState(PHASE, GaussianAmplitude(1.0, 1.0), 1.0, 0.7)
@@ -155,9 +155,7 @@ class TestJointWigner:
         spec = IntegrationSpec(1e-6, 1e-8)
 
         def sphere_slice(alpha):
-            return integrate_sphere(
-                lambda ct, st, phi: jd(ct, st, phi, alpha), IntegrationSpec(1e-7, 1e-9)
-            ).value
+            return integrate_sphere(jd(alpha), IntegrationSpec(1e-7, 1e-9)).value
 
         total = integrate_plane(sphere_slice, 0j, 2.0, spec)
         assert abs(total.value - 1.0) < 1e-6
@@ -231,7 +229,7 @@ class TestAtomMarginal:
         jd = joint_wigner(state)
         for theta, phi in ((0.4, 0.3), (2.3, 5.0)):
             pt = BlochPoint(theta, phi)
-            direct = integrate_plane(lambda a: jd(*pt.coords, a), 0j, 2.0, LOOSE).value
+            direct = integrate_plane(lambda a: jd(a)(*pt.coords), 0j, 2.0, LOOSE).value
             assert am(*pt.coords) == pytest.approx(direct, abs=1e-9)
 
     def test_normalized(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,62 @@ def test_sphere_ground_state_normalization():
     # analytic polar integral of (1 - sqrt(3) cos(theta)) / (4 pi) is 1
     f = lambda ct, st, phi: (1.0 - math.sqrt(3.0) * ct) / (4.0 * math.pi)
     assert abs(integrate_sphere(f).value - 1.0) < 1e-12
+
+
+def test_sphere_ring_below_degree_8_is_exact_at_first_comparison():
+    # harmonics 1..7 vanish on 8 and on 16 trapezoid points, so every ring
+    # stops after 8 + 8 points, in one outer panel of a cubic in u
+    def f(ct, st, phi):
+        return (1.0 + ct**3 * math.cos(7.0 * phi) + st * math.sin(5.0 * phi) + math.cos(phi)) / (4.0 * math.pi)
+
+    res = integrate_sphere(f)
+    assert res.evaluations == 15 * 16
+    assert res.value == pytest.approx(1.0, abs=1e-15)
+
+
+def test_sphere_ring_blind_spot_is_harmonics_at_multiples_of_16():
+    # 8 and 16 points both read cos(16 phi) as 1: the documented blind spot
+    res = integrate_sphere(lambda ct, st, phi: math.cos(16.0 * phi))
+    assert res.evaluations == 15 * 16
+    assert res.value == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+
+def test_sphere_ring_doubles_on_nodes_in_one_period():
+    # cos(40 phi) reads 2 pi on 8 points, 0 on 16 and 0 on 32: each ring doubles twice
+    rings = {}
+    res = integrate_sphere(lambda ct, st, phi: rings.setdefault(ct, []).append(phi) or math.cos(40.0 * phi))
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res.evaluations == 15 * 32
+    assert len(rings) == 15
+    for phis in rings.values():
+        assert sorted(phis) == [k * (2.0 * math.pi / 32) for k in range(32)]
+        assert all(0.0 <= phi < 2.0 * math.pi for phi in phis)
+
+
+def test_sphere_ring_with_a_jump_raises_naming_u():
+    # the sawtooth phi jumps at 0 = 2 pi: levels N and 2N differ by pi^2 / N
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"azimuthal ring at u = -?0\.\d+") as info:
+        integrate_sphere(lambda ct, st, phi: phi)
+    assert time.perf_counter() - start < 1.0
+    best = info.value.best
+    assert best.evaluations == 1 << 16
+    assert best.value == pytest.approx(2.0 * math.pi**2, rel=1e-4)
+    assert best.error_estimate == pytest.approx(math.pi**2 / (1 << 15), rel=1e-6)
+
+
+@pytest.mark.parametrize("f", [lambda x: -0.0, lambda x: 1.0 - x * x, lambda x: complex(-0.0, x)])
+def test_first_panel_return_matches_the_heap_route(f):
+    # one panel meets the tolerance: the value and error are the one-term
+    # sums of the general route, which map -0.0 to 0.0
+    from hybridwigner.quadrature import _sum_ordered
+
+    res = integrate_interval(f, -0.5, 1.0)
+    value, err = _loop_panel(f, -0.5, 1.0)
+    assert res.evaluations == 15
+    assert repr(res.value) == repr(_sum_ordered([value]))
+    assert repr(res.error_estimate) == repr(math.fsum([err]))
+    assert repr(res.value).lstrip("(")[0] != "-"
 
 
 def test_plane_gaussian_normalization():
