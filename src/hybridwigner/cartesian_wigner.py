@@ -18,13 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .quadrature import (
-    DEFAULT_SPEC,
-    RADIAL_CUTOFF_SIGMAS,
-    IntegrationSpec,
-    integrate_interval,
-    integrate_plane,
-)
+from .quadrature import RADIAL_CUTOFF_SIGMAS, integrate_interval, integrate_plane
 
 __all__ = [
     "NEGATIVITY_THRESHOLD",
@@ -175,11 +169,7 @@ def overlap_trace(A: PhaseSpaceFunction, B: PhaseSpaceFunction) -> float:
     return math.pi * res.value
 
 
-def quadrature_marginal(
-    W: PhaseSpaceFunction,
-    axis_angle: float,
-    spec: IntegrationSpec = DEFAULT_SPEC,
-) -> MarginalDistribution:
+def quadrature_marginal(W: PhaseSpaceFunction, axis_angle: float) -> MarginalDistribution:
     """Marginal density along the rotated axis exp(i * axis_angle).
 
     The returned density gives the exact statistics of the corresponding
@@ -193,7 +183,7 @@ def quadrature_marginal(
     lo, hi = proj.imag - half, proj.imag + half
 
     def density(s: float) -> float:
-        res = integrate_interval(lambda u: W.evaluate(complex(s, u) * rot), lo, hi, spec)
+        res = integrate_interval(lambda u: W.evaluate(complex(s, u) * rot), lo, hi)
         return res.value
 
     return MarginalDistribution(density, center=proj.real, scale=W.decay_scale)

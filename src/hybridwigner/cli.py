@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from . import __version__
-from .quadrature import RADIAL_CUTOFF_SIGMAS, ConvergenceError, IntegrationSpec
+from .quadrature import _MAX_SUBDIVISIONS, RADIAL_CUTOFF_SIGMAS, ConvergenceError, IntegrationSpec
 from .su2_wigner import SQRT3, SpinHalfState
 from .hybrid_model import (
     MAX_PHASE_SPREAD,
@@ -606,7 +606,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         + (f" in [{config.times[0]!r}, {config.times[-1]!r}]" if config.times else ""),
         f"quadrature = rel {config.quadrature.relative_tolerance!r}"
         f" abs {config.quadrature.absolute_tolerance!r}"
-        f" maxsub {config.quadrature.max_subdivisions}"
+        f" maxsub {_MAX_SUBDIVISIONS}"
         f" cutoff {RADIAL_CUTOFF_SIGMAS!r}",
     ]
     if scenario.beta0:

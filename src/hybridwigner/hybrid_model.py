@@ -313,7 +313,7 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
 
     The atomic azimuth integrates away in closed form (only the
     cos(theta)-weighted part of the spin distribution survives), and the
-    polar angle through the ramp series (``_sum_series``) of the initial
+    polar angle through the ramp series (``_series_value``) of the initial
     profile on the point's circle, sampled on ``field.azimuth_points(r)``
     points.
     """
@@ -332,9 +332,10 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
         r, phi_f = _polar_of(alpha)
         n = field.azimuth_points(r)
         if n not in grids:
-            grids[n] = (_field_profile(field, n), _ramp_weights(n, (kappa,), sz))
-        profile, weights = grids[n]
-        return _sum_series(_ramp_series(_cosine_modes(profile(r)), *weights), (phi_f,))[0][0]
+            w_re, w_im = _ramp_weights(n, (kappa,), sz)
+            grids[n] = (_field_profile(field, n), w_re[0], w_im[0])
+        profile, w_re, w_im = grids[n]
+        return _series_value(_cosine_modes(profile(r)), w_re, w_im, phi_f)
 
     return PhaseSpaceFunction(w, decay_scale=field.r0 + field.sigma, decay_center=0j)
 
@@ -400,10 +401,11 @@ def phase_distribution_gaussian(
     """
     if not math.isfinite(chi_t):
         raise ValueError(f"chi_t must be finite, got {chi_t!r}")
-    (series,) = _ramp_series(*next(_phase_law_blocks(atom, field, (chi_t,))))
+    g = _phase_law_modes(field)
+    w_re, w_im = (row[0] for row in _ramp_weights(field.phase_points, (SQRT3 * chi_t,), atom.s[2]))
 
     def density(phi: float) -> float:
-        return _sum_series((series,), (phi,))[0][0]
+        return _series_value(g, w_re, w_im, phi)
 
     return PhaseDistribution(density, (-math.pi, math.pi))
 
@@ -429,27 +431,27 @@ def phase_densities_gaussian(
         raise ValueError(f"points must be at least 2, got {points}")
     if not all(map(math.isfinite, chi_ts)):
         raise ValueError("chi_ts must be finite")
+    g = _phase_law_modes(field)
+    n = field.phase_points
+    kappas = [SQRT3 * chi_t for chi_t in chi_ts]
+    step = max(1, _BLOCK_HARMONICS // (n // 2))
     values = []
-    for block in _phase_law_blocks(atom, field, chi_ts):
-        values += [row + row[:1] for row in _folded_values(*block, points - 1).tolist()]
+    for start in range(0, len(kappas), step):
+        w_re, w_im = _ramp_weights(n, kappas[start : start + step], atom.s[2])
+        values += [row + row[:1] for row in _folded_values(g, w_re, w_im, points - 1).tolist()]
     return values
 
 
-def _phase_law_blocks(atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float]):
-    """Modes g of the Gaussian phase law's profile and its ramp weights
-    (w_re, w_im) at each chi t, yielded as (g, w_re, w_im) in blocks of at
-    most ``_BLOCK_HARMONICS`` harmonics (one time at least)."""
+def _phase_law_modes(field: GaussianAmplitude) -> np.ndarray:
+    """Cosine modes g_m, m = 0 ... n/2, of the Gaussian phase law's profile
+    ``field.angular_density`` on its n = ``field.phase_points`` points."""
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("gaussian phase law needs a Gaussian field")
     import numpy as np
 
     n = field.phase_points
     samples = [field.angular_density(psi) for psi in (np.arange(n) * (TWO_PI / n)).tolist()]
-    g = _cosine_modes(np.array(samples))
-    kappas = [SQRT3 * chi_t for chi_t in chi_ts]
-    step = max(1, _BLOCK_HARMONICS // (n // 2))
-    for start in range(0, len(kappas), step):
-        yield (g, *_ramp_weights(n, kappas[start : start + step], atom.s[2]))
+    return _cosine_modes(np.array(samples))
 
 
 def _folded_values(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray, period: int) -> np.ndarray:
@@ -696,33 +698,21 @@ def _cosine_modes(samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(samples).real / len(samples)
 
 
-def _ramp_series(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray) -> list[tuple]:
-    """Fourier series (b0, b_re, b_im) of
-    phi -> Integral[du (1 + sqrt(3) s_z u) / 2 * g(phi - kappa u), u = -1..1]
-    for each row of ``(w_re, w_im) = _ramp_weights(n, kappas, s_z)``, from the
-    modes ``g = _cosine_modes(...)``: its m-th mode is b_m = g_m w_m."""
-    b_re, b_im = g[1:] * w_re[:, 1:], g[1:] * w_im[:, 1:]
-    return [(float(g[0] * re0), re, im) for re0, re, im in zip(w_re[:, 0], b_re, b_im)]
+def _series_value(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray, phi: float) -> float:
+    """Value at phi of the ramp series of an even profile,
+    phi -> Integral[du (1 + sqrt(3) s_z u) / 2 * g(phi - kappa u), u = -1..1],
+    from the profile's modes ``g = _cosine_modes(...)`` and one row
+    (w_re, w_im) of ``_ramp_weights(n, kappas, s_z)``.
 
-
-def _sum_series(series: Sequence[tuple], phis: Sequence[float]) -> list[list[float]]:
-    """b0 + 2 sum_m (b_re[m] cos(m phi) - b_im[m] sin(m phi)), m = 1 ... n/2, of
-    each series (b0, b_re, b_im) (one list each) at each phi: two 1-D dot
-    products in a fixed order, never a 2-D BLAS block.
-
-    The cos and sin rows of a phi are formed once and shared by every series,
-    so the working memory is O(n) per phi.
+    Its m-th mode is b_m = g_m w_m, and the value is
+    b0 + 2 sum_m (Re b_m cos(m phi) - Im b_m sin(m phi)), m = 1 ... n/2: two
+    1-D dot products in a fixed order, never a 2-D BLAS block.
     """
     import numpy as np
 
-    m = np.arange(1, len(series[0][1]) + 1)
-    values: list[list[float]] = [[] for _ in series]
-    for phi in phis:
-        mphi = m * phi
-        c, s = np.cos(mphi), np.sin(mphi)
-        for out, (b0, b_re, b_im) in zip(values, series):
-            out.append(b0 + 2.0 * float(np.dot(b_re, c) - np.dot(b_im, s)))
-    return values
+    b_re, b_im = g[1:] * w_re[1:], g[1:] * w_im[1:]
+    mphi = np.arange(1, len(g)) * phi
+    return float(g[0] * w_re[0]) + 2.0 * float(np.dot(b_re, np.cos(mphi)) - np.dot(b_im, np.sin(mphi)))
 
 
 def closed_moments(
@@ -805,9 +795,7 @@ def _field_profile(field: GaussianAmplitude, n: int) -> Callable[[float], np.nda
     return row
 
 
-def expectation_quadrature(
-    state: HybridState, obs: ObservableSymbol, spec: IntegrationSpec = DEFAULT_SPEC
-) -> complex:
+def expectation_quadrature(state: HybridState, obs: ObservableSymbol) -> complex:
     """Direct quadrature of the symbol against the transported joint density:
     the independent cross-check of ``closed_moments`` at the state's time.
 
@@ -836,7 +824,7 @@ def expectation_quadrature(
         def f(u: float) -> complex:
             return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u)
 
-        return const * integrate_interval(f, -1.0, 1.0, spec).value
+        return const * integrate_interval(f, -1.0, 1.0).value
 
     r_lo, r_hi = field.radial_bounds()
     n = field.azimuth_points(r_hi)
@@ -848,12 +836,12 @@ def expectation_quadrature(
         azimuthal = float(np.dot(profile(r), weights))
         return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
-    inner = integrate_interval(radial, r_lo, r_hi, spec).value
+    inner = integrate_interval(radial, r_lo, r_hi).value
 
     def outer(u: float) -> complex:
         return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u) * inner
 
-    return integrate_interval(outer, -1.0, 1.0, spec).value
+    return integrate_interval(outer, -1.0, 1.0).value
 
 
 _PRODUCTS = {obs.value: obs for obs in ObservableSymbol}

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .quadrature import DEFAULT_SPEC, RADIAL_CUTOFF_SIGMAS, IntegrationSpec, integrate_plane
+from .quadrature import RADIAL_CUTOFF_SIGMAS, integrate_plane
 from .cartesian_wigner import (
     FockWigner,
     GaussianWigner,
@@ -192,7 +192,6 @@ def marginal_quadrature(
     lam: float,
     t: float,
     keep_alpha: bool,
-    spec: IntegrationSpec = DEFAULT_SPEC,
 ) -> PhaseSpaceFunction:
     """The independent cross-check of ``alpha_marginal`` (keep_alpha) and
     ``beta_marginal``, for any pair of plane states: each point integrates
@@ -206,7 +205,7 @@ def marginal_quadrature(
             f = lambda beta: joint(z, beta)
         else:
             f = lambda alpha: joint(alpha, z)
-        return integrate_plane(f, 0j, width + abs(z) / RADIAL_CUTOFF_SIGMAS, spec).value
+        return integrate_plane(f, 0j, width + abs(z) / RADIAL_CUTOFF_SIGMAS).value
 
     return PhaseSpaceFunction(w, W_c.decay_scale + W_q.decay_scale)
 

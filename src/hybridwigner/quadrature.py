@@ -41,6 +41,9 @@ TWO_PI = 2.0 * math.pi
 # units of the integrand's decay scale.
 RADIAL_CUTOFF_SIGMAS = 10.0
 
+# Bisections integrate_interval may make before it gives up on a tolerance.
+_MAX_SUBDIVISIONS = 1 << 16
+
 # Points of a sphere ring's first trapezoid level, and the most points a ring
 # may take before it is refused.  Level 8 against 16 is blind only to
 # harmonics at multiples of 16; 4 against 8 would miss multiples of 8.
@@ -80,11 +83,10 @@ Scalar = Union[float, complex]
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Tolerances and subdivision budget shared by every integration routine."""
+    """Tolerances shared by every integration routine."""
 
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 1 << 16
 
     def __post_init__(self) -> None:
         # NaN compares False, so each float bound is written as not (x > bound)
@@ -92,8 +94,6 @@ class IntegrationSpec:
             raise ValueError("relative_tolerance must be positive and finite")
         if not (self.absolute_tolerance > 0.0) or not math.isfinite(self.absolute_tolerance):
             raise ValueError("absolute_tolerance must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 DEFAULT_SPEC = IntegrationSpec()
@@ -111,7 +111,8 @@ class IntegrationResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Subdivision budget exhausted; carries the best estimate so far."""
+    """Subdivision budget exhausted or a NaN estimate; carries the best
+    estimate so far."""
 
     def __init__(self, message: str, best: IntegrationResult):
         super().__init__(message)
@@ -175,8 +176,10 @@ def integrate_interval(
 ) -> IntegrationResult:
     """Integrate f over [a, b].
 
-    Raises ConvergenceError when the subdivision budget runs out before the
-    tolerance is met; the exception carries the best estimate.
+    Raises ConvergenceError when ``_MAX_SUBDIVISIONS`` bisections do not meet
+    the tolerance, or when the estimate is NaN (checked after the first panel
+    and when the loop ends, never per node); the exception carries the best
+    estimate.
     """
     if not math.isfinite(a):
         raise ValueError(f"integration limit a must be finite, got {a!r}")
@@ -228,9 +231,13 @@ def integrate_interval(
 
     rel, abs_tol = spec.relative_tolerance, spec.absolute_tolerance
     value, err = panel(a, b)
-    # "not >" rather than "<=", so a NaN estimate stops here as in the loop;
+    # "not >" rather than "<=", so a NaN estimate stops here, to be refused;
     # the one-panel sums are finish()'s, which map -0.0 to 0.0
     if not err > max(rel * abs(value), abs_tol):
+        if err != err or value != value:
+            raise ConvergenceError(
+                f"nan estimate on [{a}, {b}]", IntegrationResult(value, err, evaluations)
+            )
         if isinstance(value, complex):
             value = complex(math.fsum((value.real,)), math.fsum((value.imag,)))
         else:
@@ -251,7 +258,7 @@ def integrate_interval(
         )
 
     while total_err > max(rel * abs(total), abs_tol):
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"no convergence after {splits} subdivisions on [{a}, {b}]", finish()
             )
@@ -273,6 +280,9 @@ def integrate_interval(
         total_err = max(total_err + e1 + e2 - e, 0.0)
         splits += 1
 
+    # a NaN total or error ends the loop, since every comparison with it is False
+    if total_err != total_err or total != total:
+        raise ConvergenceError(f"nan estimate on [{a}, {b}]", finish())
     return finish()
 
 
@@ -305,8 +315,9 @@ def integrate_sphere(
     spin-1/2 density, symbol or product (degree <= 2) stops at the first
     comparison, after 16 points.  Its one blind spot is an integrand whose
     only harmonics are multiples of 16: levels 8 and 16 then agree on a
-    wrong value.  A ring that has not converged at ``_MAX_RING_POINTS``
-    raises ConvergenceError, with that ring's best estimate, naming u.
+    wrong value.  A ring that has not converged at ``_MAX_RING_POINTS``, or
+    whose two levels differ by NaN, raises ConvergenceError, with that ring's
+    best estimate, naming u.
 
     ``evaluations`` counts the ring evaluations of f; the error estimate is
     the outer one plus 2 times the worst ring error.
@@ -332,6 +343,11 @@ def integrate_sphere(
             err = abs(fine - coarse)
             if err <= max(rel * abs(fine), abs_tol):
                 break
+            if err != err:
+                raise ConvergenceError(
+                    f"azimuthal ring at u = {u!r} gave a nan estimate with {n} points",
+                    IntegrationResult(fine, err, n),
+                )
             if n >= _MAX_RING_POINTS:
                 raise ConvergenceError(
                     f"azimuthal ring at u = {u!r} did not converge with {n} points",

@@ -47,3 +47,21 @@ def test_criterion_4_scale_is_sigma_minus_scale():
     result = [fn for n, _, fn in CRITERIA if n == 4][0]()
     rows = {c.label: c.measured for c in result.checks}
     assert abs(rows["coherence scale constant"] - SIGMA_MINUS_SCALE) < 1e-12
+
+
+def test_criterion_11_rows_catch_a_scaled_weight(monkeypatch):
+    """A sharp-field law off by one part in 1e9 fails the moment rows and the
+    rebuilt raising moments."""
+    import hybridwigner.acceptance as acceptance
+    from hybridwigner.hybrid_model import PhaseDistribution, atomic_pfunction
+
+    def scaled(atom, chi_t):
+        p = atomic_pfunction(atom, chi_t)
+        return PhaseDistribution(lambda d: (1.0 + 1e-9) * p.evaluate(d), p.support)
+
+    monkeypatch.setattr(acceptance, "atomic_pfunction", scaled)
+    result = acceptance.criterion_11()
+    rows = [c for c in result.checks if "rebuilt raising moment" in c.label]
+    assert len(rows) == 4
+    assert not any(c.passed for c in rows)
+    assert not any(c.passed for c in result.checks)

@@ -177,3 +177,13 @@ def test_plane_grid_shape_and_order():
     assert len(pts) == 9
     assert pts[0] == 0j
     assert pts[-1] == 2.0 + 2.0j
+
+
+def test_negative_max_n_refused():
+    with pytest.raises(ValueError, match=r"^max_n must be non-negative"):
+        nonquantum_check(gaussian_wigner(0j, 1.0), max_n=-1)
+
+
+def test_empty_plane_grid_refused():
+    with pytest.raises(ValueError, match=r"^points_per_axis must be at least 1"):
+        plane_grid(0j, 1.0, 0)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import hybridwigner.cli as cli_module
-import hybridwigner.hybrid_model as hybrid_model
+import hybridwigner.quadrature as quadrature
 from hybridwigner.cli import (
     MAX_RANGE_STEPS,
     ConfigError,
@@ -46,6 +46,22 @@ def _scenario(name, chi, times, field, extra=""):
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("times = 0.5, 1.0, 2.0", "times = range(0, 1)", "line 5: range takes (start, stop, steps)"),
+            ("times = 0.5, 1.0, 2.0", "times = range(1, 0, 5)", "line 5: range stop must exceed start"),
+            ("times = 0.5, 1.0, 2.0", "times = ,", "line 5: times list is empty"),
+            ("kind = phase", "kind = bloch", "line 8: bloch atom needs key 's = sx, sy, sz'"),
+            ("r0 = 1.0", "r0 = -1", "line 11: r0 must be non-negative and finite"),
+        ],
+        ids=["range-two-parts", "range-stop-below-start", "times-empty", "bloch-without-s", "delta-negative-r0"],
+    )
+    def test_refusal_names_its_line(self, old, new, error):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(MINIMAL.replace(old, new))
+        assert exc_info.value.errors == [error]
+
     def test_minimal_config(self):
         config = parse_config(MINIMAL)
         assert config.scenario == "moments"
@@ -522,6 +538,10 @@ class TestEmission:
         assert meta and lines[len(meta)].startswith("t,")
         assert len(lines) == len(meta) + 1 + 3
 
+    def test_short_row_refused(self):
+        with pytest.raises(ValueError, match="row length does not match column count"):
+            ResultTable(("a", "b"), ((1.0, 2.0), (3.0,)), ())
+
     def test_empty_rows_header_only(self):
         table = ResultTable(("a", "b"), (), ("note",))
         text = render_csv(table)
@@ -652,12 +672,7 @@ sigma = 1.0
     ):
         # a real engine failure on a budget of one subdivision; at the default
         # budget the same failure takes seconds
-        integrate = hybrid_model.integrate_interval
-        monkeypatch.setattr(
-            hybrid_model,
-            "integrate_interval",
-            lambda f, a, b, spec: integrate(f, a, b, replace(spec, max_subdivisions=1)),
-        )
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
             f"[scenario]\nname = {name}\nchi = 1.0\ntimes = 0.5\n\n[atom]\nkind = phase\n\n"

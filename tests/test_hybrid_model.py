@@ -428,16 +428,17 @@ class TestGaussianPhaseLaw:
 def _exact_phase_row(atom, field, chi_t, points):
     """The grid's phase law at chi t summed with exact phases: m is reduced
     modulo points - 1 before it multiplies k, and each point is one fsum."""
-    ((g, w_re, w_im),) = model._phase_law_blocks(atom, field, (chi_t,))
+    g = model._phase_law_modes(field)
+    w_re, w_im = (row[0] for row in model._ramp_weights(field.phase_points, (SQRT3 * chi_t,), atom.s[2]))
     period = points - 1
     m = np.arange(1, len(g))
     signed = np.where(m % 2 == 1, -g[1:], g[1:])
-    b_re, b_im = signed * w_re[0, 1:], signed * w_im[0, 1:]
+    b_re, b_im = signed * w_re[1:], signed * w_im[1:]
     row = []
     for k in range(period):
         angle = (m % period * k % period) * (2.0 * math.pi / period)
         terms = b_re * np.cos(angle) - b_im * np.sin(angle)
-        row.append(float(g[0] * w_re[0, 0]) + 2.0 * math.fsum(terms.tolist()))
+        row.append(float(g[0] * w_re[0]) + 2.0 * math.fsum(terms.tolist()))
     return row + row[:1]
 
 
@@ -494,7 +495,7 @@ class TestQuadratureDistribution:
         chi_t = 1.0 / SQRT3
         dist = quadrature_distribution(GROUND, field, chi_t, LOOSE)
         fm = field_marginal(HybridState(GROUND, field, 1.0, chi_t))
-        marg = quadrature_marginal(fm, math.pi / 2.0, LOOSE)
+        marg = quadrature_marginal(fm, math.pi / 2.0)
         for y in (-0.8, 0.0, 0.9):
             assert dist.evaluate(y) == pytest.approx(marg.evaluate(y), abs=1e-8)
 
@@ -592,7 +593,7 @@ def _per_u_atom_trapezoid(s, u, m, n=32):
     return complex((w * np.exp(-1j * m * grid)).sum() * (2.0 * math.pi / n))
 
 
-def _nested_quadrature(state, obs, spec):
+def _nested_quadrature(state, obs):
     """Gaussian-field quadrature route with the radial integral rerun at every u."""
     s = state.atom.s
     chi, t, kappa = state.chi, state.t, state.kappa
@@ -611,10 +612,10 @@ def _nested_quadrature(state, obs, spec):
             azimuthal = float(np.dot(profile(r), weights))
             return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
-        inner = integrate_interval(radial, r_lo, r_hi, spec).value
+        inner = integrate_interval(radial, r_lo, r_hi).value
         return atom_row(u) * g_theta(u) * cmath.exp(-1j * m_f * kappa * u) * inner
 
-    return integrate_interval(outer, -1.0, 1.0, spec).value
+    return integrate_interval(outer, -1.0, 1.0).value
 
 
 class TestQuadratureRoute:
@@ -624,9 +625,7 @@ class TestQuadratureRoute:
     @pytest.mark.parametrize("obs", list(ObservableSymbol))
     def test_radial_integral_once_equals_nested(self, obs, chi):
         state = HybridState(self.ATOM, GaussianAmplitude(1.5, 0.8), chi, 0.9)
-        assert expectation_quadrature(state, obs, LOOSE) == _nested_quadrature(
-            state, obs, LOOSE
-        )
+        assert expectation_quadrature(state, obs) == _nested_quadrature(state, obs)
 
     def test_factorised_atom_trapezoid(self):
         states = [(0.0, 0.0, 0.0), (0.6, -0.3, 0.5), (1.0, 0.0, 0.0), (-0.2, 0.7, -0.68)]
@@ -887,3 +886,16 @@ def test_symbol_factorization():
     assert sm.symbol(*coords, alpha) == pytest.approx(
         0.5 * SQRT3 * math.sin(0.8) * cmath.exp(-1.9j)
     )
+
+
+@pytest.mark.parametrize(
+    "law, call",
+    [
+        ("gaussian phase law", lambda field: phase_densities_gaussian(GROUND, field, (0.5,), 201)),
+        ("quadrature law", lambda field: quadrature_distribution(GROUND, field, 0.5)),
+    ],
+    ids=["phase_densities_gaussian", "quadrature_distribution"],
+)
+def test_gaussian_laws_refuse_a_delta_field(law, call):
+    with pytest.raises(AnalyticPathRequiredError, match=f"^{law} needs a Gaussian field"):
+        call(DeltaAmplitude(1.0))

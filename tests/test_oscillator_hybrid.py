@@ -147,10 +147,9 @@ class TestMarginals:
     def test_quadrature_path_agrees_with_fast_path(self, n, sigma_c, t, center):
         W_c = gaussian_wigner(center, sigma_c)
         W_q = fock_wigner(n)
-        spec = IntegrationSpec(1e-10, 1e-12)
         for closed, keep_alpha in ((alpha_marginal, True), (beta_marginal, False)):
             fast = closed(W_c, W_q, LAM, t)
-            quad = marginal_quadrature(W_c, W_q, LAM, t, keep_alpha, spec)
+            quad = marginal_quadrature(W_c, W_q, LAM, t, keep_alpha)
             for z in (0j, 0.5 + 0.2j, -1.0j, 0.9 - 0.7j):
                 assert abs(quad.evaluate(z) - fast.evaluate(z)) < 1e-12
 
@@ -159,7 +158,7 @@ class TestMarginals:
         W_q = fock_wigner(1)
         tau = TAU
         fast = alpha_marginal(W_c, W_q, LAM, tau)
-        quad = marginal_quadrature(W_c, W_q, LAM, tau, True, IntegrationSpec(1e-9, 1e-11))
+        quad = marginal_quadrature(W_c, W_q, LAM, tau, True)
         for z in (0j, 0.5 + 0.2j, -1.0j):
             assert quad.evaluate(z) == pytest.approx(fast.evaluate(z), abs=1e-9)
 

@@ -5,9 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from hybridwigner import quadrature
 from hybridwigner.quadrature import (
     BlochPoint,
     ConvergenceError,
+    IntegrationResult,
     IntegrationSpec,
     integrate_interval,
     integrate_plane,
@@ -46,13 +48,14 @@ def _loop_panel(f, lo, hi):
 
 
 @pytest.mark.parametrize("f", [lambda x: math.sqrt(abs(x)), lambda x: cmath.exp(40j * x)])
-def test_panel_matches_loop_reference(f):
+def test_panel_matches_loop_reference(f, monkeypatch):
     from hybridwigner.quadrature import _sum_ordered
 
     calls, reference_calls = [], []
     lo, hi = -0.3, 0.9
     # one split, then the budget runs out: three panels and the best estimate
-    spec = IntegrationSpec(1e-300, 1e-300, max_subdivisions=1)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    spec = IntegrationSpec(1e-300, 1e-300)
     with pytest.raises(ConvergenceError) as info:
         integrate_interval(lambda x: calls.append(x) or f(x), lo, hi, spec)
 
@@ -123,9 +126,9 @@ def test_complex_integrand():
     assert abs(res.value - complex(0.0, 2.0)) < 1e-13
 
 
-def test_no_convergence_carries_best_estimate():
-    spec = IntegrationSpec(relative_tolerance=1e-14, absolute_tolerance=1e-300,
-                           max_subdivisions=8)
+def test_no_convergence_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
+    spec = IntegrationSpec(relative_tolerance=1e-14, absolute_tolerance=1e-300)
     with pytest.raises(ConvergenceError) as exc_info:
         integrate_interval(lambda x: abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0, spec)
     best = exc_info.value.best
@@ -140,8 +143,6 @@ def test_spec_validation():
         IntegrationSpec(relative_tolerance=0.0)
     with pytest.raises(ValueError):
         IntegrationSpec(absolute_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        IntegrationSpec(max_subdivisions=0)
     # a NaN tolerance would stop integrate_interval after one panel, silently
     for field in ("relative_tolerance", "absolute_tolerance"):
         for value in (math.nan, math.inf):
@@ -245,3 +246,50 @@ def test_plane_witness_product():
     g = gaussian_wigner(0, 0.5)
     res = integrate_plane(lambda b: math.pi * f1.evaluate(b) * g.evaluate(b), 0j, 1.0)
     assert abs(res.value - (-0.96)) < 1e-9
+
+
+def test_interval_refuses_nan_at_the_first_panel():
+    with pytest.raises(ConvergenceError, match=r"nan estimate on \[0\.0, 1\.0\]") as info:
+        integrate_interval(lambda x: math.nan, 0.0, 1.0)
+    assert info.value.best.evaluations == 15
+    assert math.isnan(info.value.best.value)
+
+
+def test_interval_refuses_nan_met_after_a_split():
+    # the kink needs a split; x = 0.25 is no node of [0, 1] but the centre of [0, 0.5]
+    f = lambda x: math.nan if x == 0.25 else math.sqrt(abs(x - 0.3))
+    with pytest.raises(ConvergenceError, match=r"nan estimate on \[0\.0, 1\.0\]") as info:
+        integrate_interval(f, 0.0, 1.0)
+    assert info.value.best.evaluations == 45
+
+
+def test_plane_refuses_nan_at_its_first_ring():
+    with pytest.raises(ConvergenceError, match=r"nan estimate on \[0\.0, 6\.28") as info:
+        integrate_plane(lambda a: math.nan, 0j, 1.0)
+    assert info.value.best.evaluations == 15
+
+
+def test_sphere_refuses_a_nan_ring_at_its_first_comparison():
+    calls = []
+    with pytest.raises(ConvergenceError, match=r"azimuthal ring at u = -?0\.\d+ gave a nan estimate with 16 points"):
+        integrate_sphere(lambda ct, st, phi: calls.append(phi) or math.nan)
+    assert len(calls) == 16
+
+
+@pytest.mark.parametrize("theta, clamped", [(-1e-13, 0.0), (math.pi + 1e-13, math.pi)])
+def test_bloch_point_clamps_overshoot_at_the_poles(theta, clamped):
+    assert BlochPoint(theta, 0.0).theta == clamped
+
+
+def test_panel_that_cannot_be_refined_raises_naming_it():
+    # a jump at 1/3 never meets a tolerance of 1e-300: bisection narrows its
+    # panel to the width floor
+    jump = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
+    with pytest.raises(ConvergenceError, match=r"panel \[0\.333\d*, 0\.333\d*\] cannot be refined further") as info:
+        integrate_interval(jump, 0.0, 1.0, IntegrationSpec(1e-300, 1e-300))
+    assert info.value.best.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_negative_error_estimate_refused():
+    with pytest.raises(ValueError, match="error_estimate must be non-negative"):
+        IntegrationResult(1.0, -1e-300, 15)

@@ -213,3 +213,15 @@ def test_spin_wigner_real_everywhere():
     for _ in range(50):
         p = BlochPoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert isinstance(w(*p.coords), float)
+
+
+def test_negative_quantum_numbers_refused():
+    with pytest.raises(ValueError, match=r"^j must be non-negative"):
+        clebsch_gordan(0.5, 0.5, 0.5, -0.5, -1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^ell must be non-negative"):
+        spherical_harmonic(-1, 0, BlochPoint(1.0, 0.0))
+
+
+def test_bloch_vector_needs_three_components():
+    with pytest.raises(ValueError, match="Bloch vector must have three components"):
+        SpinHalfState((0.1, 0.2))
