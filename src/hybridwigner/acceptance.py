@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import filecmp
 import math
+import random
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -309,19 +310,24 @@ def criterion_9() -> CriterionResult:
             pt = BlochPoint(float(theta), float(phi))
             dev = np.max(np.abs(su2_kernel(0.5, pt) - spin_half_kernel(pt)))
             worst_kernel = max(worst_kernel, float(dev))
-    rng = np.random.default_rng(20240817)
+    # random.Random, not numpy.random: that module alone adds about 6 MB
+    rng = random.Random(20240817)
+
+    def bloch_vector() -> tuple[float, ...]:
+        # isotropic direction, length uniform in [0, 1]
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        scale = rng.uniform(0.0, 1.0) / math.hypot(*v)
+        return tuple(c * scale for c in v)
+
     worst_rt = 0.0
     worst_tr = 0.0
     for _ in range(20):
-        v1 = rng.normal(size=3)
-        v1 *= rng.uniform(0.0, 1.0) / np.linalg.norm(v1)
-        v2 = rng.normal(size=3)
-        v2 *= rng.uniform(0.0, 1.0) / np.linalg.norm(v2)
-        s1, s2 = SpinHalfState(tuple(v1)), SpinHalfState(tuple(v2))
+        v1, v2 = bloch_vector(), bloch_vector()
+        s1, s2 = SpinHalfState(v1), SpinHalfState(v2)
         back = wigner_to_spin(spin_wigner(s1))
         worst_rt = max(worst_rt, max(abs(a - b) for a, b in zip(s1.s, back.s)))
         tr = su2_traciality(spin_wigner(s1), spin_wigner(s2))
-        worst_tr = max(worst_tr, abs(tr - 0.5 * (1.0 + float(np.dot(v1, v2)))))
+        worst_tr = max(worst_tr, abs(tr - 0.5 * (1.0 + sum(a * b for a, b in zip(v1, v2)))))
     checks = [
         _row("kernel sum vs closed form on 20x20 grid", worst_kernel, 1e-12),
         _row("round-trip worst component deviation", worst_rt, 1e-8),

@@ -623,21 +623,22 @@ def _frozen_field_factors(
     return f0, f1
 
 
-def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
+def _bessel_series(n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Taylor series of j_n at 0 <= x <= n:
     x^n / (2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1)).
 
     For n <= 2 each term is the last times -x^2 / (2k(2n+2k+1)), at most
     2/7 in size, so 13 terms leave a tail below 1e-19 relative and the sum
-    does not cancel.
+    does not cancel.  x is a float or an array, with the same bits per point:
+    x^n is a product, as numpy squares an array (libm's pow rounds otherwise).
     """
-    import numpy as np
-
     half_x2 = 0.5 * x * x
-    total = np.ones_like(x)
+    total = power = 1.0
     for k in range(13, 0, -1):
         total = 1.0 - half_x2 * total / (k * (2 * n + 2 * k + 1))
-    return x**n / math.prod(range(1, 2 * n + 2, 2)) * total
+    for _ in range(n):
+        power = power * x
+    return power / math.prod(range(1, 2 * n + 2, 2)) * total
 
 
 def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
@@ -674,6 +675,29 @@ def _spherical_bessel(orders: int, x: Sequence[float]) -> np.ndarray:
         bessel[n, far] = row
     bessel[1::2] = np.where(x < 0.0, -bessel[1::2], bessel[1::2])
     return bessel
+
+
+def _bessel_012(x: float) -> tuple[float, float, float]:
+    """j0, j1, j2 at one signed x, without numpy: the bits of column x of
+    ``_spherical_bessel(3, ...)``, from its branches in its operation order."""
+    ax = abs(x)
+    if math.isinf(ax):
+        j = [0.0, 0.0, 0.0]
+    else:
+        if ax < sys.float_info.min:
+            ax = 0.0
+        # the recurrence for the orders below ax, the series for the rest
+        j = []
+        if ax > 0.0:
+            j.append(math.sin(ax) / ax)
+        if ax > 1.0:
+            j.append((j[0] - math.cos(ax)) / ax)
+        if ax > 2.0:
+            j.append(3 * j[1] / ax - j[0])
+        j += [_bessel_series(n, ax) for n in range(len(j), 3)]
+    if x < 0.0:
+        j[1] = -j[1]
+    return j[0], j[1], j[2]
 
 
 def _ramp_weights(n: int, kappas: Sequence[float], sz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -721,20 +745,19 @@ def closed_moments(
     """Closed-form averages of every ObservableSymbol at each of ``times``.
 
     The cos(theta) average of the field-phase shift reduces to the spherical
-    Bessel functions j0, j1, j2 of kappa = sqrt(3) chi t; they are evaluated
-    for the whole time grid in one call.  The field sector enters through
+    Bessel functions j0, j1, j2 of kappa = sqrt(3) chi t, taken per time by
+    ``_bessel_012``, so no numpy is loaded.  The field sector enters through
     ``_field_factors``.
     """
     if not math.isfinite(chi):
         raise ValueError(f"chi must be finite, got {chi!r}")
     if not all(0.0 <= t < math.inf for t in times):
         raise ValueError("times must be finite and non-negative")
-    kappas = [SQRT3 * chi * t for t in times]
-    bessel = _spherical_bessel(3, kappas)
     sx, sy, sz = atom.s
     coherence = 0.5 * complex(sx, -sy)
     moments = []
-    for t, (j0, j1, j2) in zip(times, bessel.T.tolist()):
+    for t in times:
+        j0, j1, j2 = _bessel_012(SQRT3 * chi * t)
         mean_alpha, f0, f1 = _field_factors(field, chi, t)
         moments.append(
             {

@@ -177,9 +177,9 @@ def integrate_interval(
     """Integrate f over [a, b].
 
     Raises ConvergenceError when ``_MAX_SUBDIVISIONS`` bisections do not meet
-    the tolerance, or when the estimate is NaN (checked after the first panel
-    and when the loop ends, never per node); the exception carries the best
-    estimate.
+    the tolerance, or when the estimate or its error is NaN or infinite
+    (checked after the first panel and when the loop ends, never per node);
+    the exception carries the best estimate.
     """
     if not math.isfinite(a):
         raise ValueError(f"integration limit a must be finite, got {a!r}")
@@ -231,12 +231,13 @@ def integrate_interval(
 
     rel, abs_tol = spec.relative_tolerance, spec.absolute_tolerance
     value, err = panel(a, b)
-    # "not >" rather than "<=", so a NaN estimate stops here, to be refused;
-    # the one-panel sums are finish()'s, which map -0.0 to 0.0
+    # "not >" rather than "<=", so a NaN estimate stops here, to be refused,
+    # as does an infinite one (inf > inf is False); the one-panel sums are
+    # finish()'s, which map -0.0 to 0.0
     if not err > max(rel * abs(value), abs_tol):
-        if err != err or value != value:
+        if fault := _non_finite(value, err):
             raise ConvergenceError(
-                f"nan estimate on [{a}, {b}]", IntegrationResult(value, err, evaluations)
+                f"{fault} estimate on [{a}, {b}]", IntegrationResult(value, err, evaluations)
             )
         if isinstance(value, complex):
             value = complex(math.fsum((value.real,)), math.fsum((value.imag,)))
@@ -280,10 +281,18 @@ def integrate_interval(
         total_err = max(total_err + e1 + e2 - e, 0.0)
         splits += 1
 
-    # a NaN total or error ends the loop, since every comparison with it is False
-    if total_err != total_err or total != total:
-        raise ConvergenceError(f"nan estimate on [{a}, {b}]", finish())
+    # a NaN total or error ends the loop, since every comparison with it is
+    # False, and so does an infinite pair
+    if fault := _non_finite(total, total_err):
+        raise ConvergenceError(f"{fault} estimate on [{a}, {b}]", finish())
     return finish()
+
+
+def _non_finite(value: Scalar, err: float) -> str:
+    """What is wrong with an estimate or its error: "nan", "infinite" or ""."""
+    if err != err or value != value:
+        return "nan"
+    return "" if math.isfinite(err) and cmath.isfinite(value) else "infinite"
 
 
 def _inner_spec(spec: IntegrationSpec) -> IntegrationSpec:

@@ -428,6 +428,8 @@ sigma = 1.0
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_one_bessel_call_per_run(self, name, monkeypatch):
+        # fig3's Gaussian series takes its weights from one array call; the
+        # closed forms of the others take j0-j2 per time from _bessel_012
         from importlib import resources
 
         import hybridwigner.hybrid_model as model
@@ -443,7 +445,7 @@ sigma = 1.0
         text = (resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text()
         table = run_scenario(parse_config(text))
         assert len(table.rows) > 1
-        assert len(calls) == 1
+        assert len(calls) == (1 if name == "fig3" else 0)
 
     def test_compare_moment_calls(self, monkeypatch):
         from importlib import resources

@@ -1,6 +1,6 @@
 """Every exported name resolves, in the package and in each of its modules;
-importing (a star import too) and parsing load no numpy; the entry points
-refuse non-finite numbers by name."""
+importing (a star import too), parsing and the closed-form scenarios load no
+numpy; the entry points refuse non-finite numbers by name."""
 
 import importlib
 import inspect
@@ -105,33 +105,66 @@ def test_exports_and_lazy_pauli_matrices():
         su2_wigner.PAULI_X
 
 
+# scenarios whose rows are closed forms, beside fig1, fig2, fig4 and fig5
+_CLOSED_CONFIGS = {
+    "pfunction": "[scenario]\nname = pfunction\nchi = 1.0\ntimes = 0.5, 2.0\n[atom]\nkind = ground\n",
+    "phase-dist-delta": (
+        "[scenario]\nname = phase-dist\nchi = 1.0\ntimes = 0.5, 2.0\n"
+        "[atom]\nkind = bloch\ns = 0.3, 0.0, 0.5\n[field]\nkind = delta\nr0 = 2.0\n"
+    ),
+    "oscillators": (
+        "[scenario]\nname = oscillators\nchi = 1.0\ntimes = range(0, 3, 31)\n"
+        "beta0_re = 0.5\nbeta0_im = -0.5\n[field]\nkind = delta\nr0 = 1.0\n"
+    ),
+}
+
+
 def test_import_and_parsing_load_no_numpy(tmp_path):
-    # The CLI validates and refuses configs before any numerical call.
+    # The CLI validates and refuses configs before any numerical call, and
+    # the closed-form scenarios run without numpy; fig3's series load it.
     text = (Path(hybridwigner.__file__).parent / "configs" / "fig1.cfg").read_text()
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "bogus = 2\n", encoding="utf-8")
     line = len(text.splitlines()) + 1
+    closed = tmp_path / "closed"
+    closed.mkdir()
+    for name, config in _CLOSED_CONFIGS.items():
+        (closed / f"{name}.cfg").write_text(config, encoding="utf-8")
     script = textwrap.dedent(
         """
         import sys
         from importlib import resources
+        from pathlib import Path
 
         from hybridwigner import *
         assert "numpy" not in sys.modules, "numpy loaded by the star import"
         import hybridwigner.cli, hybridwigner.acceptance
         from hybridwigner.cli import main, parse_config
 
+        shipped = resources.files("hybridwigner") / "configs"
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5"):
-            parse_config((resources.files("hybridwigner") / "configs" / f"{name}.cfg").read_text())
+            parse_config((shipped / f"{name}.cfg").read_text())
         assert "numpy" not in sys.modules, "numpy loaded by import or parse_config"
         assert main(["run", sys.argv[1]]) == 1
         assert "numpy" not in sys.modules, "numpy loaded by a refused run"
+
+        closed = Path(sys.argv[2])
+
+        def run(config):
+            assert main(["run", str(config), "--output", str(closed / "out.csv")]) == 0, config
+
+        figures = [shipped / f"{name}.cfg" for name in ("fig1", "fig2", "fig4", "fig5")]
+        for config in figures + sorted(closed.glob("*.cfg")):
+            run(config)
+            assert "numpy" not in sys.modules, f"numpy loaded by {config.name}"
+        run(shipped / "fig3.cfg")
+        assert "numpy" in sys.modules, "fig3 ran without numpy: the check cannot see an import"
         """
     )
     src = str(Path(hybridwigner.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", script, str(bad)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, str(bad), str(closed)], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == f"config error: line {line}: unknown key 'bogus' in [field]\n"

@@ -263,6 +263,28 @@ def test_interval_refuses_nan_met_after_a_split():
     assert info.value.best.evaluations == 45
 
 
+def test_interval_refuses_inf_at_the_first_panel():
+    # a Kronrod-only node: the Gauss sum skips it, so the error is inf, not NaN
+    from hybridwigner.quadrature import _XGK
+
+    f = lambda x: math.inf if x == 0.5 + 0.5 * _XGK[0] else 1.0
+    with pytest.raises(ConvergenceError, match=r"infinite estimate on \[0\.0, 1\.0\]") as info:
+        integrate_interval(f, 0.0, 1.0)
+    assert info.value.best.evaluations == 15
+    assert info.value.best.value == math.inf
+
+
+def test_interval_refuses_inf_met_after_a_split():
+    # the kink needs a split; the inf sits on a Kronrod-only node of [0, 0.5]
+    from hybridwigner.quadrature import _XGK
+
+    f = lambda x: math.inf if x == 0.25 + 0.25 * _XGK[0] else math.sqrt(abs(x - 0.3))
+    with pytest.raises(ConvergenceError, match=r"infinite estimate on \[0\.0, 1\.0\]") as info:
+        integrate_interval(f, 0.0, 1.0)
+    assert info.value.best.evaluations == 45
+    assert info.value.best.value == math.inf
+
+
 def test_plane_refuses_nan_at_its_first_ring():
     with pytest.raises(ConvergenceError, match=r"nan estimate on \[0\.0, 6\.28") as info:
         integrate_plane(lambda a: math.nan, 0j, 1.0)

@@ -1,5 +1,6 @@
 """The package's spherical Bessel, Laguerre and Legendre forms against scipy,
-which is a test-only dependency, and a check that the package never imports it."""
+which is a test-only dependency, and a check that the package never imports it.
+The scalar j0-j2 of the closed forms are held to the array routine bit for bit."""
 
 import math
 import os
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre, lpmv, spherical_jn
 
 import hybridwigner
 from hybridwigner.cartesian_wigner import fock_wigner
-from hybridwigner.hybrid_model import _spherical_bessel
+from hybridwigner.hybrid_model import _bessel_012, _spherical_bessel
 from hybridwigner.quadrature import BlochPoint
 from hybridwigner.su2_wigner import spherical_harmonic
 
@@ -24,9 +27,11 @@ class TestSphericalBessel:
     X = np.linspace(0.0, 200.0, 43_311)
 
     def test_matches_scipy_on_grid(self):
-        bessel = _spherical_bessel(3, self.X)
-        for n in range(3):
-            assert np.max(np.abs(bessel[n] - spherical_jn(n, self.X))) <= 1e-15
+        # the array routine and its scalar twin
+        scalar = np.array([_bessel_012(x) for x in self.X.tolist()]).T
+        for bessel in (_spherical_bessel(3, self.X), scalar):
+            for n in range(3):
+                assert np.max(np.abs(bessel[n] - spherical_jn(n, self.X))) <= 1e-15
 
     def test_branch_edges(self):
         # |x| = n is the last Taylor point of j_n; the upward forms start past it
@@ -54,6 +59,35 @@ class TestSphericalBessel:
 
     def test_nan_propagates(self):
         assert np.isnan(_spherical_bessel(3, [np.nan])).all()
+
+    # both signs of 0, of a subnormal, of inf, of each branch edge |x| = 1, 2
+    # and of the points beside it
+    @given(st.one_of(st.floats(), st.floats(-3.0, 3.0)))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(1e-310)
+    @example(-1e-310)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(1.0)
+    @example(-1.0)
+    @example(math.nextafter(1.0, 0.0))
+    @example(math.nextafter(-1.0, 0.0))
+    @example(math.nextafter(1.0, 2.0))
+    @example(math.nextafter(-1.0, -2.0))
+    @example(2.0)
+    @example(-2.0)
+    @example(math.nextafter(2.0, 0.0))
+    @example(math.nextafter(-2.0, 0.0))
+    @example(math.nextafter(2.0, 3.0))
+    @example(math.nextafter(-2.0, -3.0))
+    def test_scalar_twin_matches_bit_for_bit(self, x):
+        # repr tells -0.0 from 0.0; every NaN reads "nan"
+        array = [repr(j) for j in _spherical_bessel(3, [x])[:, 0].tolist()]
+        assert [repr(j) for j in _bessel_012(x)] == array
 
 
 @pytest.mark.parametrize("n", range(31))
