@@ -34,12 +34,12 @@ from .hybrid_model import (
     GaussianAmplitude,
     ObservableSymbol,
     PhaseDistribution,
+    _quadrature_table,
     atomic_pfunction,
     closed_moments,
     moment_correlation,
     phase_densities_gaussian,
     phase_distribution_delta,
-    quadrature_distribution,
     semiclassical_moments,
 )
 from .quantum_reference import quantum_moments
@@ -489,16 +489,13 @@ def _pfunction_rows(config: ScenarioConfig) -> list[tuple]:
 
 def _quad_dist_rows(config: ScenarioConfig) -> list[tuple]:
     half = config.field.r0 + 5.0 * config.field.sigma
-    rows = []
-    for t in config.times:
-        dist = quadrature_distribution(config.atom, config.field, config.chi * t, config.quadrature)
-        for y in (-half + k * (2.0 * half) / 200.0 for k in range(201)):
-            try:
-                rows.append((t, y, dist.evaluate(y)))
-            except ConvergenceError as exc:
-                # name the time and abscissa where it happened
-                raise NumericError(f"scenario quad-dist: t = {t!r}, y = {y!r}: {exc}") from exc
-    return rows
+    ys = [-half + k * (2.0 * half) / 200.0 for k in range(201)]
+    try:
+        table = _quadrature_table(config.atom, config.field, config.chi, config.times, ys, config.quadrature)
+    except ConvergenceError as exc:
+        # the table's message names the time and abscissa where it happened
+        raise NumericError(f"scenario quad-dist: {exc}") from exc
+    return [(t, y, p) for t, row in zip(config.times, table) for y, p in zip(ys, row)]
 
 
 def _moment_values(moments: dict[ObservableSymbol, complex]) -> list[float]:

@@ -39,7 +39,9 @@ from typing import Callable, Sequence, Union
 from .quadrature import (
     DEFAULT_SPEC,
     RADIAL_CUTOFF_SIGMAS,
+    ConvergenceError,
     IntegrationSpec,
+    _integrate_rows,
     integrate_interval,
 )
 from .su2_wigner import SQRT3, SphereDensity, SpinHalfState, spin_wigner
@@ -530,6 +532,65 @@ def quadrature_distribution(
         return pref * math.fsum([integrate_interval(integrand, -1.0, 1.0, spec).value])
 
     return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
+
+
+def _quadrature_table(
+    atom: SpinHalfState,
+    field: GaussianAmplitude,
+    chi: float,
+    times: Sequence[float],
+    ys: Sequence[float],
+    spec: IntegrationSpec = DEFAULT_SPEC,
+) -> list[list[float]]:
+    """``quadrature_distribution(atom, field, chi * t, spec).evaluate(y)`` for
+    every t of ``times`` (one list each) and y of ``ys``, bit for bit.
+
+    Rows with |y| <= r0 take one exponential per block of at most
+    ``_BLOCK_HARMONICS`` elements and then each time's kernel.  The tail rows
+    of whole times, at most ``_BLOCK_HARMONICS // 30`` at once and one time at
+    least, are one lockstep ``_integrate_rows`` run: its integrand takes
+    ``math.exp`` per node, since numpy's exp can round otherwise.  A
+    ConvergenceError names the t and y of the first failing row.
+    """
+    import numpy as np
+
+    sz = atom.s[2]
+    c, s2, r0, n = SQRT3 * sz, field.sigma * field.sigma, field.r0, field.phase_points
+    pref = 1.0 / math.sqrt(2.0 * math.pi * s2)
+    r0_cos = r0 * np.cos(np.arange(n) * (TWO_PI / n))
+    mirrors = [-1.0 if chi * t < 0.0 else 1.0 for t in times]
+    kappas = [SQRT3 * abs(chi * t) for t in times]
+    core = np.array([y for y in ys if abs(y) <= r0])
+    tail = [j for j, y in enumerate(ys) if abs(y) > r0]
+    table = []
+    step = max(1, _BLOCK_HARMONICS // n)
+    for mirror, kappa in zip(mirrors, kappas):
+        w_re, w_im = _ramp_weights(n, (kappa,), sz)
+        kernel = _quadrature_kernel(w_re[0], w_im[0])
+        row = []
+        for start in range(0, len(core), step):
+            d = (mirror * core[start : start + step])[:, None] + r0_cos
+            row += [2.0 * pref * float(np.dot(e, kernel)) for e in np.exp(-2.0 * d * d / s2)]
+        table.append(iter(row))
+
+    def integrand(u, rows):
+        d = y_of[rows, None] + r0 * np.sin(kappa_of[rows, None] * u)
+        arg = -2.0 * d * d / s2
+        return (1.0 + c * u) * np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+
+    group = max(1, _BLOCK_HARMONICS // 30 // max(1, len(tail)))
+    tails = []
+    for start in range(0, len(times) if tail else 0, group):
+        stop = min(start + group, len(times))
+        y_of = np.array([mirrors[i] * ys[j] for i in range(start, stop) for j in tail])
+        kappa_of = np.repeat(kappas[start:stop], len(tail))
+        try:
+            tails += [pref * math.fsum([res.value]) for res in _integrate_rows(integrand, len(y_of), -1.0, 1.0, spec)]
+        except ConvergenceError as exc:
+            i, j = divmod(exc.row, len(tail))
+            raise ConvergenceError(f"t = {times[start + i]!r}, y = {ys[tail[j]]!r}: {exc}", exc.best) from exc
+    tails = iter(tails)
+    return [[next(tails) if abs(y) > r0 else next(row) for y in ys] for row in table]
 
 
 def _quadrature_kernel(w_re: np.ndarray, w_im: np.ndarray) -> np.ndarray:

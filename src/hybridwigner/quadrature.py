@@ -288,6 +288,110 @@ def integrate_interval(
     return finish()
 
 
+def _integrate_rows(
+    f: Callable, count: int, a: float, b: float, spec: IntegrationSpec = DEFAULT_SPEC
+) -> list[IntegrationResult]:
+    """``integrate_interval(lambda x: f(x, r), a, b, spec)`` for each row
+    r = 0 ... count - 1, bit for bit, with the rows advanced in lockstep.
+
+    f(x, rows) takes nodes x of shape (len(rows), m) for the row indices
+    ``rows`` and returns real values of that shape, and a < b are finite.  Each
+    round either stops an active row or bisects its worst panel, so all active
+    rows share one split count.  Nodes, panel sums, running totals and the
+    stop test are arrays; each row keeps its own heap and ``finish()``.  A
+    refusal raises the ConvergenceError of the first failing row in row order,
+    with that row's message and best estimate, and the row index as ``row``.
+    """
+    import numpy as np
+
+    rel, abs_tol = spec.relative_tolerance, spec.absolute_tolerance
+    xgk = np.array(_XGK)
+    heaps: list[list] = [[] for _ in range(count)]
+    results: list = [None] * count
+    failure = None
+    splits = 0
+
+    def panels(rows, lo, hi):
+        # panel()'s sums in its operation order, one panel per row
+        mid = (0.5 * (lo + hi))[:, None]
+        half = 0.5 * (hi - lo)
+        dx = half[:, None] * xgk
+        fx = f(np.concatenate([mid, mid - dx, mid + dx], axis=1), rows)
+        s = fx[:, 1:8] + fx[:, 8:]
+        resk, resg = _WGK[7] * fx[:, 0], _WG[3] * fx[:, 0]
+        for i in range(7):
+            resk = resk + _WGK[i] * s[:, i]
+            if i % 2:
+                resg = resg + _WG[i // 2] * s[:, i]
+        resk, resg = resk * half, resg * half
+        return resk, np.abs(resk - resg)
+
+    def finish(r: int) -> IntegrationResult:
+        ordered = sorted(heaps[r], key=lambda item: item[2])
+        return IntegrationResult(
+            math.fsum(item[4] for item in ordered), math.fsum(item[5] for item in ordered), 15 + 30 * splits
+        )
+
+    def fail(r: int, message: str, best: IntegrationResult) -> None:
+        nonlocal failure
+        if failure is None or r < failure.row:
+            failure = ConvergenceError(message, best)
+            failure.row = r
+
+    rows = np.arange(count)
+    total, total_err = panels(rows, np.full(count, float(a)), np.full(count, float(b)))
+    for r, v, e in zip(rows.tolist(), total.tolist(), total_err.tolist()):
+        heaps[r].append((-e, 0, a, b, v, e))
+    first = True
+    while rows.size:
+        going = total_err > np.maximum(rel * np.abs(total), abs_tol)
+        for r, v, e in zip(rows[~going].tolist(), total[~going].tolist(), total_err[~going].tolist()):
+            if fault := _non_finite(v, e):
+                best = IntegrationResult(v, e, 15) if first else finish(r)
+                fail(r, f"{fault} estimate on [{a}, {b}]", best)
+            else:
+                # the one-panel sums are finish()'s, which map -0.0 to 0.0
+                results[r] = finish(r)
+                heaps[r] = None
+        first = False
+        keep = going if failure is None else going & (rows < failure.row)
+        rows, total, total_err = rows[keep], total[keep], total_err[keep]
+        if not rows.size:
+            break
+        if splits >= _MAX_SUBDIVISIONS:
+            r = int(rows[0])
+            fail(r, f"no convergence after {splits} subdivisions on [{a}, {b}]", finish(r))
+            break
+        seq = 1 + 2 * splits
+        neg, _, lo, hi, v, e = (np.array(c) for c in zip(*(heappop(heaps[r]) for r in rows.tolist())))
+        stuck = (e <= 0.0) | (hi - lo <= 1e-15 * (np.abs(lo) + np.abs(hi) + 1.0))
+        if stuck.any():
+            r = int(rows[stuck][0])
+            k = int(np.flatnonzero(stuck)[0])
+            heappush(heaps[r], (float(neg[k]), seq, float(lo[k]), float(hi[k]), float(v[k]), float(e[k])))
+            fail(r, f"panel [{float(lo[k])}, {float(hi[k])}] cannot be refined further", finish(r))
+            keep = rows < r
+            rows, total, total_err = rows[keep], total[keep], total_err[keep]
+            lo, hi, v, e = lo[keep], hi[keep], v[keep], e[keep]
+            if not rows.size:
+                break
+        mid = 0.5 * (lo + hi)
+        values, errors = panels(np.concatenate([rows, rows]), np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        k = rows.size
+        v1, v2, e1, e2 = values[:k], values[k:], errors[:k], errors[k:]
+        for r, p, q, m, x1, x2, y1, y2 in zip(
+            rows.tolist(), lo.tolist(), hi.tolist(), mid.tolist(), v1.tolist(), v2.tolist(), e1.tolist(), e2.tolist()
+        ):
+            heappush(heaps[r], (-y1, seq, p, m, x1, y1))
+            heappush(heaps[r], (-y2, seq + 1, m, q, x2, y2))
+        total = total + v1 + v2 - v
+        total_err = np.maximum(total_err + e1 + e2 - e, 0.0)
+        splits += 1
+    if failure is not None:
+        raise failure
+    return results
+
+
 def _non_finite(value: Scalar, err: float) -> str:
     """What is wrong with an estimate or its error: "nan", "infinite" or ""."""
     if err != err or value != value:

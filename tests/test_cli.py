@@ -668,6 +668,26 @@ sigma = 1.0
         assert not out.exists()
         assert "produced inf" in capsys.readouterr().err
 
+    def test_quad_dist_run_makes_no_interval_integral(self, tmp_path, monkeypatch):
+        # the tail rows go through the lockstep engine, never integrate_interval
+        import hybridwigner.hybrid_model as hybrid_model
+
+        calls = []
+        original = quadrature.integrate_interval
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        for module in (quadrature, hybrid_model):
+            monkeypatch.setattr(module, "integrate_interval", counting)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(_scenario("quad-dist", "1.0", "0.0, 0.5, 2.0", UNIT_GAUSSIAN))
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--output", str(out)]) == 0
+        assert calls == []
+        assert len(out.read_text().splitlines()) > 3 * 201
+
     @pytest.mark.parametrize("name, abscissa", [("quad-dist", "y")])
     def test_convergence_failure_names_time_and_abscissa(
         self, tmp_path, capsys, monkeypatch, name, abscissa

@@ -31,6 +31,7 @@ from hybridwigner.hybrid_model import (
     phase_distribution_gaussian,
     quadrature_distribution,
 )
+from hybridwigner.quadrature import IntegrationSpec
 from hybridwigner.quantum_reference import basis_moments, quantum_moments
 from hybridwigner.su2_wigner import SQRT3, SpinHalfState
 
@@ -397,6 +398,36 @@ def test_quad_dist_core_resolved_at_phase_points(r0, sigma, monkeypatch):
             fine = quadrature_distribution(atom, field, chi_t)
         for y in ys:
             assert abs(coarse.evaluate(y) - fine.evaluate(y)) <= 1e-14 * peak
+
+
+@FEW
+@given(
+    _SZ,
+    st.floats(0.0, 50.0),
+    st.floats(0.05, 2.0),
+    st.floats(-2.0, 2.0),
+    st.lists(st.floats(0.0, 2.0), max_size=3),
+    st.lists(st.floats(-1.5, 1.5), max_size=6),
+    st.sampled_from(["default", "one row, one time"]),
+)
+@example(0.4, 3.0, 0.5, -1.1, [0.7], [0.2, -1.3], "one row, one time")
+def test_quadrature_table_equals_pointwise_law(sz, ratio, sigma, chi, times, fractions, caps):
+    # chi t below, at and above 0; rows on both sides of |y| = r0 and at +-r0
+    field = GaussianAmplitude(ratio * sigma, sigma)
+    r0 = field.r0
+    beyond = math.nextafter(r0, math.inf)
+    ys = [-beyond, -r0, r0, beyond] + [f * (r0 + 3.0 * sigma) for f in fractions]
+    times = [0.0] + times
+    atom, spec = _z_atom(sz), IntegrationSpec(1e-8, 1e-10)
+    with pytest.MonkeyPatch.context() as patch:
+        if caps != "default":
+            # blocks of one core row and lockstep groups of one time
+            patch.setattr(hybrid_model, "_BLOCK_HARMONICS", 1)
+        table = hybrid_model._quadrature_table(atom, field, chi, times, ys, spec)
+    assert len(table) == len(times)
+    for t, row in zip(times, table):
+        dist = quadrature_distribution(atom, field, chi * t, spec)
+        assert list(map(repr, row)) == [repr(dist.evaluate(y)) for y in ys]
 
 
 QUAD_DIST_TAIL = """

@@ -4,13 +4,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwigner import quadrature
 from hybridwigner.quadrature import (
+    _XGK,
     BlochPoint,
     ConvergenceError,
     IntegrationResult,
     IntegrationSpec,
+    _integrate_rows,
     integrate_interval,
     integrate_plane,
     integrate_sphere,
@@ -315,3 +319,93 @@ def test_panel_that_cannot_be_refined_raises_naming_it():
 def test_negative_error_estimate_refused():
     with pytest.raises(ValueError, match="error_estimate must be non-negative"):
         IntegrationResult(1.0, -1e-300, 15)
+
+
+def _row_family(params):
+    """A vectorised integrand f(x, rows) over rows (kind, p, q): 0 a Gaussian
+    bump at p of width q (math.exp per node), 1 the wave sin(p x) + q, 2 the
+    line p + q x (exact on the first panel), 3 a jump from 0 to 1 at p, 4 NaN
+    past x = p and else the bump at 0 of width q, 5 inf at the Kronrod-only
+    node -_XGK[0] of [-1, 1].  Row r's
+    scalar integrand is f at one node, so both routes see the same bits."""
+    kind, p, q = (np.array(column)[:, None] for column in zip(*params))
+
+    def f(x, rows):
+        k, pp, qq = kind[rows], p[rows], q[rows]
+        with np.errstate(all="ignore"):  # q = 0 off the bump rows, or tiny
+            z = -((x - pp) / qq) ** 2
+            centred = -((x / qq) ** 2)
+        bump, centred = (
+            np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape) for v in (z, centred)
+        )
+        forms = [bump, np.sin(pp * x) + qq, pp + qq * x, np.where(x < pp, 0.0, 1.0)]
+        forms += [np.where(x > pp, math.nan, centred), np.where(x == -_XGK[0], math.inf, 1.0)]
+        return np.select([k == m for m in range(len(forms))], forms)
+
+    def scalar(r):
+        return lambda x: float(f(np.array([[x]]), np.array([r]))[0, 0])
+
+    return f, scalar
+
+
+_ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.just(0), st.floats(-1.0, 1.0), st.floats(0.02, 1.0)),
+        st.tuples(st.just(1), st.floats(0.0, 80.0), st.floats(-1.0, 1.0)),
+        st.tuples(st.just(2), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _ROWS,
+    st.floats(-2.0, 0.5),
+    st.floats(0.1, 3.0),
+    st.sampled_from([IntegrationSpec(), IntegrationSpec(1e-8, 1e-10), IntegrationSpec(1e-13, 1e-15)]),
+)
+def test_rows_in_lockstep_equal_one_integral_each(params, a, width, spec):
+    f, scalar = _row_family(params)
+    b = a + width
+    for r, res in enumerate(_integrate_rows(f, len(params), a, b, spec)):
+        ref = integrate_interval(scalar(r), a, b, spec)
+        assert res.value == ref.value
+        assert res.error_estimate == ref.error_estimate
+        assert res.evaluations == ref.evaluations
+
+
+@pytest.mark.parametrize(
+    "budget, params, spec",
+    [
+        (1, [(2, 0.5, 0.1), (0, 0.0, 0.05), (1, 40.0, 0.0), (2, 1.0, 0.0)], IntegrationSpec()),
+        # row 2 refuses at the first panel, but row 1 comes first in row order
+        (8, [(0, 0.0, 0.5), (0, 0.3, 0.05), (4, 0.5, 0.5), (0, -0.5, 0.02)], IntegrationSpec()),
+        # the NaN past 0.995 is first met after a split
+        (1 << 16, [(0, 0.2, 0.3), (2, 1.0, 1.0), (4, 0.995, 0.05), (0, 0.0, 0.02)], IntegrationSpec()),
+        (1 << 16, [(2, 0.0, 1.0), (5, 0.0, 0.0), (4, -2.0, 0.5)], IntegrationSpec()),
+        # bisection narrows both jumps to the width floor
+        (1 << 16, [(3, 1.0 / 3.0, 0.0), (3, 0.2, 0.0)], IntegrationSpec(1e-300, 1e-300)),
+    ],
+    ids=["maxsub-1", "maxsub-8", "nan", "inf", "unrefinable"],
+)
+def test_rows_in_lockstep_refuse_as_the_first_failing_row(budget, params, spec, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+    f, scalar = _row_family(params)
+    for row in range(len(params)):
+        try:
+            integrate_interval(scalar(row), -1.0, 1.0, spec)
+        except ConvergenceError as exc:
+            expected = exc
+            break
+    with pytest.raises(ConvergenceError) as info:
+        _integrate_rows(f, len(params), -1.0, 1.0, spec)
+    assert info.value.row == row
+    assert str(info.value) == str(expected)
+    best, ref = info.value.best, expected.best
+    assert (repr(best.value), repr(best.error_estimate), best.evaluations) == (
+        repr(ref.value),
+        repr(ref.error_estimate),
+        ref.evaluations,
+    )
