@@ -23,8 +23,10 @@ The Gaussian-field phase and quadrature laws are ramp Fourier series of the
 initial profile on the field-azimuth grid of n = ``field.phase_points``
 points, and cost O(n) per time: the phase law on its periodic grid folds its
 harmonics into one inverse FFT per time (``phase_densities_gaussian``), and a
-quadrature row is one dot product with a kernel taken once per time
-(``quadrature_distribution``).
+quadrature row is one reduction against a kernel taken once per time
+(``quadrature_distribution``).  Every such sum is ``np.add.reduce`` of a
+product, whose order does not depend on the CPU, never a BLAS call, whose
+order does.
 """
 
 from __future__ import annotations
@@ -497,7 +499,13 @@ def quadrature_distribution(
     adaptive integral over u in [-1, 1].  The series sum_m g_m c_m, with g_m
     the cosine modes of h_y and c_m = (2 - [m = 0]) Re(w_m i^m), is
     sum_k h_y(psi_k) K_k: the kernel K is one inverse real FFT of c per call,
-    and each row is n exponentials and one dot product.
+    and each row is n exponentials and one ``np.add.reduce`` of their
+    products with K.
+
+    This pointwise law serves criterion 3 and the API.  A quad-dist table
+    takes the same bits from ``_quadrature_table``, which batches the
+    exponentials of many rows and integrates the tail rows of many times in
+    one lockstep run.
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
@@ -522,7 +530,7 @@ def quadrature_distribution(
         y = mirror * y
         if abs(y) <= r0:
             d = y + r0_cos
-            return 2.0 * pref * float(np.dot(np.exp(-2.0 * d * d / s2), kernel))
+            return 2.0 * pref * float(np.add.reduce(np.exp(-2.0 * d * d / s2) * kernel))
 
         def integrand(u: float) -> float:
             d = y + r0 * sin(kappa * u)
@@ -570,7 +578,7 @@ def _quadrature_table(
         row = []
         for start in range(0, len(core), step):
             d = (mirror * core[start : start + step])[:, None] + r0_cos
-            row += [2.0 * pref * float(np.dot(e, kernel)) for e in np.exp(-2.0 * d * d / s2)]
+            row += (2.0 * pref * np.add.reduce(np.exp(-2.0 * d * d / s2) * kernel, axis=1)).tolist()
         table.append(iter(row))
 
     def integrand(u, rows):
@@ -791,13 +799,15 @@ def _series_value(g: np.ndarray, w_re: np.ndarray, w_im: np.ndarray, phi: float)
 
     Its m-th mode is b_m = g_m w_m, and the value is
     b0 + 2 sum_m (Re b_m cos(m phi) - Im b_m sin(m phi)), m = 1 ... n/2: two
-    1-D dot products in a fixed order, never a 2-D BLAS block.
+    ``np.add.reduce`` sums of products, in a fixed order on every CPU.
     """
     import numpy as np
 
     b_re, b_im = g[1:] * w_re[1:], g[1:] * w_im[1:]
     mphi = np.arange(1, len(g)) * phi
-    return float(g[0] * w_re[0]) + 2.0 * float(np.dot(b_re, np.cos(mphi)) - np.dot(b_im, np.sin(mphi)))
+    return float(g[0] * w_re[0]) + 2.0 * float(
+        np.add.reduce(b_re * np.cos(mphi)) - np.add.reduce(b_im * np.sin(mphi))
+    )
 
 
 def closed_moments(
@@ -886,7 +896,7 @@ def expectation_quadrature(state: HybridState, obs: ObservableSymbol) -> complex
     The atomic azimuth is integrated in closed form (``_atom_azimuthal``).  A
     Gaussian profile is even in the field azimuth psi, so its azimuthal
     integral against exp(-i m_field psi) is the periodic trapezoid against
-    cos(m_field psi): one dot product with a real weight row on
+    cos(m_field psi): one fixed-order sum against a real weight row on
     ``field.azimuth_points`` points per radial node.  The remaining
     coordinates use adaptive panels; the radial integral does not depend on
     the polar angle, so it is done once and multiplies the polar integrand.
@@ -917,7 +927,7 @@ def expectation_quadrature(state: HybridState, obs: ObservableSymbol) -> complex
 
     def radial(r: float) -> complex:
         h = r if m_f != 0 else 1.0
-        azimuthal = float(np.dot(profile(r), weights))
+        azimuthal = float(np.add.reduce(profile(r) * weights))
         return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
     inner = integrate_interval(radial, r_lo, r_hi).value

@@ -609,7 +609,7 @@ def _nested_quadrature(state, obs):
     def outer(u):
         def radial(r):
             h = r if m_f != 0 else 1.0
-            azimuthal = float(np.dot(profile(r), weights))
+            azimuthal = float(np.add.reduce(profile(r) * weights))
             return r * h * azimuthal * cmath.exp(-2j * m_a * chi * r * r * t)
 
         inner = integrate_interval(radial, r_lo, r_hi).value
