@@ -363,13 +363,14 @@ def _integrate_rows(
             fail(r, f"no convergence after {splits} subdivisions on [{a}, {b}]", finish(r))
             break
         seq = 1 + 2 * splits
-        neg, _, lo, hi, v, e = (np.array(c) for c in zip(*(heappop(heaps[r]) for r in rows.tolist())))
+        popped = [heappop(heaps[r]) for r in rows.tolist()]
+        _, _, lo, hi, v, e = map(np.array, zip(*popped))
         stuck = (e <= 0.0) | (hi - lo <= 1e-15 * (np.abs(lo) + np.abs(hi) + 1.0))
         if stuck.any():
-            r = int(rows[stuck][0])
             k = int(np.flatnonzero(stuck)[0])
-            heappush(heaps[r], (float(neg[k]), seq, float(lo[k]), float(hi[k]), float(v[k]), float(e[k])))
-            fail(r, f"panel [{float(lo[k])}, {float(hi[k])}] cannot be refined further", finish(r))
+            r, (neg_err, _, lo_k, hi_k, v_k, e_k) = int(rows[k]), popped[k]
+            heappush(heaps[r], (neg_err, seq, lo_k, hi_k, v_k, e_k))
+            fail(r, f"panel [{lo_k}, {hi_k}] cannot be refined further", finish(r))
             keep = rows < r
             rows, total, total_err = rows[keep], total[keep], total_err[keep]
             lo, hi, v, e = lo[keep], hi[keep], v[keep], e[keep]
