@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Union
 
 __all__ = [
@@ -327,10 +328,8 @@ def _integrate_rows(
         return resk, np.abs(resk - resg)
 
     def finish(r: int) -> IntegrationResult:
-        ordered = sorted(heaps[r], key=lambda item: item[2])
-        return IntegrationResult(
-            math.fsum(item[4] for item in ordered), math.fsum(item[5] for item in ordered), 15 + 30 * splits
-        )
+        *_, values, errors = zip(*sorted(heaps[r], key=itemgetter(2)))
+        return IntegrationResult(math.fsum(values), math.fsum(errors), 15 + 30 * splits)
 
     def fail(r: int, message: str, best: IntegrationResult) -> None:
         nonlocal failure
