@@ -578,7 +578,14 @@ def _quadrature_table(
         row = []
         for start in range(0, len(core), step):
             d = (mirror * core[start : start + step])[:, None] + r0_cos
-            row += (2.0 * pref * np.add.reduce(np.exp(-2.0 * d * d / s2) * kernel, axis=1)).tolist()
+            # the pointwise row's operations, in place: a fresh array per
+            # operation costs more than the arithmetic once n is large
+            h = -2.0 * d
+            h *= d
+            h /= s2
+            np.exp(h, out=h)
+            h *= kernel
+            row += (2.0 * pref * np.add.reduce(h, axis=1)).tolist()
         table.append(iter(row))
 
     def integrand(u, rows):
