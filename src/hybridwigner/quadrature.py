@@ -367,9 +367,9 @@ def _integrate_rows(
         stuck = (e <= 0.0) | (hi - lo <= 1e-15 * (np.abs(lo) + np.abs(hi) + 1.0))
         if stuck.any():
             k = int(np.flatnonzero(stuck)[0])
-            r, (neg_err, _, lo_k, hi_k, v_k, e_k) = int(rows[k]), popped[k]
-            heappush(heaps[r], (neg_err, seq, lo_k, hi_k, v_k, e_k))
-            fail(r, f"panel [{lo_k}, {hi_k}] cannot be refined further", finish(r))
+            r, panel = int(rows[k]), popped[k]
+            heaps[r].append(panel)  # finish() orders the panels by position
+            fail(r, f"panel [{panel[2]}, {panel[3]}] cannot be refined further", finish(r))
             keep = rows < r
             rows, total, total_err = rows[keep], total[keep], total_err[keep]
             lo, hi, v, e = lo[keep], hi[keep], v[keep], e[keep]
