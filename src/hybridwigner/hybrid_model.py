@@ -555,10 +555,12 @@ def _quadrature_table(
 
     Rows with |y| <= r0 take one exponential per block of at most
     ``_BLOCK_HARMONICS`` elements and then each time's kernel.  The tail rows
-    of whole times, at most ``_BLOCK_HARMONICS // 30`` at once and one time at
+    of whole times, at most ``_BLOCK_HARMONICS // 60`` at once and one time at
     least, are one lockstep ``_integrate_rows`` run: its integrand takes
-    ``math.exp`` per node, since numpy's exp can round otherwise.  A
-    ConvergenceError names the t and y of the first failing row.
+    ``math.exp`` per node, since numpy's exp can round otherwise.  Each row
+    keeps a heap of Python tuples, so twice the rows held about 0.7 MB more
+    for no speed.  A ConvergenceError names the t and y of the first failing
+    row.
     """
     import numpy as np
 
@@ -593,7 +595,7 @@ def _quadrature_table(
         arg = -2.0 * d * d / s2
         return (1.0 + c * u) * np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
 
-    group = max(1, _BLOCK_HARMONICS // 30 // max(1, len(tail)))
+    group = max(1, _BLOCK_HARMONICS // 60 // max(1, len(tail)))
     tails = []
     for start in range(0, len(times) if tail else 0, group):
         stop = min(start + group, len(times))
