@@ -341,18 +341,17 @@ def _integrate_rows(
     total, total_err = panels(rows, np.full(count, float(a)), np.full(count, float(b)))
     for r, v, e in zip(rows.tolist(), total.tolist(), total_err.tolist()):
         heaps[r].append((-e, 0, a, b, v, e))
-    first = True
     while rows.size:
         going = total_err > np.maximum(rel * np.abs(total), abs_tol)
         for r, v, e in zip(rows[~going].tolist(), total[~going].tolist(), total_err[~going].tolist()):
             if fault := _non_finite(v, e):
-                best = IntegrationResult(v, e, 15) if first else finish(r)
-                fail(r, f"{fault} estimate on [{a}, {b}]", best)
+                # a first-panel refusal's raw sums are finish()'s here: a
+                # -0.0 estimate, the one value fsum changes, has a finite error
+                fail(r, f"{fault} estimate on [{a}, {b}]", finish(r))
             else:
                 # the one-panel sums are finish()'s, which map -0.0 to 0.0
                 results[r] = finish(r)
                 heaps[r] = None
-        first = False
         keep = going if failure is None else going & (rows < failure.row)
         rows, total, total_err = rows[keep], total[keep], total_err[keep]
         if not rows.size:
