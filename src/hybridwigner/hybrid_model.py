@@ -503,9 +503,8 @@ def quadrature_distribution(
     products with K.
 
     This pointwise law serves criterion 3 and the API.  A quad-dist table
-    takes the same bits from ``_quadrature_table``, which sums the series
-    rows of a time in blocks and integrates the tail rows of many times in
-    one lockstep run.
+    takes the same bits from ``_quadrature_table``, which integrates the tail
+    rows of many times in one lockstep run.
     """
     if not isinstance(field, GaussianAmplitude):
         raise AnalyticPathRequiredError("quadrature law needs a Gaussian field")
@@ -513,15 +512,20 @@ def quadrature_distribution(
         raise ValueError(f"chi_t must be finite, got {chi_t!r}")
     import numpy as np
 
-    mirror, kappa, c, s2, pref, core = _quadrature_law(atom, field, chi_t)
+    mirror, kappa, c, s2, pref = _quadrature_terms(atom, field, chi_t)
     r0 = field.r0
+    n = field.phase_points
+    r0_cos = r0 * np.cos(np.arange(n) * (TWO_PI / n))
+    w_re, w_im = _ramp_weights(n, (kappa,), atom.s[2])
+    kernel = _quadrature_kernel(w_re[0], w_im[0])
     # bound once: the integrand runs thousands of times per tail row
     sin, exp = math.sin, math.exp
 
     def density(y: float) -> float:
         y = mirror * y
         if abs(y) <= r0:
-            return float(core(y))
+            d = y + r0_cos
+            return 2.0 * pref * float(np.add.reduce(np.exp(-2.0 * d * d / s2) * kernel))
 
         def integrand(u: float) -> float:
             d = y + r0 * sin(kappa * u)
@@ -533,36 +537,12 @@ def quadrature_distribution(
     return MarginalDistribution(density, center=0.0, scale=r0 + field.sigma)
 
 
-def _quadrature_law(atom: SpinHalfState, field: GaussianAmplitude, chi_t: float) -> tuple:
-    """(mirror, kappa, c, s2, pref, core) of the quadrature law at chi t.
-
-    p(y) = pref Integral[du (1 + c u) exp(-2 (mirror y + r0 sin(kappa u))^2 /
-    s2)], and core(ys) gives p(y) by the ramp series for a mirrored abscissa
-    |y| <= r0, or for each of an array of them, with one reduction against the
-    kernel per row.
-    """
-    import numpy as np
-
+def _quadrature_terms(atom: SpinHalfState, field: GaussianAmplitude, chi_t: float) -> tuple:
+    """(mirror, kappa, c, s2, pref) of the quadrature law at chi t: p(y) =
+    pref Integral[du (1 + c u) exp(-2 (mirror y + r0 sin(kappa u))^2 / s2)]."""
     s2 = field.sigma * field.sigma
-    pref = 1.0 / math.sqrt(2.0 * math.pi * s2)
-    kappa = SQRT3 * abs(chi_t)
-    n = field.phase_points
-    r0_cos = field.r0 * np.cos(np.arange(n) * (TWO_PI / n))
-    w_re, w_im = _ramp_weights(n, (kappa,), atom.s[2])
-    kernel = _quadrature_kernel(w_re[0], w_im[0])
-
-    def core(ys: float | np.ndarray) -> float | np.ndarray:
-        # exp(-2 d^2 / s2) in place: a fresh array per operation costs more
-        # than the arithmetic once n is large
-        d = np.add.outer(ys, r0_cos)
-        h = -2.0 * d
-        h *= d
-        h /= s2
-        np.exp(h, out=h)
-        h *= kernel
-        return 2.0 * pref * np.add.reduce(h, axis=-1)
-
-    return -1.0 if chi_t < 0.0 else 1.0, kappa, SQRT3 * atom.s[2], s2, pref, core
+    mirror = -1.0 if chi_t < 0.0 else 1.0
+    return mirror, SQRT3 * abs(chi_t), SQRT3 * atom.s[2], s2, 1.0 / math.sqrt(2.0 * math.pi * s2)
 
 
 def _quadrature_table(
@@ -576,28 +556,22 @@ def _quadrature_table(
     """``quadrature_distribution(atom, field, chi * t, spec).evaluate(y)`` for
     every t of ``times`` (one list each) and y of ``ys``, bit for bit.
 
-    Rows with |y| <= r0 go to the law's ``core`` in blocks of at most
-    ``_BLOCK_HARMONICS`` exponentials, one row at least.  The tail rows of
-    whole times, at most ``_BLOCK_HARMONICS // 60`` at once and one time at
-    least, are one lockstep ``_integrate_rows`` run: its integrand takes
-    ``math.exp`` per node, since numpy's exp can round otherwise.  Each row
-    keeps a heap of Python tuples, so twice the rows held about 0.7 MB more
-    for no speed.  A ConvergenceError names the t and y of the first failing
-    row.
+    Rows with |y| <= r0 are that law's own.  The tail rows of whole times, at
+    most ``_BLOCK_HARMONICS // 60`` at once and one time at least, are one
+    lockstep ``_integrate_rows`` run: its integrand takes ``math.exp`` per
+    node, since numpy's exp can round otherwise.  Each row keeps a heap of
+    Python tuples, so twice the rows held about 0.7 MB more for no speed.  A
+    ConvergenceError names the t and y of the first failing row.
     """
     import numpy as np
 
     r0 = field.r0
-    inner = np.array([y for y in ys if abs(y) <= r0])
     tail = [j for j, y in enumerate(ys) if abs(y) > r0]
-    laws = [_quadrature_law(atom, field, chi * t) for t in times]
-    step = max(1, _BLOCK_HARMONICS // field.phase_points)
     table = []
-    for mirror, *_, core in laws:
-        row = []
-        for start in range(0, len(inner), step):
-            row += core(mirror * inner[start : start + step]).tolist()
-        table.append(iter(row))
+    for t in times:
+        p = quadrature_distribution(atom, field, chi * t, spec).evaluate
+        table.append(iter([p(y) for y in ys if abs(y) <= r0]))
+    terms = [_quadrature_terms(atom, field, chi * t) for t in times]
 
     def integrand(u, rows):
         d = y_of[rows, None] + r0 * np.sin(kappa_of[rows, None] * u)
@@ -608,9 +582,9 @@ def _quadrature_table(
     tails = []
     for start in range(0, len(times) if tail else 0, group):
         stop = min(start + group, len(times))
-        c, s2, pref = laws[start][2:5]  # the same at every time
-        y_of = np.array([laws[i][0] * ys[j] for i in range(start, stop) for j in tail])
-        kappa_of = np.repeat([laws[i][1] for i in range(start, stop)], len(tail))
+        c, s2, pref = terms[start][2:]  # the same at every time
+        y_of = np.array([terms[i][0] * ys[j] for i in range(start, stop) for j in tail])
+        kappa_of = np.repeat([terms[i][1] for i in range(start, stop)], len(tail))
         try:
             tails += [pref * math.fsum([res.value]) for res in _integrate_rows(integrand, len(y_of), -1.0, 1.0, spec)]
         except ConvergenceError as exc:

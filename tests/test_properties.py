@@ -408,9 +408,9 @@ def test_quad_dist_core_resolved_at_phase_points(r0, sigma, monkeypatch):
     st.floats(-2.0, 2.0),
     st.lists(st.floats(0.0, 2.0), max_size=3),
     st.lists(st.floats(-1.5, 1.5), max_size=6),
-    st.sampled_from(["default", "one row, one time"]),
+    st.sampled_from(["default", "one time"]),
 )
-@example(0.4, 3.0, 0.5, -1.1, [0.7], [0.2, -1.3], "one row, one time")
+@example(0.4, 3.0, 0.5, -1.1, [0.7], [0.2, -1.3], "one time")
 def test_quadrature_table_equals_pointwise_law(sz, ratio, sigma, chi, times, fractions, caps):
     # chi t below, at and above 0; rows on both sides of |y| = r0 and at +-r0
     field = GaussianAmplitude(ratio * sigma, sigma)
@@ -421,7 +421,7 @@ def test_quadrature_table_equals_pointwise_law(sz, ratio, sigma, chi, times, fra
     atom, spec = _z_atom(sz), IntegrationSpec(1e-8, 1e-10)
     with pytest.MonkeyPatch.context() as patch:
         if caps != "default":
-            # blocks of one core row and lockstep groups of one time
+            # lockstep groups of one time
             patch.setattr(hybrid_model, "_BLOCK_HARMONICS", 1)
         table = hybrid_model._quadrature_table(atom, field, chi, times, ys, spec)
     assert len(table) == len(times)
