@@ -33,7 +33,6 @@ from .hybrid_model import (
     GaussianAmplitude,
     HybridState,
     ObservableSymbol,
-    atomic_pfunction,
     closed_moments,
     expectation_quadrature,
     moment_correlation,
@@ -361,7 +360,7 @@ def criterion_11() -> CriterionResult:
         w = spin_wigner(atom)
         for chi_t in (0.5, 1.0, 2.0):
             kappa = SQRT3 * chi_t
-            p = atomic_pfunction(atom, chi_t)
+            p = phase_distribution_delta(atom, chi_t)
             lo, hi = p.support
             worst = 0.0
             for k in range(4):
@@ -377,7 +376,7 @@ def criterion_11() -> CriterionResult:
     ):
         chi_ts = (0.5, 2.0)
         for chi_t, moments in zip(chi_ts, closed_moments(atom, DeltaAmplitude(r0), 1.0, chi_ts)):
-            p = atomic_pfunction(atom, chi_t)
+            p = phase_distribution_delta(atom, chi_t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi

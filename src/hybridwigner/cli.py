@@ -33,9 +33,7 @@ from .hybrid_model import (
     FieldState,
     GaussianAmplitude,
     ObservableSymbol,
-    PhaseDistribution,
     _quadrature_table,
-    atomic_pfunction,
     closed_moments,
     moment_correlation,
     phase_densities_gaussian,
@@ -464,27 +462,25 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo + k * step for k in range(points - 1)] + [hi]
 
 
-def _law_rows(config: ScenarioConfig, law: Callable[[float], PhaseDistribution], points: int) -> list[tuple]:
-    """(t, x, density(x)) on ``points`` equispaced x across each law(chi t)'s support."""
+def _sharp_rows(config: ScenarioConfig) -> list[tuple]:
+    """(t, x, p(x)) of the sharp-field phase law on 101 equispaced x across
+    each chi t's support.  The law is also the P-function weight, the
+    pfunction scenario's table, with the rotation angle delta for the phase."""
     rows = []
     for t in config.times:
-        dist = law(config.chi * t)
-        rows += [(t, x, dist.evaluate(x)) for x in _grid(*dist.support, points)]
+        dist = phase_distribution_delta(config.atom, config.chi * t)
+        rows += [(t, x, dist.evaluate(x)) for x in _grid(*dist.support, 101)]
     return rows
 
 
 def _phase_dist_rows(config: ScenarioConfig) -> list[tuple]:
     if isinstance(config.field, DeltaAmplitude):
-        return _law_rows(config, lambda chi_t: phase_distribution_delta(config.atom, chi_t), 101)
+        return _sharp_rows(config)
     # the Gaussian law is 2pi-periodic: every time shares one phi grid on [-pi, pi]
     phis = _grid(-math.pi, math.pi, 201)
     chi_ts = [config.chi * t for t in config.times]
     densities = phase_densities_gaussian(config.atom, config.field, chi_ts, len(phis))
     return [(t, phi, p) for t, row in zip(config.times, densities) for phi, p in zip(phis, row)]
-
-
-def _pfunction_rows(config: ScenarioConfig) -> list[tuple]:
-    return _law_rows(config, lambda chi_t: atomic_pfunction(config.atom, chi_t), 101)
 
 
 def _quad_dist_rows(config: ScenarioConfig) -> list[tuple]:
@@ -571,7 +567,7 @@ _SCENARIOS = {
     "correlations": _Scenario(
         ("t",) + _headers(_CORR_COLUMNS), partial(_closed_rows, _corr_values), _moment_limits
     ),
-    "pfunction": _Scenario(("t", "delta", "p"), _pfunction_rows, _sharp_limits),
+    "pfunction": _Scenario(("t", "delta", "p"), _sharp_rows, _sharp_limits),
     "compare": _Scenario(
         ("t",) + _headers(_MOMENT_COLUMNS) + _headers(_CORR_COLUMNS)
         + _headers(_MOMENT_COLUMNS, "sc_") + _headers(_MOMENT_COLUMNS, "mf_")

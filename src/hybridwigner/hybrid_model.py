@@ -63,16 +63,13 @@ __all__ = [
     "field_marginal",
     "atom_marginal",
     "phase_distribution_delta",
-    "phase_distribution_gaussian",
     "phase_densities_gaussian",
     "phase_moments",
     "quadrature_distribution",
     "closed_moments",
     "expectation_quadrature",
     "moment_correlation",
-    "semiclassical_standard",
     "semiclassical_moments",
-    "atomic_pfunction",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -347,14 +344,19 @@ def field_marginal(state: HybridState) -> PhaseSpaceFunction:
 def atom_marginal(state: HybridState) -> SphereDensity:
     """Atomic distribution after tracing out the field.
 
-    The flow conserves the field intensity r^2, so back-reaction moves only
-    the field phase and the correlations: the atom sees each intensity as a
-    frozen field would, and its marginal is exactly the frozen-field model
-    ``semiclassical_standard``.  The transverse Bloch components are
-    multiplied by the intensity-averaged phase factor; for a delta field this
-    is a rigid rotation of the azimuth by 2 chi r0^2 t.
+    The flow conserves the field intensity r^2 and shifts the atomic azimuth
+    by 2 chi r^2 t, which depends on r^2 alone; back-reaction moves only the
+    field phase, which the trace integrates away.  So the atom sees each
+    intensity as a frozen field (no back-reaction) would, and its marginal is
+    the frozen-field model: the transverse Bloch components are multiplied by
+    the intensity average of exp(2i chi r^2 t), the conjugate of F0 of
+    ``_field_factors``.  For a delta field this is a rigid rotation of the
+    azimuth by 2 chi r0^2 t.
     """
-    return semiclassical_standard(state.atom, state.field, state.chi, state.t)
+    _, f0, _ = _field_factors(state.field, state.chi, state.t)
+    sx, sy, sz = state.atom.s
+    transverse = complex(sx, sy) * f0.conjugate()
+    return spin_wigner(SpinHalfState((transverse.real, transverse.imag, sz)))
 
 
 def phase_distribution_delta(atom: SpinHalfState, chi_t: float) -> PhaseDistribution:
@@ -391,43 +393,25 @@ def phase_moments(dist: PhaseDistribution) -> tuple[float, float]:
     return mean, second - mean * mean
 
 
-def phase_distribution_gaussian(
-    atom: SpinHalfState, field: GaussianAmplitude, chi_t: float
-) -> PhaseDistribution:
-    """Field-phase density for a Gaussian field, 2pi-periodic in phi.
-
-    The radial coordinate is integrated in closed form
-    (``GaussianAmplitude.angular_density``) and the polar angle of the spin
-    by the ramp series of that profile, sampled once on ``field.phase_points``
-    points; the cost does not depend on chi t.  Each ``evaluate`` sums the
-    series at its phi: the pointwise cross-check of ``phase_densities_gaussian``.
-    chi t < 0 mirrors the density: p(phi; -chi t) = p(-phi; chi t).
-    """
-    if not math.isfinite(chi_t):
-        raise ValueError(f"chi_t must be finite, got {chi_t!r}")
-    g = _phase_law_modes(field)
-    w_re, w_im = (row[0] for row in _ramp_weights(field.phase_points, (SQRT3 * chi_t,), atom.s[2]))
-
-    def density(phi: float) -> float:
-        return _series_value(g, w_re, w_im, phi)
-
-    return PhaseDistribution(density, (-math.pi, math.pi))
-
-
 def phase_densities_gaussian(
     atom: SpinHalfState, field: GaussianAmplitude, chi_ts: Sequence[float], points: int
 ) -> list[list[float]]:
-    """``phase_distribution_gaussian(atom, field, chi_t).evaluate`` for every
-    chi t (one list each) on the ``points`` equispaced phi_k = -pi + 2 pi k /
-    (points - 1), k = 0 ... points - 1; the value at phi = pi is a copy of the
-    one at -pi.
+    """Field-phase density of a Gaussian field, 2pi-periodic in phi, for
+    every chi t of ``chi_ts`` (one list each) on the ``points`` equispaced
+    phi_k = -pi + 2 pi k / (points - 1), k = 0 ... points - 1; the value at
+    phi = pi is a copy of the one at -pi.  chi t < 0 mirrors the density:
+    p(phi; -chi t) = p(-phi; chi t).
 
-    The profile's modes are taken once for all the times and the ramp
-    weights once per block of ``_BLOCK_HARMONICS`` harmonics.  On this grid
+    The radial coordinate is integrated in closed form
+    (``GaussianAmplitude.angular_density``) and the polar angle of the spin
+    by the ramp series of that profile, sampled on ``field.phase_points``
+    points, so the cost does not depend on chi t.  The profile's modes are
+    taken once for all the times and the ramp weights once per block of
+    ``_BLOCK_HARMONICS`` harmonics.  On this grid
     exp(i m phi_k) = (-1)^m exp(2 pi i m k / (points - 1)) depends on m only
     modulo points - 1, so each time folds its n/2 harmonics into points - 1
     bins and sums them by one inverse FFT (``_folded_values``): O(n) per
-    time, and the phases are exact where the pointwise route rounds m phi.
+    time, with the phases exact.
     """
     if isinstance(points, bool) or not isinstance(points, int):
         raise ValueError(f"points must be an int, got {type(points).__name__}")
@@ -958,29 +942,6 @@ def moment_correlation(
     return moments[_product_symbol(A, B)] - moments[A] * moments[B]
 
 
-def semiclassical_standard(
-    atom: SpinHalfState,
-    field: FieldState,
-    chi: float,
-    t: float,
-    mean_field: bool = False,
-) -> SphereDensity:
-    """Atomic distribution when the field is frozen (no back-reaction).
-
-    mean_field=False averages the atomic azimuth shift over the full field
-    intensity distribution; mean_field=True replaces it by a rigid rotation
-    at the mean intensity.
-    """
-    if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi!r}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    factor, _ = _frozen_field_factors(field, chi, t, mean_field)
-    sx, sy, sz = atom.s
-    transverse = complex(sx, sy) * factor.conjugate()
-    return spin_wigner(SpinHalfState((transverse.real, transverse.imag, sz)))
-
-
 def semiclassical_moments(
     atom: SpinHalfState,
     field: FieldState,
@@ -992,7 +953,8 @@ def semiclassical_moments(
 
     The field keeps its initial distribution, so field symbols average to
     their initial values; atomic coherences still dephase through the field's
-    intensity spread (or rotate rigidly in the mean-field variant).
+    intensity spread, as in ``atom_marginal`` (or rotate rigidly in the
+    mean-field variant).
     """
     if not math.isfinite(chi):
         raise ValueError(f"chi must be finite, got {chi!r}")
@@ -1012,13 +974,3 @@ def semiclassical_moments(
         }
         for f0, f1 in (_frozen_field_factors(field, chi, t, mean_field) for t in times)
     ]
-
-
-def atomic_pfunction(atom: SpinHalfState, chi_t: float) -> PhaseDistribution:
-    """Weight P(delta) of the field's expansion over rotated sharp amplitudes.
-
-    Identical to the sharp-field phase law with the rotation angle delta in
-    place of the phase: the azimuth-integrated atomic distribution, pushed
-    through delta = sqrt(3) chi t cos(theta).
-    """
-    return phase_distribution_delta(atom, chi_t)

@@ -36,7 +36,6 @@ from .cartesian_wigner import (
 __all__ = [
     "OscillatorPair",
     "pair_flow",
-    "flow_matrix",
     "evolve_pair_wigner",
     "alpha_marginal",
     "beta_marginal",
@@ -72,13 +71,6 @@ def _flow_entries(lam: float, t: float) -> tuple[complex, complex, complex, comp
     diagonal = phase * complex(math.cos(lam * t))
     off = phase * (-1j * math.sin(lam * t))
     return diagonal, off, off, diagonal
-
-
-def flow_matrix(lam: float, t: float) -> np.ndarray:
-    """U(t) of the pair at coupling strength lam (unit frequency ratio)."""
-    import numpy as np
-
-    return np.array(_flow_entries(lam, t), dtype=complex).reshape(2, 2)
 
 
 def pair_flow(gamma: OscillatorPair, lam: float, t: float) -> OscillatorPair:

@@ -245,7 +245,8 @@ def integrate_interval(
         else:
             value = math.fsum((value,))
         return IntegrationResult(value, math.fsum((err,)), evaluations)
-    heap = [(-err, 0, a, b, value, err)]
+    # a panel is (-error, seq, lo, hi, value): the key holds its error once
+    heap = [(-err, 0, a, b, value)]
     seq = 1
     total = value
     total_err = err
@@ -255,7 +256,7 @@ def integrate_interval(
         ordered = sorted(heap, key=lambda item: item[2])
         return IntegrationResult(
             _sum_ordered(item[4] for item in ordered),
-            math.fsum(item[5] for item in ordered),
+            math.fsum(-item[0] for item in ordered),
             evaluations,
         )
 
@@ -264,10 +265,11 @@ def integrate_interval(
             raise ConvergenceError(
                 f"no convergence after {splits} subdivisions on [{a}, {b}]", finish()
             )
-        neg_err, _, lo, hi, v, e = heappop(heap)
+        neg_err, _, lo, hi, v = heappop(heap)
+        e = -neg_err
         width = hi - lo
         if e <= 0.0 or width <= 1e-15 * (abs(lo) + abs(hi) + 1.0):
-            heappush(heap, (neg_err, seq, lo, hi, v, e))
+            heappush(heap, (neg_err, seq, lo, hi, v))
             seq += 1
             raise ConvergenceError(
                 f"panel [{lo}, {hi}] cannot be refined further", finish()
@@ -275,8 +277,8 @@ def integrate_interval(
         mid = 0.5 * (lo + hi)
         v1, e1 = panel(lo, mid)
         v2, e2 = panel(mid, hi)
-        heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+        heappush(heap, (-e1, seq, lo, mid, v1))
+        heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
         total = total + v1 + v2 - v
         total_err = max(total_err + e1 + e2 - e, 0.0)
@@ -328,8 +330,8 @@ def _integrate_rows(
         return resk, np.abs(resk - resg)
 
     def finish(r: int) -> IntegrationResult:
-        *_, values, errors = zip(*sorted(heaps[r], key=itemgetter(2)))
-        return IntegrationResult(math.fsum(values), math.fsum(errors), 15 + 30 * splits)
+        keys, *_, values = zip(*sorted(heaps[r], key=itemgetter(2)))
+        return IntegrationResult(math.fsum(values), math.fsum(-key for key in keys), 15 + 30 * splits)
 
     def fail(r: int, message: str, best: IntegrationResult) -> None:
         nonlocal failure
@@ -340,7 +342,7 @@ def _integrate_rows(
     rows = np.arange(count)
     total, total_err = panels(rows, np.full(count, float(a)), np.full(count, float(b)))
     for r, v, e in zip(rows.tolist(), total.tolist(), total_err.tolist()):
-        heaps[r].append((-e, 0, a, b, v, e))
+        heaps[r].append((-e, 0, a, b, v))
     while rows.size:
         going = total_err > np.maximum(rel * np.abs(total), abs_tol)
         for r, v, e in zip(rows[~going].tolist(), total[~going].tolist(), total_err[~going].tolist()):
@@ -362,7 +364,8 @@ def _integrate_rows(
             break
         seq = 1 + 2 * splits
         popped = [heappop(heaps[r]) for r in rows.tolist()]
-        _, _, lo, hi, v, e = map(np.array, zip(*popped))
+        keys, _, lo, hi, v = map(np.array, zip(*popped))
+        e = -keys
         stuck = (e <= 0.0) | (hi - lo <= 1e-15 * (np.abs(lo) + np.abs(hi) + 1.0))
         if stuck.any():
             k = int(np.flatnonzero(stuck)[0])
@@ -381,8 +384,8 @@ def _integrate_rows(
         for r, p, q, m, x1, x2, y1, y2 in zip(
             rows.tolist(), lo.tolist(), hi.tolist(), mid.tolist(), v1.tolist(), v2.tolist(), e1.tolist(), e2.tolist()
         ):
-            heappush(heaps[r], (-y1, seq, p, m, x1, y1))
-            heappush(heaps[r], (-y2, seq + 1, m, q, x2, y2))
+            heappush(heaps[r], (-y1, seq, p, m, x1))
+            heappush(heaps[r], (-y2, seq + 1, m, q, x2))
         total = total + v1 + v2 - v
         total_err = np.maximum(total_err + e1 + e2 - e, 0.0)
         splits += 1

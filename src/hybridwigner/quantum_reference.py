@@ -26,7 +26,6 @@ from .su2_wigner import SpinHalfState
 
 __all__ = [
     "TruncationError",
-    "default_truncation",
     "basis_moments",
     "quantum_moments",
     "coherent_overlap",
@@ -47,7 +46,7 @@ class TruncationError(ValueError):
     """Number-basis cutoff too small for the amplitude, or above MAX_TRUNCATION."""
 
 
-def default_truncation(alpha: complex) -> int:
+def _default_truncation(alpha: complex) -> int:
     """Cutoff keeping the Poisson tail of |alpha> below the tail bound, at most
     MAX_TRUNCATION (TruncationError beyond)."""
     if not cmath.isfinite(alpha):
@@ -184,7 +183,7 @@ def basis_moments(
     # NaN compares False, so the bound is written as not (x <= bound)
     if not (abs(abs(c_e) ** 2 + abs(c_g) ** 2 - 1.0) <= 1e-12):
         raise ValueError("atomic amplitudes must be normalized")
-    N = default_truncation(alpha) if N is None else N
+    N = _default_truncation(alpha) if N is None else N
     import numpy as np
 
     coherent = _coherent_column(alpha, N)

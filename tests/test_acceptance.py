@@ -53,13 +53,13 @@ def test_criterion_11_rows_catch_a_scaled_weight(monkeypatch):
     """A sharp-field law off by one part in 1e9 fails the moment rows and the
     rebuilt raising moments."""
     import hybridwigner.acceptance as acceptance
-    from hybridwigner.hybrid_model import PhaseDistribution, atomic_pfunction
+    from hybridwigner.hybrid_model import PhaseDistribution, phase_distribution_delta
 
     def scaled(atom, chi_t):
-        p = atomic_pfunction(atom, chi_t)
+        p = phase_distribution_delta(atom, chi_t)
         return PhaseDistribution(lambda d: (1.0 + 1e-9) * p.evaluate(d), p.support)
 
-    monkeypatch.setattr(acceptance, "atomic_pfunction", scaled)
+    monkeypatch.setattr(acceptance, "phase_distribution_delta", scaled)
     result = acceptance.criterion_11()
     rows = [c for c in result.checks if "rebuilt raising moment" in c.label]
     assert len(rows) == 4

@@ -385,6 +385,21 @@ class TestScenarios:
         assert first_t[-1][1] == pytest.approx(kappa)
         assert first_t[-1][2] < 0.0
 
+    @pytest.mark.parametrize("atom", ["kind = ground", "kind = bloch\ns = 0.3, -0.2, 0.5"], ids=["ground", "bloch"])
+    def test_pfunction_csv_is_the_sharp_phase_dist_csv(self, atom):
+        # the P-function weight is the sharp-field phase law: only the scenario
+        # line and the header tell the two tables apart
+        text = MINIMAL.replace("kind = phase", atom).replace("chi = 1.0", "chi = -0.7")
+        tables = [
+            render_csv(run_scenario(parse_config(text.replace("name = moments", f"name = {name}")))).splitlines()
+            for name in ("pfunction", "phase-dist")
+        ]
+        assert len(tables[0]) == len(tables[1]) == 7 + 1 + 3 * 101
+        assert [pair for pair in zip(*tables) if pair[0] != pair[1]] == [
+            ("# scenario = pfunction", "# scenario = phase-dist"),
+            ("t,delta,p", "t,phi,density"),
+        ]
+
     def test_gaussian_phase_dist_past_old_spread_cap(self):
         # sqrt(3) chi t = 250 pi; the series cost does not grow with the spread
         t = 250.0 * math.pi / SQRT3

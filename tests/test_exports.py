@@ -24,20 +24,17 @@ from hybridwigner import (
     basis_moments,
     closed_moments,
     coherent_overlap,
-    default_truncation,
     flow_map,
-    flow_matrix,
     gaussian_wigner,
     integrate_interval,
     integrate_plane,
     phase_densities_gaussian,
     phase_distribution_delta,
-    phase_distribution_gaussian,
     quadrature_distribution,
     quantum_moments,
     semiclassical_moments,
-    semiclassical_standard,
 )
+from hybridwigner.quantum_reference import _default_truncation
 
 MODULES = ["hybridwigner"] + [
     f"hybridwigner.{info.name}" for info in pkgutil.iter_modules(hybridwigner.__path__)
@@ -56,12 +53,11 @@ EXPORTS = [
     "SIGMA_MINUS_SCALE", "AnalyticPathRequiredError", "DeltaAmplitude", "GaussianAmplitude",
     "FieldState", "HybridState", "PhaseDistribution", "ObservableSymbol", "flow_map",
     "joint_wigner", "field_marginal", "atom_marginal", "phase_distribution_delta",
-    "phase_distribution_gaussian", "phase_densities_gaussian", "phase_moments",
-    "quadrature_distribution", "closed_moments", "expectation_quadrature",
-    "moment_correlation", "semiclassical_standard", "semiclassical_moments",
-    "atomic_pfunction", "TruncationError", "default_truncation", "basis_moments",
-    "quantum_moments", "coherent_overlap", "OscillatorPair", "pair_flow",
-    "flow_matrix", "evolve_pair_wigner", "alpha_marginal", "beta_marginal",
+    "phase_densities_gaussian", "phase_moments", "quadrature_distribution",
+    "closed_moments", "expectation_quadrature", "moment_correlation",
+    "semiclassical_moments", "TruncationError", "basis_moments", "quantum_moments",
+    "coherent_overlap", "OscillatorPair", "pair_flow", "evolve_pair_wigner",
+    "alpha_marginal", "beta_marginal",
     "marginal_quadrature", "NonclassicalTransferReport", "NonquantumTransferReport",
     "nonclassical_transfer_check", "nonquantum_transfer_check",
 ]
@@ -184,22 +180,19 @@ NONFINITE_ENTRIES = [
     ("semiclassical_moments", "chi", lambda x: semiclassical_moments(GROUND, GAUSS, x, [1.0])),
     ("semiclassical_moments", "times", lambda x: semiclassical_moments(GROUND, DELTA, 1.0, [x])),
     ("phase_distribution_delta", "chi_t", lambda x: phase_distribution_delta(GROUND, x)),
-    ("phase_distribution_gaussian", "chi_t", lambda x: phase_distribution_gaussian(GROUND, GAUSS, x)),
     (
         "phase_densities_gaussian",
         "chi_ts",
         lambda x: phase_densities_gaussian(GROUND, GAUSS, [1.0, x], 201),
     ),
     ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
-    ("flow_matrix", "lam", lambda x: flow_matrix(x, 1.0)),
-    ("flow_matrix", "t", lambda x: flow_matrix(1.0, x)),
     ("quantum_moments", "alpha", lambda x: quantum_moments(GROUND, x, 1.0, [1.0])),
     ("quantum_moments", "chi", lambda x: quantum_moments(GROUND, 1.0, x, [1.0])),
     ("quantum_moments", "times", lambda x: quantum_moments(GROUND, 1.0, 1.0, [0.5, x])),
     ("basis_moments", "alpha", lambda x: basis_moments(0.6, 0.8, x, 1.0, [1.0])),
     ("basis_moments", "c_e", lambda x: basis_moments(x, 0.8, 1.0, 1.0, [1.0])),
     ("basis_moments", "c_g", lambda x: basis_moments(0.6, x, 1.0, 1.0, [1.0])),
-    ("default_truncation", "alpha", lambda x: default_truncation(x)),
+    ("_default_truncation", "alpha", lambda x: _default_truncation(x)),
     ("coherent_overlap", "beta", lambda x: coherent_overlap(0.5, x)),
     ("basis_moments", "chi", lambda x: basis_moments(0.6, 0.8, 1.0, x, [1.0])),
     ("basis_moments", "times", lambda x: basis_moments(0.6, 0.8, 1.0, 1.0, [x])),
@@ -209,8 +202,6 @@ NONFINITE_ENTRIES = [
     ("flow_map", "phi_atom", lambda x: flow_map(1.0, 0.0, 1.0, x, 1.0, 1.0)),
     ("flow_map", "chi", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, x, 1.0)),
     ("flow_map", "t", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, 1.0, x)),
-    ("semiclassical_standard", "chi", lambda x: semiclassical_standard(GROUND, GAUSS, x, 1.0)),
-    ("semiclassical_standard", "t", lambda x: semiclassical_standard(GROUND, DELTA, 1.0, x)),
     ("BlochPoint", "theta", lambda x: BlochPoint(x, 0.0)),
     ("BlochPoint", "phi", lambda x: BlochPoint(1.0, x)),
 ]
@@ -267,20 +258,15 @@ FLOAT_CALLS = {
     "HybridState": dict(atom=GROUND, field=GAUSS, chi=1.0, t=1.0),
     "flow_map": dict(r=1.0, phi_field=0.0, theta=1.0, phi_atom=0.0, chi=1.0, t=1.0),
     "phase_distribution_delta": dict(atom=GROUND, chi_t=1.0),
-    "phase_distribution_gaussian": dict(atom=GROUND, field=GAUSS, chi_t=1.0),
     "phase_densities_gaussian": dict(atom=GROUND, field=GAUSS, chi_ts=[1.0], points=201),
     "quadrature_distribution": dict(atom=GROUND, field=GAUSS, chi_t=1.0),
     "closed_moments": dict(atom=GROUND, field=GAUSS, chi=1.0, times=[1.0]),
-    "semiclassical_standard": dict(atom=GROUND, field=GAUSS, chi=1.0, t=1.0),
     "semiclassical_moments": dict(atom=GROUND, field=GAUSS, chi=1.0, times=[1.0]),
-    "atomic_pfunction": dict(atom=GROUND, chi_t=1.0),
-    "default_truncation": dict(alpha=1.0),
     "basis_moments": dict(c_e=0.6, c_g=0.8, alpha=1.0, chi=1.0, times=[1.0]),
     "quantum_moments": dict(atom=GROUND, alpha=1.0, chi=1.0, times=[1.0]),
     "coherent_overlap": dict(alpha=1.0, beta=0.5j),
     "OscillatorPair": dict(alpha=1.0, beta=0.5j),
     "pair_flow": dict(gamma=OscillatorPair(1.0, 1.0), lam=1.0, t=1.0),
-    "flow_matrix": dict(lam=1.0, t=1.0),
     "evolve_pair_wigner": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
     "alpha_marginal": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),
     "beta_marginal": dict(W_c=_WIGNER, W_q=_WIGNER, lam=1.0, t=1.0),

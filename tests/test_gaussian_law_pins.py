@@ -1,27 +1,33 @@
-"""The pointwise Gaussian-field laws, pinned: exact values (as repr) of
-``field_marginal`` and ``phase_distribution_gaussian(...).evaluate``.  Both
-sum the ramp series of the initial profile at one phase with two fixed-order
-reductions (``np.add.reduce`` of the products), so the values do not depend on
-the BLAS kernel the CPU picks; any change in the order of their floating-point
-operations moves them."""
+"""The Gaussian-field laws, pinned: exact values (as repr) of
+``phase_densities_gaussian`` on the phase-dist grid and of ``field_marginal``.
+The phase law folds its series into one inverse FFT per time and the marginal
+sums it at one phase with two fixed-order reductions (``np.add.reduce`` of the
+products); neither calls BLAS, so the values do not depend on the kernel the
+CPU picks, and any change in the order of their floating-point operations
+moves them."""
 
 import cmath
 
 import pytest
 
-from hybridwigner.hybrid_model import GaussianAmplitude, HybridState, field_marginal, phase_distribution_gaussian
+from hybridwigner.hybrid_model import GaussianAmplitude, HybridState, field_marginal, phase_densities_gaussian
 from hybridwigner.su2_wigner import SpinHalfState
 
 MIXED = SpinHalfState((0.3, -0.2, 0.4))
 
-# (r0, sigma, chi_t) -> values at phi = -2.5, 0.0, 0.4
+# phase-dist's grid, phi_k = -pi + 2 pi k / 200, and the k pinned there:
+# phi = -2.513, 0 and 0.408
+PHASE_POINTS = 201
+PHASE_INDICES = (20, 100, 113)
+
+# (r0, sigma, chi_t) -> values at PHASE_INDICES
 PHASE_PINS = {
-    (10.0, 1.0, 0.0): ("-1.1102230246251565e-16", "7.978845608028655", "4.959921362512887e-13"),
-    (10.0, 1.0, 0.3): ("1.1102230246251565e-16", "0.9622504486493744", "1.4614176079505985"),
-    (10.0, 1.0, -5.0): ("0.11023612467657132", "0.17320508075688734", "0.16766251817266697"),
-    (1.0, 0.05, 0.0): ("4.163336342344337e-16", "15.957691216057306", "7.771561172376096e-16"),
-    (1.0, 0.05, 0.3): ("8.326672684688674e-17", "0.9622504486493726", "1.4754492055097246"),
-    (1.0, 0.05, -5.0): ("0.10954332045211178", "0.17320508075688706", "0.1676625181726667"),
+    (10.0, 1.0, 0.0): ("5.551115123125783e-17", "7.978845608028655", "1.4518941604535485e-13"),
+    (10.0, 1.0, 0.3): ("5.551115123125783e-17", "0.9622504486493744", "1.4643979137733234"),
+    (10.0, 1.0, -5.0): ("0.10998885700475391", "0.17320508075688734", "0.16754602674047664"),
+    (1.0, 0.05, 0.0): ("-1.1102230246251565e-16", "15.957691216057306", "-9.992007221626409e-16"),
+    (1.0, 0.05, 0.3): ("5.551115123125783e-17", "0.9622504486493725", "1.4862295462375132"),
+    (1.0, 0.05, -5.0): ("0.1096658986043928", "0.17320508075688706", "0.16754602674047633"),
 }
 
 # (r0, sigma, chi_t) -> values at alpha = r0, r0 e^{-0.3i} + 0.1 sigma, r0 e^{2i}
@@ -37,8 +43,8 @@ MARGINAL_PINS = {
 
 @pytest.mark.parametrize("r0, sigma, chi_t", list(PHASE_PINS))
 def test_phase_law_values(r0, sigma, chi_t):
-    dist = phase_distribution_gaussian(MIXED, GaussianAmplitude(r0, sigma), chi_t)
-    assert tuple(repr(dist.evaluate(phi)) for phi in (-2.5, 0.0, 0.4)) == PHASE_PINS[r0, sigma, chi_t]
+    (row,) = phase_densities_gaussian(MIXED, GaussianAmplitude(r0, sigma), [chi_t], PHASE_POINTS)
+    assert tuple(repr(row[k]) for k in PHASE_INDICES) == PHASE_PINS[r0, sigma, chi_t]
 
 
 @pytest.mark.parametrize("r0, sigma, chi_t", list(MARGINAL_PINS))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridwigner.quadrature import (
     BlochPoint,
@@ -11,7 +13,7 @@ from hybridwigner.quadrature import (
     integrate_plane,
     integrate_sphere,
 )
-from hybridwigner.su2_wigner import SQRT3, SpinHalfState, spin_wigner
+from hybridwigner.su2_wigner import SQRT3, SpinHalfState, spin_wigner, wigner_to_spin
 from hybridwigner.cartesian_wigner import gaussian_wigner, quadrature_marginal
 from hybridwigner.hybrid_model import (
     AnalyticPathRequiredError,
@@ -21,7 +23,6 @@ from hybridwigner.hybrid_model import (
     ObservableSymbol,
     _field_factors,
     atom_marginal,
-    atomic_pfunction,
     closed_moments,
     expectation_quadrature,
     field_marginal,
@@ -29,18 +30,18 @@ from hybridwigner.hybrid_model import (
     joint_wigner,
     phase_densities_gaussian,
     phase_distribution_delta,
-    phase_distribution_gaussian,
     phase_moments,
     quadrature_distribution,
     moment_correlation,
     semiclassical_moments,
-    semiclassical_standard,
 )
 import hybridwigner.hybrid_model as model
 
 GROUND = SpinHalfState.ground()
 PHASE = SpinHalfState.phase_state()
 LOOSE = IntegrationSpec(1e-8, 1e-10)
+# phase-dist's grid: phi_k = -pi + 2 pi k / 200, k = 0 ... 200
+PHIS = [-math.pi + 2.0 * math.pi * k / 200 for k in range(201)]
 
 
 class TestFlowMap:
@@ -160,6 +161,33 @@ class TestJointWigner:
         total = integrate_plane(sphere_slice, 0j, 2.0, spec)
         assert abs(total.value - 1.0) < 1e-6
 
+    # the fields, atoms (ground, mixed, x-polarised) and couplings of the
+    # central identity's states
+    IDENTITY_FIELDS = [GaussianAmplitude(1.0, 1.0), GaussianAmplitude(10.0, 1.0), GaussianAmplitude(3.0, 0.5)]
+    IDENTITY_ATOMS = [GROUND, SpinHalfState((0.3, -0.2, 0.4)), SpinHalfState((1.0, 0.0, 0.0))]
+
+    @pytest.mark.parametrize("chi", [1.0, -1.0])
+    @pytest.mark.parametrize("atom", IDENTITY_ATOMS, ids=["ground", "mixed", "x"])
+    @pytest.mark.parametrize("field", IDENTITY_FIELDS, ids=["r0=1", "r0=10", "r0=3-sigma=0.5"])
+    def test_sphere_slice_integrates_to_field_marginal(self, field, atom, chi):
+        # the paper's central identity: tracing the atom out of the joint
+        # density gives the field marginal, here by sphere quadrature against
+        # the marginal's ramp series
+        state = HybridState(atom, field, chi, 0.7)
+        jd, fm = joint_wigner(state), field_marginal(state)
+        r0, sigma = field.r0, field.sigma
+        # three points on the evolved ridge (|phi| <= sqrt(3) 0.7), two off it
+        ridge = [complex(r0), r0 * cmath.exp(-1.1j), (r0 - 0.5 * sigma) * cmath.exp(0.8j)]
+        off = [(r0 + 4.0 * sigma) * cmath.exp(0.5j), r0 * cmath.exp(2.5j)]
+        # measured worst of these 90 points: 2.7e-16 of the initial peak on the
+        # ridge, and 1.1e-15 off it, where the series reads its own rounding;
+        # the bound keeps a margin of 9, and a marginal scaled by 1 + 1e-9
+        # moves every ridge point by at least 4.6e-12 of the peak
+        peak = field.polar_density(r0, 0.0)
+        for alpha in ridge + off:
+            sliced = integrate_sphere(jd(alpha), IntegrationSpec(1e-10, 1e-13)).value
+            assert abs(sliced - fm.evaluate(alpha)) <= 1e-14 * peak
+
 
 class TestFieldMarginal:
     def test_t0_matches_initial_gaussian(self):
@@ -180,15 +208,17 @@ class TestFieldMarginal:
         chi_t = 1.0 / SQRT3
         state = HybridState(GROUND, field, 1.0, chi_t)
         fm = field_marginal(state)
-        dist = phase_distribution_gaussian(GROUND, field, chi_t)
-        for phi in (0.0, 0.5, 1.0):
+        (row,) = phase_densities_gaussian(GROUND, field, [chi_t], 201)
+        # phi_k = -pi + 2 pi k / 200 at about 0, 0.5 and 1.0
+        for k in (100, 116, 132):
+            phi = PHIS[k]
             radial = integrate_interval(
                 lambda r: r * fm.evaluate(r * cmath.exp(-1j * phi)),
                 0.0,
                 21.0,
                 IntegrationSpec(1e-8, 1e-10),
             ).value
-            assert radial == pytest.approx(dist.evaluate(phi), abs=1e-7)
+            assert radial == pytest.approx(row[k], abs=1e-7)
 
     def test_delta_rejected(self):
         with pytest.raises(AnalyticPathRequiredError):
@@ -237,15 +267,16 @@ class TestAtomMarginal:
         assert abs(integrate_sphere(atom_marginal(state)).value - 1.0) < 1e-10
 
     @pytest.mark.parametrize("field", [DeltaAmplitude(1.5, 0.4), GaussianAmplitude(1.5, 0.8)])
-    def test_equals_frozen_field_model(self, field):
-        # r^2 is conserved, so back-reaction never reaches the atom's own marginal
+    def test_coherence_equals_frozen_field_moment(self, field):
+        # r^2 is conserved, so back-reaction never reaches the atom's own
+        # marginal: its Bloch vector, recovered by sphere quadrature, carries
+        # the frozen-field model's closed-form coherence
         atom = SpinHalfState((0.6, -0.3, 0.5))
-        am = atom_marginal(HybridState(atom, field, 0.7, 1.3))
-        frozen = semiclassical_standard(atom, field, 0.7, 1.3)
-        for theta in (0.0, 0.4, 1.5, 2.8, math.pi):
-            for phi in (0.0, 2.0, 5.0):
-                pt = BlochPoint(theta, phi)
-                assert am(*pt.coords) == frozen(*pt.coords)
+        sx, sy, sz = wigner_to_spin(atom_marginal(HybridState(atom, field, 0.7, 1.3))).s
+        (frozen,) = semiclassical_moments(atom, field, 0.7, [1.3])
+        # measured at most 5.6e-17 and 1.7e-16
+        assert abs(0.5 * complex(sx, -sy) - frozen[ObservableSymbol.SIGMA_MINUS]) < 2e-15
+        assert abs(sz - 0.5) < 2e-15
 
 
 class TestDeltaPhaseLaw:
@@ -297,12 +328,11 @@ class TestDeltaPhaseLaw:
     @pytest.mark.parametrize("atom", [GROUND, SpinHalfState((0.6, -0.3, 0.5))])
     def test_negative_chi_mirrors(self, atom):
         # p(phi; -chi t) = p(-phi; chi t), the support included
-        for law in (phase_distribution_delta, atomic_pfunction):
-            for chi_t in (0.4, 1.3):
-                neg, pos = law(atom, -chi_t), law(atom, chi_t)
-                assert neg.support == pos.support
-                for phi in np.linspace(-1.1 * SQRT3 * chi_t, 1.1 * SQRT3 * chi_t, 45):
-                    assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
+        for chi_t in (0.4, 1.3):
+            neg, pos = phase_distribution_delta(atom, -chi_t), phase_distribution_delta(atom, chi_t)
+            assert neg.support == pos.support
+            for phi in np.linspace(-1.1 * SQRT3 * chi_t, 1.1 * SQRT3 * chi_t, 45):
+                assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
 
 
 def _radial_reference(field: GaussianAmplitude, psi: float) -> float:
@@ -375,32 +405,36 @@ class TestAngularDensity:
 
 class TestGaussianPhaseLaw:
     def test_initial_peak_at_zero(self):
-        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 0.0)
-        grid = np.linspace(-0.5, 0.5, 21)
-        values = [dist.evaluate(float(p)) for p in grid]
-        assert grid[int(np.argmax(values))] == pytest.approx(0.0, abs=1e-12)
-        assert min(values) >= 0.0
+        field = GaussianAmplitude(10.0, 1.0)
+        (row,) = phase_densities_gaussian(GROUND, field, [0.0], 201)
+        # the 31 grid points in [-0.5, 0.5]; the FFT's rounding leaves -2.2e-16
+        # (2.8e-17 of the peak) where the law's tail is below it
+        values = row[85:116]
+        assert PHIS[85 + int(np.argmax(values))] == 0.0
+        assert min(values) >= -1e-15 * field.angular_density(0.0)
 
     def test_evolved_distribution_goes_negative(self):
-        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), 1.0 / SQRT3)
-        values = [dist.evaluate(float(p)) for p in np.linspace(0.6, 1.6, 21)]
-        assert min(values) < -0.01
+        (row,) = phase_densities_gaussian(GROUND, GaussianAmplitude(10.0, 1.0), [1.0 / SQRT3], 201)
+        # the grid points in [0.6, 1.6]
+        assert min(p for p, phi in zip(row, PHIS) if 0.6 <= phi <= 1.6) < -0.01
 
     def test_narrow_width_approaches_sharp_law(self):
         sharp = phase_distribution_delta(GROUND, 1.0)
-        narrow = phase_distribution_gaussian(GROUND, GaussianAmplitude(1.0, 1e-3), 1.0)
-        for phi in (-1.5, -0.5, 0.3, 1.2):
-            assert narrow.evaluate(phi) == pytest.approx(sharp.evaluate(phi), abs=1e-3)
+        (narrow,) = phase_densities_gaussian(GROUND, GaussianAmplitude(1.0, 1e-3), [1.0], 201)
+        # phi_k at about -1.5, -0.5, 0.3 and 1.2
+        for k in (52, 84, 110, 138):
+            assert narrow[k] == pytest.approx(sharp.evaluate(PHIS[k]), abs=1e-3)
 
     def test_negative_chi_mirrors(self):
-        # p(phi; -chi t) = p(-phi; chi t)
+        # p(phi; -chi t) = p(-phi; chi t), and -phi_k is phi_(200 - k)
         field = GaussianAmplitude(2.0, 0.7)
-        for chi_t in (0.3, 2.5):
-            neg = phase_distribution_gaussian(GROUND, field, -chi_t)
-            pos = phase_distribution_gaussian(GROUND, field, chi_t)
-            assert neg.support == pos.support
-            for phi in np.linspace(-math.pi, math.pi, 9):
-                assert neg.evaluate(float(phi)) == pos.evaluate(float(-phi))
+        chi_ts = (0.3, 2.5)
+        pos = phase_densities_gaussian(GROUND, field, chi_ts, 201)
+        neg = phase_densities_gaussian(GROUND, field, [-chi_t for chi_t in chi_ts], 201)
+        # the FFT's rounding differs between the two: measured at most 1.5e-16 of the peak
+        peak = field.angular_density(0.0)
+        for p, n in zip(pos, neg):
+            assert max(abs(a - b) for a, b in zip(n, p[::-1])) <= 1e-15 * peak
 
     def test_no_adaptive_integrals(self, monkeypatch):
         seen = []
@@ -412,17 +446,17 @@ class TestGaussianPhaseLaw:
 
         monkeypatch.setattr(model, "integrate_interval", counting)
         field = GaussianAmplitude(2.0, 0.7)
-        dist = phase_distribution_gaussian(PHASE, field, 2.5)
+        phase_densities_gaussian(PHASE, field, [2.5], 201)
         fm = field_marginal(HybridState(PHASE, field, 1.0, 2.5))
         for phi in (-2.0, 0.0, 1.1):
-            dist.evaluate(phi)
             fm.evaluate(2.0 * cmath.exp(-1j * phi))
         assert seen == []
 
     def test_normalized_over_period(self):
-        dist = phase_distribution_gaussian(GROUND, GaussianAmplitude(2.0, 1.0), 0.4)
-        total = integrate_interval(dist.evaluate, -math.pi, math.pi, IntegrationSpec(1e-6, 1e-8))
-        assert abs(total.value - 1.0) < 1e-6
+        (row,) = phase_densities_gaussian(GROUND, GaussianAmplitude(2.0, 1.0), [0.4], 201)
+        # the periodic trapezoid on the grid, exact for the series' modes below 200
+        total = math.fsum(row[:-1]) * (2.0 * math.pi / 200)
+        assert abs(total - 1.0) < 1e-6
 
 
 def _exact_phase_row(atom, field, chi_t, points):
@@ -454,6 +488,31 @@ class TestPhaseDensitiesGrid:
         for chi_t, row in zip(chi_ts, grid):
             ref = _exact_phase_row(atom, field, chi_t, 201)
             assert max(abs(a - b) for a, b in zip(row, ref)) <= 1e-15 * max(1.0, peak)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 50.0),
+        st.floats(0.05, 2.0),
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-20.0, -1e-3), st.floats(-20.0, 20.0), st.floats(1e3, 1e300)),
+            min_size=1,
+            max_size=7,
+        ),
+        st.integers(1, 3),
+    )
+    def test_blocks_match_exact_phase_reference(self, sz, ratio, sigma, chi_ts, per_block):
+        # blocks of per_block times, so that most draws span several blocks
+        atom, field = SpinHalfState((0.0, 0.0, sz)), GaussianAmplitude(ratio * sigma, sigma)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_BLOCK_HARMONICS", per_block * (field.phase_points // 2))
+            grid = phase_densities_gaussian(atom, field, chi_ts, 201)
+        # 1,300 random draws of these ranges measured at most 3.5e-16 * max(1, peak)
+        peak = field.angular_density(0.0)
+        assert len(grid) == len(chi_ts)
+        for chi_t, row in zip(chi_ts, grid):
+            ref = _exact_phase_row(atom, field, chi_t, 201)
+            assert max(abs(a - b) for a, b in zip(row, ref)) <= 2e-15 * max(1.0, peak)
 
     @pytest.mark.parametrize("points", [2, 3, 8, 201, 1025])
     def test_end_rows_are_one_point(self, points):
@@ -768,28 +827,32 @@ class TestCorrelation:
 
 class TestSemiclassical:
     def test_ground_atom_invariant_under_both_variants(self):
+        # the frozen-field model is the atom marginal; the mean-field model
+        # lives in its moments
+        field = GaussianAmplitude(1.0, 1.0)
         wq = spin_wigner(GROUND)
-        for mean_field in (False, True):
-            W = semiclassical_standard(GROUND, GaussianAmplitude(1.0, 1.0), 1.0, 2.0, mean_field)
-            for theta, phi in ((0.2, 0.0), (1.4, 3.0)):
-                pt = BlochPoint(theta, phi)
-                assert W(*pt.coords) == pytest.approx(wq(*pt.coords), abs=1e-12)
+        W = atom_marginal(HybridState(GROUND, field, 1.0, 2.0))
+        for theta, phi in ((0.2, 0.0), (1.4, 3.0)):
+            pt = BlochPoint(theta, phi)
+            assert W(*pt.coords) == pytest.approx(wq(*pt.coords), abs=1e-12)
+        (mf,) = semiclassical_moments(GROUND, field, 1.0, [2.0], mean_field=True)
+        assert mf[ObservableSymbol.SIGMA_Z] == -1.0
+        assert mf[ObservableSymbol.SIGMA_MINUS] == 0.0
 
     def test_sharp_field_variants_coincide(self):
         field = DeltaAmplitude(1.3)
-        a = semiclassical_standard(PHASE, field, 1.0, 0.9, mean_field=False)
-        b = semiclassical_standard(PHASE, field, 1.0, 0.9, mean_field=True)
-        for theta, phi in ((0.5, 1.0), (2.0, 4.5)):
-            pt = BlochPoint(theta, phi)
-            assert a(*pt.coords) == pytest.approx(b(*pt.coords), abs=1e-13)
+        (a,) = semiclassical_moments(PHASE, field, 1.0, [0.9], mean_field=False)
+        (b,) = semiclassical_moments(PHASE, field, 1.0, [0.9], mean_field=True)
+        for obs in ObservableSymbol:
+            assert a[obs] == pytest.approx(b[obs], abs=1e-13)
 
     def test_mean_field_rotation_uses_width_corrected_intensity(self):
         r0, sigma, chi, t = 2.0, 0.5, 1.0, 0.7
-        W = semiclassical_standard(PHASE, GaussianAmplitude(r0, sigma), chi, t, mean_field=True)
+        (mf,) = semiclassical_moments(PHASE, GaussianAmplitude(r0, sigma), chi, [t], mean_field=True)
         shift = 2.0 * chi * (r0 * r0 + 0.5 * sigma * sigma) * t
-        for theta, phi in ((0.9, 0.3), (1.7, 5.1)):
-            ref = (1.0 + SQRT3 * math.sin(theta) * math.cos(phi - shift)) / (4.0 * math.pi)
-            assert W(*BlochPoint(theta, phi).coords) == pytest.approx(ref, abs=1e-13)
+        # the equal superposition's coherence (s_x - i s_y) / 2, rotated rigidly by the shift
+        ref = 0.5 * cmath.exp(-1j * shift)
+        assert mf[ObservableSymbol.SIGMA_MINUS] == pytest.approx(ref, abs=1e-13)
 
     def test_semiclassical_inversion_amplitude_correlation_vanishes(self):
         field = GaussianAmplitude(1.0, 1.0)
@@ -832,24 +895,13 @@ def _semiclassical_reference(atom, field, chi, t, mean_field):
 
 
 class TestPFunction:
-    def test_matches_sharp_phase_law(self):
-        for atom in (GROUND, PHASE):
-            for chi_t in (0.5, 2.0):
-                p = atomic_pfunction(atom, chi_t)
-                ref = phase_distribution_delta(atom, chi_t)
-                for d in np.linspace(-SQRT3 * chi_t, SQRT3 * chi_t, 23):
-                    assert p.evaluate(float(d)) == ref.evaluate(float(d))
-
-    def test_normalized(self):
-        p = atomic_pfunction(GROUND, 1.0)
-        lo, hi = p.support
-        assert integrate_interval(p.evaluate, lo, hi).value == pytest.approx(1.0, abs=1e-12)
-
+    # the P-function weight over rotated sharp amplitudes is the sharp-field
+    # phase law, with the rotation angle delta for the phase
     def test_moment_reconstruction(self):
         r0 = 1.3
         chi_ts = (0.5, 2.0)
         for chi_t, moments in zip(chi_ts, closed_moments(GROUND, DeltaAmplitude(r0), 1.0, chi_ts)):
-            p = atomic_pfunction(GROUND, chi_t)
+            p = phase_distribution_delta(GROUND, chi_t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi
@@ -862,7 +914,7 @@ class TestPFunction:
         r0 = 1.3
         times = (0.5, 2.0)
         for t, moments in zip(times, closed_moments(GROUND, DeltaAmplitude(r0), -1.0, times)):
-            p = atomic_pfunction(GROUND, -t)
+            p = phase_distribution_delta(GROUND, -t)
             lo, hi = p.support
             rebuilt = r0 * integrate_interval(
                 lambda d: p.evaluate(d) * cmath.exp(1j * d), lo, hi

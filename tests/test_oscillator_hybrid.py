@@ -10,10 +10,10 @@ from hybridwigner.quadrature import IntegrationSpec, integrate_plane
 from hybridwigner.cartesian_wigner import PhaseSpaceFunction, fock_wigner, gaussian_wigner
 from hybridwigner.oscillator_hybrid import (
     OscillatorPair,
+    _flow_entries,
     alpha_marginal,
     beta_marginal,
     evolve_pair_wigner,
-    flow_matrix,
     marginal_quadrature,
     nonclassical_transfer_check,
     nonquantum_transfer_check,
@@ -22,6 +22,11 @@ from hybridwigner.oscillator_hybrid import (
 
 LAM = 1.0
 TAU = 0.5 * math.pi / LAM  # the swap time
+
+
+def flow_matrix(lam, t):
+    """U(t) of the pair at coupling strength lam, as a numpy 2x2 matrix."""
+    return np.array(_flow_entries(lam, t), dtype=complex).reshape(2, 2)
 
 
 class TestFlow:

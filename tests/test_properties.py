@@ -13,7 +13,6 @@ from hybridwigner.cli import (
     ConfigError,
     NumericError,
     ResultTable,
-    _grid,
     parse_config,
     render_csv,
     run_scenario,
@@ -28,7 +27,6 @@ from hybridwigner.hybrid_model import (
     field_marginal,
     moment_correlation,
     phase_densities_gaussian,
-    phase_distribution_gaussian,
     quadrature_distribution,
 )
 from hybridwigner.quadrature import IntegrationSpec
@@ -254,7 +252,9 @@ def _ramp_reference(f, kappa, sz, offset=0.0, peaks=()):
     of the weight, u = -1 / (sqrt(3) s_z), is an edge too: a sign change
     inside a panel leaves quad's roundoff check short of the tolerance.  So is
     every u whose kappa u is one of ``peaks`` modulo 2 pi, for profiles that
-    peak elsewhere."""
+    peak elsewhere.  An inner cut within 1e-9 of the cut before it or of
+    u = 1 is dropped: a panel that narrow (one of 1.5e-14 at u = -0.924 was
+    seen) makes quad warn of bad integrand behaviour."""
     cuts = {-1.0, 1.0}
     if abs(SQRT3 * sz) > 1.0:
         cuts.add(-1.0 / (SQRT3 * sz))
@@ -271,7 +271,11 @@ def _ramp_reference(f, kappa, sz, offset=0.0, peaks=()):
                 u = (v + 2.0 * math.pi * k) / kappa
                 if -1.0 < u < 1.0:
                     cuts.add(u)
-    cuts = sorted(cuts)
+    kept = [-1.0]
+    for u in sorted(cuts)[1:-1]:
+        if u - kept[-1] > 1e-9 and 1.0 - u > 1e-9:
+            kept.append(u)
+    cuts = kept + [1.0]
 
     def integrand(u):
         return 0.5 * (1.0 + SQRT3 * sz * u) * f(kappa * u)
@@ -293,11 +297,13 @@ def _z_atom(sz):
 
 
 @FEW
-@given(_SZ, _WIDE_FIELDS, _CHI_T, _PHI)
-def test_phase_law_matches_ramp_reference(sz, field, chi_t, phi):
-    dist = phase_distribution_gaussian(_z_atom(sz), field, chi_t)
+@given(_SZ, _WIDE_FIELDS, _CHI_T, st.integers(0, 200))
+def test_phase_law_matches_ramp_reference(sz, field, chi_t, k):
+    # at phi_k of phase-dist's grid
+    (row,) = phase_densities_gaussian(_z_atom(sz), field, [chi_t], 201)
+    phi = -math.pi + 2.0 * math.pi * k / 200
     ref = _ramp_reference(lambda v: field.angular_density(phi - v), SQRT3 * chi_t, sz, phi)
-    assert abs(dist.evaluate(phi) - ref) <= 1e-10 * max(1.0, abs(ref))
+    assert abs(row[k] - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 @FEW
@@ -317,50 +323,24 @@ def test_field_marginal_matches_ramp_reference(sz, field, chi_t, phi, offset):
 @given(_SZ, _WIDE_FIELDS, _CHI_T)
 def test_phase_law_normalized(sz, field, chi_t):
     # the periodic trapezoid on N points is exact for a series of N / 2 modes
-    dist = phase_distribution_gaussian(_z_atom(sz), field, chi_t)
     n = field.phase_points
-    total = math.fsum(dist.evaluate(-math.pi + k * (2.0 * math.pi / n)) for k in range(n))
+    (row,) = phase_densities_gaussian(_z_atom(sz), field, [chi_t], n + 1)
+    total = math.fsum(row[:-1])
     assert abs(total * (2.0 * math.pi / n) - 1.0) <= 1e-12
-
-
-_CHI_TS = st.lists(
-    st.one_of(st.just(0.0), st.floats(-20.0, -1e-3), _CHI_T, st.floats(1e3, 1e300)),
-    min_size=1,
-    max_size=7,
-)
-
-
-@FEW
-@given(_SZ, st.floats(0.0, 50.0), st.floats(0.05, 2.0), _CHI_TS, st.integers(1, 3))
-def test_phase_densities_equal_pointwise_law(sz, ratio, sigma, chi_ts, per_block):
-    # blocks of per_block times, so that most draws span several blocks
-    atom, field = _z_atom(sz), GaussianAmplitude(ratio * sigma, sigma)
-    phis = _grid(-math.pi, math.pi, 201)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hybrid_model, "_BLOCK_HARMONICS", per_block * (field.phase_points // 2))
-        grid = phase_densities_gaussian(atom, field, chi_ts, len(phis))
-    # The grid folds its phases exactly, the pointwise route rounds m phi; 1,300
-    # random draws of these ranges measured at most 7.5e-15 * max(1, peak).
-    peak = field.angular_density(0.0)
-    assert len(grid) == len(chi_ts)
-    for chi_t, row in zip(chi_ts, grid):
-        dist = phase_distribution_gaussian(atom, field, chi_t)
-        assert max(abs(p - dist.evaluate(phi)) for p, phi in zip(row, phis)) <= 2e-14 * max(1.0, peak)
 
 
 @pytest.mark.parametrize("r0, sigma", [(10.0, 1.0), (1.0, 1e-3), (10.0, 0.01)])
 def test_phase_law_resolved_at_azimuth_points(r0, sigma, monkeypatch):
     field = GaussianAmplitude(r0, sigma)
     atom = _z_atom(-1.0)
-    phis = [-3.0, -1.2, -0.3, 0.0, 0.05, 0.7, 2.5]
-    for chi_t in (0.0, 1.0 / SQRT3, 10.47 / SQRT3):
-        coarse = phase_distribution_gaussian(atom, field, chi_t)
-        with monkeypatch.context() as patch:
-            points = GaussianAmplitude.azimuth_points
-            patch.setattr(GaussianAmplitude, "azimuth_points", lambda f, r: 4 * points(f, r))
-            fine = phase_distribution_gaussian(atom, field, chi_t)
-        for phi in phis:
-            assert abs(coarse.evaluate(phi) - fine.evaluate(phi)) < 1e-10
+    chi_ts = (0.0, 1.0 / SQRT3, 10.47 / SQRT3)
+    coarse = phase_densities_gaussian(atom, field, chi_ts, 201)
+    with monkeypatch.context() as patch:
+        points = GaussianAmplitude.azimuth_points
+        patch.setattr(GaussianAmplitude, "azimuth_points", lambda f, r: 4 * points(f, r))
+        fine = phase_densities_gaussian(atom, field, chi_ts, 201)
+    for coarse_row, fine_row in zip(coarse, fine):
+        assert max(abs(c - f) for c, f in zip(coarse_row, fine_row)) < 1e-10
 
 
 def _quad_profile(y, r0, sigma):
@@ -373,6 +353,7 @@ def _quad_profile(y, r0, sigma):
 
 @FEW
 @given(_SZ, _WIDE_FIELDS, st.floats(0.0, 40.0), st.floats(-1.0, 1.0))
+@example(sz=1.0, field=GaussianAmplitude(1.0, 1.0), kappa=34.0, fraction=1e-12)
 def test_quad_dist_core_matches_ramp_reference(sz, field, kappa, fraction):
     # |y| <= r0 comes from the ramp series of the quadrature profile
     y = fraction * field.r0

@@ -12,10 +12,10 @@ from hybridwigner.quantum_reference import (
     TruncationError,
     _checked_block,
     _coherent_column,
+    _default_truncation,
     _evolve,
     basis_moments,
     coherent_overlap,
-    default_truncation,
     quantum_moments,
 )
 from hybridwigner.su2_wigner import SpinHalfState
@@ -26,7 +26,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def _states(c_e, c_g, alpha, chi, times, N=None):
     """Checked T x 2 x (N+1) amplitudes at ``times``, formed as
     ``basis_moments`` forms one block."""
-    N = default_truncation(alpha) if N is None else N
+    N = _default_truncation(alpha) if N is None else N
     return _checked_block(_evolve(c_e, c_g, _coherent_column(alpha, N), chi, times))
 
 
@@ -86,18 +86,18 @@ class TestEvolution:
 
     def test_default_truncation_capped(self):
         # |alpha| = 311 needs 99,851 states, |alpha| = 312 needs 100,484
-        assert default_truncation(311.0) <= MAX_TRUNCATION
+        assert _default_truncation(311.0) <= MAX_TRUNCATION
         with pytest.raises(TruncationError):
-            default_truncation(312.0)
+            _default_truncation(312.0)
         with pytest.raises(TruncationError):
-            default_truncation(1e200)
+            _default_truncation(1e200)
 
     def test_default_truncation_keeps_tail_small(self):
         for alpha in (0.5, 1.0, 3.0):
             st = _states(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.3,))
             tail = np.sum(np.abs(st[0, :, -1]) ** 2)
             assert tail < 1e-14
-            assert st.shape[-1] - 1 == default_truncation(alpha)
+            assert st.shape[-1] - 1 == _default_truncation(alpha)
 
 
 class TestExpectations:
@@ -134,7 +134,7 @@ class TestExpectations:
 
     def test_truncation_robustness(self):
         alpha = 3.0
-        n = default_truncation(alpha)
+        n = _default_truncation(alpha)
         ma = basis_moments(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.8,))[0]
         mb = basis_moments(INV_SQRT2, INV_SQRT2, alpha, 1.0, (0.8,), N=2 * n)[0]
         for obs in ObservableSymbol:
@@ -143,7 +143,7 @@ class TestExpectations:
 
 def _parent_state(c_e, c_g, alpha, chi, t):
     """The former one-time evolution, as it formed each level."""
-    coherent = _coherent_column(alpha, default_truncation(alpha))
+    coherent = _coherent_column(alpha, _default_truncation(alpha))
     ns = np.arange(len(coherent))
     upper = c_e * np.exp(-1j * chi * t * ns) * coherent
     lower = c_g * np.exp(1j * chi * t * ns) * coherent
@@ -169,7 +169,7 @@ def _parent_expressions(up, low):
 
 def _grid(alpha):
     """Times spanning two full blocks and part of a third."""
-    step = max(1, _BLOCK_AMPLITUDES // (default_truncation(alpha) + 1))
+    step = max(1, _BLOCK_AMPLITUDES // (_default_truncation(alpha) + 1))
     return [0.0137 * k for k in range(2 * step + 3)]
 
 
@@ -267,7 +267,7 @@ class TestClosedForm:
     def test_amplitude_beyond_the_basis_cap(self):
         # |alpha| = 1000 would need 1,010,020 basis states
         with pytest.raises(TruncationError):
-            default_truncation(1000.0)
+            _default_truncation(1000.0)
         (moments,) = quantum_moments(SpinHalfState.phase_state(), 1000.0, 1.0, (0.0,))
         assert moments[ObservableSymbol.A] == 1000.0
         assert moments[ObservableSymbol.SIGMA_MINUS] == pytest.approx(0.5, abs=1e-15)
