@@ -385,11 +385,16 @@ class TestScenarios:
         assert first_t[-1][1] == pytest.approx(kappa)
         assert first_t[-1][2] < 0.0
 
-    @pytest.mark.parametrize("atom", ["kind = ground", "kind = bloch\ns = 0.3, -0.2, 0.5"], ids=["ground", "bloch"])
-    def test_pfunction_csv_is_the_sharp_phase_dist_csv(self, atom):
+    @pytest.mark.parametrize("chi", ["0.7", "-0.7"])
+    @pytest.mark.parametrize(
+        "atom",
+        ["kind = ground", "kind = phase", "kind = bloch\ns = 0.3, -0.2, 0.5"],
+        ids=["ground", "phase", "bloch"],
+    )
+    def test_pfunction_csv_is_the_sharp_phase_dist_csv(self, atom, chi):
         # the P-function weight is the sharp-field phase law: only the scenario
         # line and the header tell the two tables apart
-        text = MINIMAL.replace("kind = phase", atom).replace("chi = 1.0", "chi = -0.7")
+        text = MINIMAL.replace("kind = phase", atom).replace("chi = 1.0", f"chi = {chi}")
         tables = [
             render_csv(run_scenario(parse_config(text.replace("name = moments", f"name = {name}")))).splitlines()
             for name in ("pfunction", "phase-dist")

@@ -19,8 +19,10 @@ from hybridwigner import (
     BlochPoint,
     DeltaAmplitude,
     GaussianAmplitude,
+    HybridState,
     OscillatorPair,
     SpinHalfState,
+    atom_marginal,
     basis_moments,
     closed_moments,
     coherent_overlap,
@@ -34,6 +36,7 @@ from hybridwigner import (
     quantum_moments,
     semiclassical_moments,
 )
+from hybridwigner.oscillator_hybrid import _flow_entries
 from hybridwigner.quantum_reference import _default_truncation
 
 MODULES = ["hybridwigner"] + [
@@ -186,6 +189,8 @@ NONFINITE_ENTRIES = [
         lambda x: phase_densities_gaussian(GROUND, GAUSS, [1.0, x], 201),
     ),
     ("quadrature_distribution", "chi_t", lambda x: quadrature_distribution(GROUND, GAUSS, x)),
+    ("_flow_entries", "lam", lambda x: _flow_entries(x, 1.0)),
+    ("_flow_entries", "t", lambda x: _flow_entries(1.0, x)),
     ("quantum_moments", "alpha", lambda x: quantum_moments(GROUND, x, 1.0, [1.0])),
     ("quantum_moments", "chi", lambda x: quantum_moments(GROUND, 1.0, x, [1.0])),
     ("quantum_moments", "times", lambda x: quantum_moments(GROUND, 1.0, 1.0, [0.5, x])),
@@ -202,6 +207,8 @@ NONFINITE_ENTRIES = [
     ("flow_map", "phi_atom", lambda x: flow_map(1.0, 0.0, 1.0, x, 1.0, 1.0)),
     ("flow_map", "chi", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, x, 1.0)),
     ("flow_map", "t", lambda x: flow_map(1.0, 0.0, 1.0, 0.0, 1.0, x)),
+    ("atom_marginal", "chi", lambda x: atom_marginal(HybridState(GROUND, GAUSS, x, 1.0))),
+    ("atom_marginal", "t", lambda x: atom_marginal(HybridState(GROUND, DELTA, 1.0, x))),
     ("BlochPoint", "theta", lambda x: BlochPoint(x, 0.0)),
     ("BlochPoint", "phi", lambda x: BlochPoint(1.0, x)),
 ]
